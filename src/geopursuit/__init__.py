@@ -24,7 +24,7 @@ from .geometry import (DegenerateMetricError, MetricTensor, WeaknessReport,
                        density_radius, metric, path_length, weakness_factors)
 from .pursuit import (AscentResult, Decomposition, DecompositionStep, PursuitConfig,
                       ScoreGradient, full_search, gradient, gradient_ascent,
-                      grid_scores, reconstruct, run, score)
+                      grid_scores, reconstruct, run, score, select)
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,5 @@ __all__ = [
     "gradient", "gradient_ascent", "grid_scores", "image_harness", "inner_product",
     "load_signal", "make_test_image", "metric", "mexican_hat_norm_constant",
     "nae", "path_length", "psnr", "reconstruct", "run", "save_signal", "score",
-    "selection_score", "tau_grid_for_signal", "weakness_factors",
+    "select", "selection_score", "tau_grid_for_signal", "weakness_factors",
 ]

@@ -152,11 +152,19 @@ class Grid2DSpec:
                     yield ParamPoint((b1, b2, theta, a1, a2), kinds)
 
     def to_json(self) -> str:
-        return json.dumps({"Nx": self.nx, "Ny": self.ny,
-                           "J": self.j_scales, "K": self.k_orients})
+        """JSON spec; the scale bounds are written only where they differ
+        from the defaults, so default grids keep their four-key form."""
+        spec = {"Nx": self.nx, "Ny": self.ny, "J": self.j_scales, "K": self.k_orients}
+        if self.min_scale != DEFAULT_MIN_SCALE:
+            spec["min_scale"] = self.min_scale
+        if self.max_scale is not None:
+            spec["max_scale"] = self.max_scale
+        return json.dumps(spec)
 
     @classmethod
     def from_json(cls, text: str) -> "Grid2DSpec":
         d = json.loads(text)
         return cls(nx=int(d["Nx"]), ny=int(d["Ny"]),
-                   j_scales=int(d["J"]), k_orients=int(d["K"]))
+                   j_scales=int(d["J"]), k_orients=int(d["K"]),
+                   min_scale=float(d.get("min_scale", DEFAULT_MIN_SCALE)),
+                   max_scale=d.get("max_scale"))

@@ -83,14 +83,13 @@ def _add_common(sub):
 
 
 def _pursuit_config(args) -> PursuitConfig:
-    return PursuitConfig(mode=args.mode, alpha=args.alpha, kappa=args.kappa,
+    return PursuitConfig(mode=args.mode, kappa=args.kappa,
                          chi=args.chi, max_iterations=args.max_iters,
                          optimize_scope=args.scope)
 
 
 def _add_pursuit_flags(sub, default_iters=100):
     sub.add_argument("--mode", choices=("dmp", "gmp"), default="dmp")
-    sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--kappa", type=int, default=10)
     sub.add_argument("--chi", type=float, default=0.1)
     sub.add_argument("--max-iters", type=int, default=default_iters)
@@ -120,7 +119,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
     if args.residual_out:
         save_signal(decomposition.final_residual, args.residual_out)
         outputs.append(args.residual_out)
-    cfg = {"mode": config.mode, "alpha": config.alpha, "kappa": config.kappa,
+    cfg = {"mode": config.mode, "kappa": config.kappa,
            "chi": config.chi, "max_iterations": config.max_iterations,
            "optimize_scope": config.optimize_scope, "grid": json.loads(grid.to_json())}
     return cfg, [args.grid, args.infile], outputs
@@ -129,9 +128,8 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
     grid = _load_grid(args.grid)
     dictionary = _dictionary_for(grid)
-    shape = (grid.n,) if isinstance(grid, TauAdicGrid) else (grid.nx, grid.ny)
-    decomposition = Decomposition.from_jsonl(args.steps, shape=shape)
-    approx = reconstruct(decomposition, dictionary, shape)
+    decomposition = Decomposition.from_jsonl(args.steps, shape=dictionary.shape)
+    approx = reconstruct(decomposition, dictionary)
     save_signal(approx, args.out)
     inputs = [args.grid, args.steps]
     if args.infile and args.residual:

@@ -18,7 +18,10 @@ import numpy as np
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, inner_product, psnr
 from .dictionaries import Dictionary
-from .pursuit import PursuitConfig, full_search, gradient_ascent, reconstruct, run
+# gradient_ascent is not called here; it stays an attribute of this module
+# because the benchmark's tracer (perfbench/spans.py) rebinds it.
+from .pursuit import (PursuitConfig, full_search, gradient_ascent,  # noqa: F401
+                      reconstruct, run, select)
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,7 @@ def experiment_grid(n: int, b0: float, log2_tau: float, a0: float = 1.0,
 def selection_score(dictionary: Dictionary, residual: SignalBuffer, grid,
                     config: PursuitConfig) -> float:
     """Best score one pursuit iteration would achieve on `residual`."""
-    k_best, s_grid = full_search(dictionary, residual, grid)
-    if config.mode == "gmp" and s_grid > 0:
-        result = gradient_ascent(dictionary, residual, k_best,
-                                 kappa=config.kappa, chi=config.chi,
-                                 max_halvings=config.max_halvings,
-                                 grad_stop_ratio=config.grad_stop_ratio)
-        # refinement never loses against the grid selection
-        return max(result.score, s_grid)
-    return s_grid
+    return select(dictionary, residual, grid, config)[1]
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,12 @@ _LATTICE_TOL = 1e-10
 class PursuitConfig:
     """Knobs for a pursuit run.
 
-    alpha is the weakness factor of the selection rule (1 = pick the exact
-    argmax; the engine always returns the argmax, which satisfies any
-    alpha <= 1). kappa/chi/max_halvings/grad_stop_ratio drive the gradient
-    ascent in gmp mode.
+    Selection is the exact grid argmax (weak matching pursuit with weakness
+    factor 1). kappa/chi/max_halvings/grad_stop_ratio drive the gradient
+    ascent in gmp mode; optimize_scope says which grid atoms seed it.
     """
 
     mode: str = "dmp"
-    alpha: float = 1.0
     kappa: int = 10
     chi: float = 0.1
     max_halvings: int = 10
@@ -57,8 +55,6 @@ class PursuitConfig:
     def __post_init__(self):
         if self.mode not in ("dmp", "gmp"):
             raise ValueError(f"mode must be 'dmp' or 'gmp', got {self.mode!r}")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
         if not self.chi > 0:
@@ -126,13 +122,23 @@ class Decomposition:
                 fh.write(json.dumps(step.to_record()) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path, initial_energy: float = 0.0, shape=()) -> "Decomposition":
+    def from_jsonl(cls, path, initial_energy: float | None = None,
+                   shape=()) -> "Decomposition":
+        """Read steps written by `to_jsonl`.
+
+        Without `initial_energy`, it is recovered from the first step as
+        residual_energy + coeff**2 (the energy the step removed from the
+        signal); an empty file gives 0.0.
+        """
         steps = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if line:
                     steps.append(DecompositionStep.from_record(json.loads(line)))
+        if initial_energy is None:
+            initial_energy = (steps[0].residual_energy + steps[0].coeff ** 2
+                              if steps else 0.0)
         return cls(steps=steps, initial_energy=initial_energy, shape=tuple(shape))
 
     def to_csv(self, path) -> None:
@@ -242,23 +248,46 @@ def full_search(dictionary: Dictionary, residual: SignalBuffer, grid):
     Equivalent to scoring every grid atom; ties break toward the smallest
     enumeration index. Returns (best point, best score).
     """
-    if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        return _search_affine(dictionary, residual, grid)
-    if isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        return _search_2d(dictionary, residual, grid)
-    return _search_generic(dictionary, residual, grid)
-
-
-def _search_generic(dictionary, residual, grid):
-    points = grid.points() if hasattr(grid, "points") else iter(grid)
-    best_point, best_score = None, -1.0
-    for lam in points:
-        s = score(dictionary, residual, lam)
-        if s > best_score:
-            best_point, best_score = lam, s
-    if best_point is None:
+    best = None  # (score, to_point, index)
+    for scores, to_point in _score_blocks(dictionary, residual, grid):
+        k = int(np.argmax(scores))
+        if best is None or scores[k] > best[0]:
+            best = (float(scores[k]), to_point, k)
+    if best is None:
         raise ValueError("grid is empty")
-    return best_point, best_score
+    return best[1](best[2]), best[0]
+
+
+def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndarray:
+    """Scores of every grid atom, in enumeration order.
+
+    Diagnostic companion to full_search; uses the same FFT/direct scoring
+    machinery, so it also serves to audit the fast paths atom by atom.
+    """
+    blocks = [scores for scores, _ in _score_blocks(dictionary, residual, grid)]
+    if not blocks:
+        raise ValueError("grid is empty")
+    return np.concatenate(blocks)
+
+
+def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
+    """Flat score arrays covering the grid in enumeration order.
+
+    The only place that branches on grid and dictionary type. Yields
+    (scores, to_point) once per 1-D scale level, once per 2-D slab
+    (positions row-major), or once for any other grid (per-atom scoring),
+    where to_point(k) is the parameter point scored by scores[k]. Yields
+    nothing for an empty grid.
+    """
+    if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
+        yield from _affine_level_scores(dictionary, residual, grid)
+    elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
+        yield from _grid2d_slab_scores(dictionary, residual, grid)
+    else:
+        points = list(grid.points() if hasattr(grid, "points") else grid)
+        if points:
+            yield (np.array([score(dictionary, residual, lam) for lam in points]),
+                   points.__getitem__)
 
 
 def _level_scores_fft(u: np.ndarray, mother, a: float, b_int: np.ndarray):
@@ -295,8 +324,8 @@ def _level_scores_direct(u: np.ndarray, mother, a: float, bs: np.ndarray):
 
 def _affine_level_scores(dictionary: Affine1DDictionary, residual: SignalBuffer,
                          grid: TauAdicGrid):
-    """Per-level score arrays in enumeration order, FFT where the level's
-    translations sit on the integer sample lattice."""
+    """Per-level score blocks, FFT where the level's translations sit on
+    the integer sample lattice."""
     if residual.ndim != 1 or residual.shape[0] != grid.n:
         raise ValueError(f"residual shape {residual.shape} does not match grid N={grid.n}")
     _check_grid_scales(dictionary, *grid.scale_span())
@@ -312,18 +341,7 @@ def _affine_level_scores(dictionary: Affine1DDictionary, residual: SignalBuffer,
             corr, norm2 = _level_scores_direct(u, mother, a, bs)
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield bs, a, scores
-
-
-def _search_affine(dictionary: Affine1DDictionary, residual: SignalBuffer, grid: TauAdicGrid):
-    best = None  # (score, b, a)
-    for bs, a, scores in _affine_level_scores(dictionary, residual, grid):
-        k = int(np.argmax(scores))
-        if best is None or scores[k] > best[0]:
-            best = (float(scores[k]), float(bs[k]), float(a))
-    if best is None:
-        raise ValueError("grid is empty")
-    return dictionary.point(best[1], best[2]), best[0]
+        yield scores, lambda k, bs=bs, a=a: dictionary.point(float(bs[k]), float(a))
 
 
 def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
@@ -357,7 +375,7 @@ def _slab_norm2(w2_prefix: np.ndarray, m1: int, m2: int, nx: int, ny: int):
 
 def _grid2d_slab_scores(dictionary: Aniso2DDictionary, residual: SignalBuffer,
                         grid: Grid2DSpec):
-    """Per-slab score images (all pixel positions) in enumeration order."""
+    """Per-slab score blocks over all pixel positions, row-major."""
     if residual.shape != (grid.nx, grid.ny):
         raise ValueError(f"residual shape {residual.shape} does not match grid "
                          f"({grid.nx}, {grid.ny})")
@@ -365,8 +383,8 @@ def _grid2d_slab_scores(dictionary: Aniso2DDictionary, residual: SignalBuffer,
     _check_grid_scales(dictionary, float(scales[0]), float(scales[-1]))
     u = residual.data
     nx, ny = grid.nx, grid.ny
-    for theta, a1, a2 in grid.slabs():
-        w, m1, m2 = _slab_template(dictionary, theta, a1, a2)
+    for slab in grid.slabs():
+        w, m1, m2 = _slab_template(dictionary, *slab)
         corr_full = fftconvolve(u, w[::-1, ::-1], mode="full")
         corr = corr_full[m1:m1 + nx, m2:m2 + ny]
         w2 = w * w
@@ -375,41 +393,8 @@ def _grid2d_slab_scores(dictionary: Aniso2DDictionary, residual: SignalBuffer,
         norm2 = _slab_norm2(prefix, m1, m2, nx, ny)
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield (theta, a1, a2), scores
-
-
-def _search_2d(dictionary: Aniso2DDictionary, residual: SignalBuffer, grid: Grid2DSpec):
-    ny = grid.ny
-    best = None  # (score, b1, b2, theta, a1, a2)
-    for (theta, a1, a2), scores in _grid2d_slab_scores(dictionary, residual, grid):
-        flat = int(np.argmax(scores))
-        s = float(scores.ravel()[flat])
-        if best is None or s > best[0]:
-            b1, b2 = divmod(flat, ny)
-            best = (s, float(b1), float(b2), theta, a1, a2)
-    if best is None:
-        raise ValueError("grid is empty")
-    return dictionary.point(*best[1:]), best[0]
-
-
-def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndarray:
-    """Scores of every grid atom, in enumeration order.
-
-    Diagnostic companion to full_search; uses the same FFT/direct scoring
-    machinery, so it also serves to audit the fast paths atom by atom.
-    """
-    if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        blocks = [scores for _, _, scores in
-                  _affine_level_scores(dictionary, residual, grid)]
-    elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        blocks = [scores.ravel() for _, scores in
-                  _grid2d_slab_scores(dictionary, residual, grid)]
-    else:
-        points = grid.points() if hasattr(grid, "points") else iter(grid)
-        blocks = [np.array([score(dictionary, residual, lam) for lam in points])]
-    if not blocks:
-        raise ValueError("grid is empty")
-    return np.concatenate(blocks)
+        yield scores.ravel(), lambda k, slab=slab: dictionary.point(
+            *(float(b) for b in divmod(k, ny)), *slab)
 
 
 def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:
@@ -423,12 +408,40 @@ def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:
 # The pursuit loop
 # ---------------------------------------------------------------------------
 
+def select(dictionary: Dictionary, residual: SignalBuffer, grid, config: PursuitConfig
+           ) -> tuple[ParamPoint, float, ParamPoint | None, int]:
+    """One pursuit selection on `residual`: (lam, score, seed, ascent_steps).
+
+    dmp takes the grid argmax, with seed None and 0 steps. gmp runs the
+    gradient ascent from the grid argmax ("best_only") or from every grid
+    atom ("all_atoms"; ties go to the earliest seed), reports the best
+    refinement's seed and accepted steps, and keeps the grid atom unless
+    that refinement scores at least as high, so it never selects below the
+    grid best (the ascent re-scores its seed with a different summation
+    order than the search). A zero grid score skips the ascent.
+    """
+    k_best, s_grid = full_search(dictionary, residual, grid)
+    if config.mode == "dmp" or s_grid <= 0:
+        return k_best, s_grid, None, 0
+    seeds = [k_best] if config.optimize_scope == "best_only" else grid.points()
+    best = best_seed = None
+    for seed in seeds:
+        result = gradient_ascent(dictionary, residual, seed,
+                                 kappa=config.kappa, chi=config.chi,
+                                 max_halvings=config.max_halvings,
+                                 grad_stop_ratio=config.grad_stop_ratio)
+        if best is None or result.score > best.score:
+            best, best_seed = result, seed
+    lam = best.lam if best.score >= s_grid else k_best
+    return lam, max(best.score, s_grid), best_seed, best.steps
+
+
 def run(signal: SignalBuffer, dictionary: Dictionary, grid,
         config: PursuitConfig | None = None) -> Decomposition:
     """Greedy decomposition of `signal` over the grid.
 
-    Per iteration: full grid search, optional gradient-ascent refinement of
-    the selected parameters (gmp), residual update orthogonal to the chosen
+    Per iteration: one `select` (full grid search, plus gradient-ascent
+    refinement in gmp), then a residual update orthogonal to the chosen
     atom. Stops at `max_iterations`, when the residual energy falls below
     `energy_floor_rel` times the initial energy, or when the best score is
     exactly zero.
@@ -442,35 +455,9 @@ def run(signal: SignalBuffer, dictionary: Dictionary, grid,
     for m in range(config.max_iterations):
         if energy <= config.energy_floor_rel * initial_energy:
             break
-        k_best, s_grid = full_search(dictionary, residual, grid)
-        if s_grid <= 0:
+        lam, s, seed, ascent_steps = select(dictionary, residual, grid, config)
+        if s <= 0:
             break  # residual orthogonal to the whole grid
-        seed = None
-        ascent_steps = 0
-        lam = k_best
-        if config.mode == "gmp":
-            if config.optimize_scope == "best_only":
-                result = gradient_ascent(dictionary, residual, k_best,
-                                         kappa=config.kappa, chi=config.chi,
-                                         max_halvings=config.max_halvings,
-                                         grad_stop_ratio=config.grad_stop_ratio)
-                seed = k_best
-                # The ascent re-scores the seed with a different summation
-                # order than the search; keep the grid atom unless the
-                # refinement genuinely wins, so gMP never selects below the
-                # grid best.
-                lam = result.lam if result.score >= s_grid else k_best
-                ascent_steps = result.steps
-            else:
-                seed, best_s = k_best, s_grid
-                for cand_seed in grid.points():
-                    result = gradient_ascent(dictionary, residual, cand_seed,
-                                             kappa=config.kappa, chi=config.chi,
-                                             max_halvings=config.max_halvings,
-                                             grad_stop_ratio=config.grad_stop_ratio)
-                    if result.score > best_s:
-                        lam, seed = result.lam, cand_seed
-                        best_s, ascent_steps = result.score, result.steps
         atom = dictionary.synthesize(lam, residual.shape)
         coeff = inner_product(atom, residual)
         if coeff == 0.0:

@@ -124,3 +124,11 @@ def test_grid_validation_and_json():
     back = gp.Grid2DSpec.from_json(spec.to_json())
     assert (back.nx, back.ny, back.j_scales, back.k_orients) == (64, 48, 3, 4)
     assert set(json.loads(spec.to_json())) == {"Nx", "Ny", "J", "K"}
+
+
+def test_grid_json_keeps_scale_bounds():
+    spec = gp.Grid2DSpec(nx=16, ny=16, j_scales=3, k_orients=2, min_scale=1.5, max_scale=10.0)
+    np.testing.assert_allclose(spec.scales(), [1.5, 3.87, 10.0], rtol=1e-3)
+    back = gp.Grid2DSpec.from_json(spec.to_json())
+    assert back == spec
+    np.testing.assert_array_equal(back.scales(), spec.scales())

@@ -113,6 +113,9 @@ def test_full_search_generic_fallback(rng):
     best, s = full_search(td, u, pts)
     ref, s_ref = naive_search(td, u, type("G", (), {"points": staticmethod(lambda: iter(pts))}))
     assert np.array_equal(best.coords, ref.coords) and s == pytest.approx(s_ref)
+    for search in (full_search, gp.grid_scores):
+        with pytest.raises(ValueError, match="grid is empty"):
+            search(td, u, [])
 
 
 def test_full_search_grid_scale_domain_check():
@@ -247,17 +250,16 @@ def test_run_residual_orthogonality(rng):
 
 
 def test_run_weak_selection_contract(rng):
-    # replayed residuals: the recorded score always reaches alpha^2 times the
-    # grid optimum (with exact argmax selection it reaches it with alpha = 1)
+    # replayed residuals: selection is the exact grid argmax (weak MP with
+    # alpha = 1), so the recorded score always reaches the grid optimum
     d = gp.Affine1DDictionary(512)
     grid = gp.tau_grid_for_signal(512, b0=2, log2_tau=0.5)
     f = unit(rng.standard_normal(512))
-    alpha = 0.7
-    dec = gp.run(f, d, grid, gp.PursuitConfig(mode="dmp", alpha=alpha, max_iterations=8))
+    dec = gp.run(f, d, grid, gp.PursuitConfig(mode="dmp", max_iterations=8))
     residual = f
     for step in dec.steps:
         _, s_grid = full_search(d, residual, grid)
-        assert step.score >= alpha ** 2 * s_grid - 1e-12
+        assert step.score >= s_grid - 1e-12
         atom = d.synthesize(d.point(*step.lam))
         residual = gp.SignalBuffer(residual.data - step.coeff * atom.data)
 
@@ -333,6 +335,38 @@ def test_decomposition_jsonl_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(rec_a.data, rec_b.data)
 
 
+def test_decomposition_jsonl_recovers_initial_energy(tmp_path, rng):
+    d = gp.Affine1DDictionary(256)
+    grid = gp.tau_grid_for_signal(256, b0=2, log2_tau=0.5)
+    f = unit(rng.standard_normal(256))
+    dec = gp.run(f, d, grid, gp.PursuitConfig(mode="gmp", kappa=5, max_iterations=6))
+    path = tmp_path / "steps.jsonl"
+    dec.to_jsonl(path)
+    energies = gp.Decomposition.from_jsonl(path).residual_energies()
+    assert np.all(np.diff(energies) < 0)
+    assert energies[0] == pytest.approx(dec.initial_energy, rel=1e-12)
+    assert gp.Decomposition.from_jsonl(path, initial_energy=2.5).initial_energy == 2.5
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert gp.Decomposition.from_jsonl(empty).initial_energy == 0.0
+
+
+def test_select_is_the_run_selection_rule(rng):
+    d = gp.Affine1DDictionary(256)
+    grid = gp.tau_grid_for_signal(256, b0=2, log2_tau=0.5)
+    f = unit(rng.standard_normal(256))
+    k_best, s_grid = full_search(d, f, grid)
+    lam, s, seed, steps = gp.select(d, f, grid, gp.PursuitConfig(mode="dmp"))
+    assert np.array_equal(lam.coords, k_best.coords)
+    assert (s, seed, steps) == (s_grid, None, 0)
+    cfg = gp.PursuitConfig(mode="gmp", kappa=5, max_iterations=1)
+    lam, s, seed, steps = gp.select(d, f, grid, cfg)
+    assert s >= s_grid and np.array_equal(seed.coords, k_best.coords)
+    assert gp.selection_score(d, f, grid, cfg) == s
+    step = gp.run(f, d, grid, cfg).steps[0]
+    assert np.array_equal(step.lam, lam.coords) and step.ascent_steps == steps
+
+
 def test_decomposition_csv_output(tmp_path, rng):
     d = gp.Affine1DDictionary(256)
     grid = gp.tau_grid_for_signal(256, b0=2, log2_tau=0.5)
@@ -350,10 +384,6 @@ def test_decomposition_csv_output(tmp_path, rng):
 def test_pursuit_config_validation():
     with pytest.raises(ValueError):
         gp.PursuitConfig(mode="omp")
-    with pytest.raises(ValueError):
-        gp.PursuitConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        gp.PursuitConfig(alpha=1.5)
     with pytest.raises(ValueError):
         gp.PursuitConfig(kappa=-1)
     with pytest.raises(ValueError):
