@@ -16,7 +16,8 @@ import numpy as np
 from .dictionaries import SCALE, TRANSLATION, Dictionary, ParamPoint
 
 # Atom mass within 4 standard widths is treated as "intersecting" the
-# signal when enumerating grid translations near the boundary.
+# signal: grid translations near the boundary, the search template's reach
+# and the clamp of b all stop at MASS_RADIUS * a outside the buffer.
 MASS_RADIUS = 4.0
 
 _GRID_TOL = 1e-9
@@ -95,6 +96,15 @@ class Affine1DDictionary(Dictionary):
 
     def translation_extent(self, i, shape):
         return (0.0, float(shape[0] - 1))
+
+    def clamp_coords(self, coords) -> ParamPoint:
+        """As `Dictionary.clamp_coords`, except that b clamps to
+        [-MASS_RADIUS*a, n-1 + MASS_RADIUS*a] at the clamped scale a, the
+        translations a tau-adic grid keeps, so a grid atom is its own clamp."""
+        b = float(coords[0])
+        a = float(super().clamp_coords(coords).coords[1])
+        reach = MASS_RADIUS * a
+        return self.point(min(max(b, -reach), self.n - 1 + reach), a)
 
     def _grid_s(self, coords, shape):
         b, a = coords

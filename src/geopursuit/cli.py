@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,13 +48,6 @@ def _dictionary_for(grid):
     return Aniso2DDictionary((grid.nx, grid.ny))
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("GEOPURSUIT_THREADS")
-    return int(env) if env else 1
-
-
 def _write_manifest(args, command: str, config: dict, inputs: list, outputs: list,
                     wall_time: float) -> None:
     manifest = {
@@ -64,7 +56,6 @@ def _write_manifest(args, command: str, config: dict, inputs: list, outputs: lis
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "threads": _resolve_threads(args),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "wall_time_s": wall_time,
@@ -76,9 +67,6 @@ def _write_manifest(args, command: str, config: dict, inputs: list, outputs: lis
 
 
 def _add_common(sub):
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (results are independent of this; "
-                          "falls back to GEOPURSUIT_THREADS)")
     sub.add_argument("--manifest", default=None, help="manifest output path")
 
 
@@ -316,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="steps as JSON-lines")
     p.add_argument("--csv", default=None, help="also write steps as CSV")
     p.add_argument("--residual-out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     _add_pursuit_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
@@ -329,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="original signal, for the consistency check")
     p.add_argument("--residual", default=None,
                    help="final residual, for the consistency check")
-    p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -77,6 +77,12 @@ class ParamPoint:
         return f"ParamPoint({vals})"
 
 
+def grid_points(grid) -> list[ParamPoint]:
+    """The points of a grid: its `points()`, or the grid itself when it is
+    a plain iterable of ParamPoints."""
+    return list(grid.points() if hasattr(grid, "points") else grid)
+
+
 class Dictionary:
     """Base class for parametric dictionaries.
 

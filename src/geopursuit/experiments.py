@@ -112,28 +112,23 @@ class NAEResult:
 
 
 def nae(signal_factory, dictionary: Dictionary, grid, config: PursuitConfig,
-        trials: int, at_iteration: int = 1, master_seed: int = 0,
-        reference_grid=None, reference_config: PursuitConfig | None = None) -> NAEResult:
+        trials: int, at_iteration: int = 1, master_seed: int = 0) -> NAEResult:
     """Normalized atom energy of a signal class at a pursuit iteration.
 
-    For `at_iteration` > 1, residuals come from a fixed reference pipeline
-    (by default gMP on the same grid) so that every evaluated grid sees the
-    same residual class.
+    For `at_iteration` > 1, each trial's residual comes from
+    `at_iteration - 1` gMP iterations on the same grid (with `config`'s
+    other settings); the unit-normalized residual is then scored by one
+    selection under `config`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if reference_grid is None:
-        reference_grid = grid
-    if reference_config is None:
-        reference_config = replace(config, mode="gmp",
-                                   max_iterations=at_iteration - 1)
+    warm = replace(config, mode="gmp", max_iterations=at_iteration - 1)
     scores = []
     for seed in _trial_seeds(master_seed, trials):
         f = signal_factory(seed)
         residual = f
         if at_iteration > 1:
-            warm = replace(reference_config, max_iterations=at_iteration - 1)
-            residual = run(f, dictionary, reference_grid, warm).final_residual
+            residual = run(f, dictionary, grid, warm).final_residual
         nrm = residual.norm()
         if nrm == 0.0:
             scores.append(0.0)
@@ -198,22 +193,21 @@ def beta_surrogate(dictionary: Dictionary, grid, signals) -> float:
 
 
 def image_harness(image: SignalBuffer, grid: Grid2DSpec, configs,
-                  n_atoms: int, dictionary: Aniso2DDictionary | None = None,
-                  labels=None) -> list[dict]:
+                  n_atoms: int, dictionary: Aniso2DDictionary | None = None) -> list[dict]:
     """Decompose an image under each config; report PSNR and wall time."""
     if image.ndim != 2:
         raise ValueError("image harness needs a 2-D buffer")
     if dictionary is None:
         dictionary = Aniso2DDictionary(image.shape)
     rows = []
-    for idx, config in enumerate(configs):
+    for config in configs:
         cfg = replace(config, max_iterations=n_atoms)
         start = time.perf_counter()
         decomposition = run(image, dictionary, grid, cfg)
         elapsed = time.perf_counter() - start
         approx = reconstruct(decomposition, dictionary, image.shape)
         rows.append({
-            "label": labels[idx] if labels else f"{cfg.mode}(kappa={cfg.kappa})",
+            "label": f"{cfg.mode}(kappa={cfg.kappa})",
             "mode": cfg.mode,
             "kappa": cfg.kappa,
             "atoms": len(decomposition),

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import Dictionary, ParamPoint
+from .dictionaries import Dictionary, ParamPoint, grid_points
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
+# density_radius refines this many proxy-nearest grid points per probe.
+_PATH_CANDIDATES = 6
 
 
 class DegenerateMetricError(ValueError):
@@ -135,8 +137,8 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     return total
 
 
-def density_radius(dictionary: Dictionary, grid_points, probes,
-                   segments: int = 4, candidates: int = 6, shape=None) -> float:
+def density_radius(dictionary: Dictionary, grid, probes,
+                   segments: int = 4, shape=None) -> float:
     """Monte-Carlo estimate of the covering radius of a grid.
 
     For each probe, finds the nearest grid points under the local quadratic
@@ -144,7 +146,7 @@ def density_radius(dictionary: Dictionary, grid_points, probes,
     with path lengths, and returns the max over probes of the min distance.
     A lower bound on the true sup-inf, since probes sample the domain.
     """
-    pts = [p for p in (grid_points.points() if hasattr(grid_points, "points") else grid_points)]
+    pts = grid_points(grid)
     if not pts:
         raise ValueError("grid is empty")
     probes = list(probes)
@@ -152,7 +154,7 @@ def density_radius(dictionary: Dictionary, grid_points, probes,
         raise ValueError("need at least one probe")
     coords = np.array([p.coords for p in pts])
     worst = 0.0
-    n_cand = min(candidates, len(pts))
+    n_cand = min(_PATH_CANDIDATES, len(pts))
     for probe in probes:
         g = metric(dictionary, probe, shape)
         deltas = coords - probe.coords

@@ -11,6 +11,7 @@ seeds a gradient ascent on the parameter manifold before subtraction.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,18 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .affine1d import Affine1DDictionary, TauAdicGrid
+from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, inner_product
-from .dictionaries import Dictionary, DomainError, ParamPoint
+from .dictionaries import Dictionary, DomainError, ParamPoint, grid_points
 from .geometry import DegenerateMetricError, metric
 
 # Kernel truncation radius in mother widths; values beyond are below 1e-18
 # of the peak and invisible at the search tolerance.
 KERNEL_RADIUS = 10.0
 
-# Matches the grid's mass-intersection rule for boundary translations.
-MASS_REACH = 4.0
+# Gradient ascent: a failed step is halved at most MAX_HALVINGS times, and
+# the ascent stops once |grad| / score falls to GRAD_STOP_RATIO.
+MAX_HALVINGS = 10
+GRAD_STOP_RATIO = 1e-6
 
 _LATTICE_TOL = 1e-10
 
@@ -39,15 +42,13 @@ class PursuitConfig:
     """Knobs for a pursuit run.
 
     Selection is the exact grid argmax (weak matching pursuit with weakness
-    factor 1). kappa/chi/max_halvings/grad_stop_ratio drive the gradient
-    ascent in gmp mode; optimize_scope says which grid atoms seed it.
+    factor 1). kappa/chi drive the gradient ascent in gmp mode;
+    optimize_scope says which grid atoms seed it.
     """
 
     mode: str = "dmp"
     kappa: int = 10
     chi: float = 0.1
-    max_halvings: int = 10
-    grad_stop_ratio: float = 1e-6
     max_iterations: int = 100
     optimize_scope: str = "best_only"
     energy_floor_rel: float = 1e-12
@@ -191,14 +192,13 @@ class AscentResult:
 
 
 def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamPoint,
-                    kappa: int = 10, chi: float = 0.1, max_halvings: int = 10,
-                    grad_stop_ratio: float = 1e-6) -> AscentResult:
+                    kappa: int = 10, chi: float = 0.1) -> AscentResult:
     """Step-halving gradient ascent of the score on the parameter manifold.
 
     Moves along the normalized manifold gradient with initial step `chi`,
-    halving on failure to increase the score (up to `max_halvings` times,
+    halving on failure to increase the score (up to MAX_HALVINGS times,
     then the ascent stops). Counts accepted steps against `kappa`; also
-    stops early when |grad| / score drops below `grad_stop_ratio`. Never
+    stops early when |grad| / score drops to GRAD_STOP_RATIO. Never
     returns a score below score(lam0).
     """
     s0 = score(dictionary, residual, lam0)
@@ -215,13 +215,13 @@ def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamP
         except (DomainError, DegenerateMetricError):
             reason = "degenerate"  # seed where the manifold machinery fails
             break
-        if info.grad_norm <= grad_stop_ratio * info.score:
+        if info.grad_norm <= GRAD_STOP_RATIO * info.score:
             reason = "gradient"
             break
         direction = info.grad / info.grad_norm
         t = chi
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = dictionary.clamp_coords(lam.coords + t * direction)
             s_cand = score(dictionary, residual, cand)
             if s_cand > s:
@@ -276,32 +276,47 @@ def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
     The only place that branches on grid and dictionary type. Yields
     (scores, to_point) once per 1-D scale level, once per 2-D slab
     (positions row-major), or once for any other grid (per-atom scoring),
-    where to_point(k) is the parameter point scored by scores[k]. Yields
-    nothing for an empty grid.
+    where to_point(k) is the parameter point scored by scores[k]. Level and
+    slab scores are corr**2 / norm2, with 0 where the atom has no samples
+    in the buffer. Yields nothing for an empty grid.
     """
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        yield from _affine_level_scores(dictionary, residual, grid)
+        blocks = _affine_level_blocks(dictionary, residual, grid)
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        yield from _grid2d_slab_scores(dictionary, residual, grid)
+        blocks = _grid2d_slab_blocks(dictionary, residual, grid)
     else:
-        points = list(grid.points() if hasattr(grid, "points") else grid)
+        points = grid_points(grid)
         if points:
             yield (np.array([score(dictionary, residual, lam) for lam in points]),
                    points.__getitem__)
+        return
+    for corr, norm2, to_point in blocks:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
+        yield scores.ravel(), to_point
 
 
-def _level_scores_fft(u: np.ndarray, mother, a: float, b_int: np.ndarray):
-    """Correlations and in-bounds atom norms at integer-lattice translations."""
-    n = u.size
-    m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_REACH * a)))
-    offsets = np.arange(-m, m + 1, dtype=np.float64)
-    w = mother.value(offsets / a) / math.sqrt(a)
-    corr_full = fftconvolve(u, w[::-1], mode="full")
-    corr = corr_full[b_int + m]
-    prefix = np.concatenate(([0.0], np.cumsum(w * w)))
-    lo = np.maximum(-b_int, -m) + m
-    hi = np.minimum(n - 1 - b_int, m) + m
-    norm2 = prefix[hi + 1] - prefix[lo]
+def _lattice_correlate(u: np.ndarray, w: np.ndarray, positions):
+    """Correlations of `u` with the centred template `w` (2m+1 samples per
+    axis) at the outer product of integer `positions` (one array per axis,
+    each position at most m outside the buffer), and the squared norms of
+    the in-buffer part of `w` there, from a prefix table of w**2."""
+    ms = [(k - 1) // 2 for k in w.shape]
+    corr_full = fftconvolve(u, np.flip(w), mode="full")
+    corr = corr_full[np.ix_(*(p + m for p, m in zip(positions, ms)))]
+    w2 = w * w
+    for axis in range(w.ndim):
+        w2 = np.cumsum(w2, axis=axis)
+    prefix = np.zeros(tuple(k + 1 for k in w.shape))
+    prefix[(slice(1, None),) * w.ndim] = w2
+    # per axis, the prefix-table bounds (past the last in-buffer offset, first one)
+    bounds = [(np.minimum(n - 1 - p, m) + m + 1, np.maximum(-p, -m) + m)
+              for p, m, n in zip(positions, ms, u.shape)]
+    norm2 = 0.0
+    for corner in itertools.product((0, 1), repeat=w.ndim):
+        corner = corner[::-1]  # in 2-D: hi,hi - lo,hi - hi,lo + lo,lo
+        term = prefix[np.ix_(*(b[c] for b, c in zip(bounds, corner)))]
+        norm2 = norm2 - term if sum(corner) % 2 else norm2 + term
     return corr, norm2
 
 
@@ -322,10 +337,10 @@ def _level_scores_direct(u: np.ndarray, mother, a: float, bs: np.ndarray):
     return corr, norm2
 
 
-def _affine_level_scores(dictionary: Affine1DDictionary, residual: SignalBuffer,
+def _affine_level_blocks(dictionary: Affine1DDictionary, residual: SignalBuffer,
                          grid: TauAdicGrid):
-    """Per-level score blocks, FFT where the level's translations sit on
-    the integer sample lattice."""
+    """Per-level (corr, norm2, to_point), through the lattice correlator
+    where the level's translations sit on the integer sample lattice."""
     if residual.ndim != 1 or residual.shape[0] != grid.n:
         raise ValueError(f"residual shape {residual.shape} does not match grid N={grid.n}")
     _check_grid_scales(dictionary, *grid.scale_span())
@@ -336,12 +351,13 @@ def _affine_level_scores(dictionary: Affine1DDictionary, residual: SignalBuffer,
         b_round = np.rint(bs)
         if (abs(step - round(step)) < _LATTICE_TOL
                 and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
-            corr, norm2 = _level_scores_fft(u, mother, a, b_round.astype(np.int64))
+            # the template reaches every translation the grid keeps
+            m = int(min(math.ceil(KERNEL_RADIUS * a), u.size + math.ceil(MASS_RADIUS * a)))
+            w = mother.value(np.arange(-m, m + 1, dtype=np.float64) / a) / math.sqrt(a)
+            corr, norm2 = _lattice_correlate(u, w, [b_round.astype(np.int64)])
         else:
             corr, norm2 = _level_scores_direct(u, mother, a, bs)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield scores, lambda k, bs=bs, a=a: dictionary.point(float(bs[k]), float(a))
+        yield corr, norm2, lambda k, bs=bs, a=a: dictionary.point(float(bs[k]), float(a))
 
 
 def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
@@ -356,45 +372,23 @@ def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: f
     d2 = np.arange(-m2, m2 + 1, dtype=np.float64)[None, :]
     uu = (ct * d1 + st * d2) / a1
     vv = (-st * d1 + ct * d2) / a2
-    w = dictionary._mother_uv(uu, vv) / math.sqrt(a1 * a2)
-    return w, m1, m2
+    return dictionary._mother_uv(uu, vv) / math.sqrt(a1 * a2)
 
 
-def _slab_norm2(w2_prefix: np.ndarray, m1: int, m2: int, nx: int, ny: int):
-    """In-bounds squared norms for every position via 2-D prefix sums."""
-    b1 = np.arange(nx)
-    b2 = np.arange(ny)
-    lo1 = m1 - np.minimum(b1, m1)
-    hi1 = np.minimum(nx - 1 - b1, m1) + m1
-    lo2 = m2 - np.minimum(b2, m2)
-    hi2 = np.minimum(ny - 1 - b2, m2) + m2
-    S = w2_prefix
-    return (S[np.ix_(hi1 + 1, hi2 + 1)] - S[np.ix_(lo1, hi2 + 1)]
-            - S[np.ix_(hi1 + 1, lo2)] + S[np.ix_(lo1, lo2)])
-
-
-def _grid2d_slab_scores(dictionary: Aniso2DDictionary, residual: SignalBuffer,
+def _grid2d_slab_blocks(dictionary: Aniso2DDictionary, residual: SignalBuffer,
                         grid: Grid2DSpec):
-    """Per-slab score blocks over all pixel positions, row-major."""
+    """Per-slab (corr, norm2, to_point) over all pixel positions."""
     if residual.shape != (grid.nx, grid.ny):
         raise ValueError(f"residual shape {residual.shape} does not match grid "
                          f"({grid.nx}, {grid.ny})")
     scales = grid.scales()
     _check_grid_scales(dictionary, float(scales[0]), float(scales[-1]))
-    u = residual.data
-    nx, ny = grid.nx, grid.ny
+    positions = [np.arange(grid.nx), np.arange(grid.ny)]
     for slab in grid.slabs():
-        w, m1, m2 = _slab_template(dictionary, *slab)
-        corr_full = fftconvolve(u, w[::-1, ::-1], mode="full")
-        corr = corr_full[m1:m1 + nx, m2:m2 + ny]
-        w2 = w * w
-        prefix = np.zeros((w2.shape[0] + 1, w2.shape[1] + 1))
-        prefix[1:, 1:] = np.cumsum(np.cumsum(w2, axis=0), axis=1)
-        norm2 = _slab_norm2(prefix, m1, m2, nx, ny)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield scores.ravel(), lambda k, slab=slab: dictionary.point(
-            *(float(b) for b in divmod(k, ny)), *slab)
+        w = _slab_template(dictionary, *slab)
+        corr, norm2 = _lattice_correlate(residual.data, w, positions)
+        yield corr, norm2, lambda k, slab=slab: dictionary.point(
+            *(float(b) for b in divmod(k, grid.ny)), *slab)
 
 
 def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:
@@ -423,13 +417,11 @@ def select(dictionary: Dictionary, residual: SignalBuffer, grid, config: Pursuit
     k_best, s_grid = full_search(dictionary, residual, grid)
     if config.mode == "dmp" or s_grid <= 0:
         return k_best, s_grid, None, 0
-    seeds = [k_best] if config.optimize_scope == "best_only" else grid.points()
+    seeds = [k_best] if config.optimize_scope == "best_only" else grid_points(grid)
     best = best_seed = None
     for seed in seeds:
         result = gradient_ascent(dictionary, residual, seed,
-                                 kappa=config.kappa, chi=config.chi,
-                                 max_halvings=config.max_halvings,
-                                 grad_stop_ratio=config.grad_stop_ratio)
+                                 kappa=config.kappa, chi=config.chi)
         if best is None or result.score > best.score:
             best, best_seed = result, seed
     lam = best.lam if best.score >= s_grid else k_best

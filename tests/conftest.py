@@ -59,19 +59,24 @@ def interior_affine_points(dictionary, rng, count, margin_widths=10.0,
     return pts
 
 
-def run_cli(args, cwd=None, env=None):
-    """Run `python -m geopursuit.cli *args` in a child interpreter.
-
-    The child imports the same geopursuit package as this session, from any
-    `cwd` and whether or not the package is installed: PACKAGE_ROOT goes
-    first on its PYTHONPATH, ahead of any inherited entries. `env` holds
-    extra variables laid over the current environment.
+def child_env(env=None):
+    """Environment for a child interpreter that imports the same geopursuit
+    package as this session, from any working directory and whether or not
+    the package is installed: PACKAGE_ROOT goes first on its PYTHONPATH,
+    ahead of any inherited entries. `env` holds extra variables laid over
+    the current environment.
     """
-    child_env = {**os.environ, **(env or {})}
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_ROOT), child_env.get("PYTHONPATH")]))
+    out = {**os.environ, **(env or {})}
+    out["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), out.get("PYTHONPATH")]))
+    return out
+
+
+def run_cli(args, cwd=None, env=None):
+    """Run `python -m geopursuit.cli *args` in a child interpreter with
+    `child_env(env)`, from `cwd`."""
     out = subprocess.run([sys.executable, "-m", "geopursuit.cli", *args],
-                         cwd=cwd, env=child_env, capture_output=True, text=True)
+                         cwd=cwd, env=child_env(env), capture_output=True, text=True)
     if "No module named 'geopursuit" in out.stderr:
         pytest.fail(f"child interpreter could not import geopursuit:\n{out.stderr}")
     return out

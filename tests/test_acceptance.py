@@ -306,21 +306,19 @@ def test_criterion_13_determinism(tmp_path):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(grid.to_json())
 
-    def cli(args, env_threads=None):
-        env = dict(GEOPURSUIT_THREADS=str(env_threads)) if env_threads else None
-        return run_cli(args, env=env)
-
     sig = tmp_path / "s.bin"
-    assert cli(["gen-signal", "--n", "512", "--seed", "5", "--out", str(sig)]).returncode == 0
+    assert run_cli(["gen-signal", "--n", "512", "--seed", "5", "--out", str(sig)]).returncode == 0
+    # the same commands twice, each run in its own interpreter
     blobs = []
-    for threads, tag in ((1, "t1"), (8, "t8")):
+    for tag in ("first", "second"):
         steps = tmp_path / f"steps_{tag}.jsonl"
+        steps_csv = tmp_path / f"steps_{tag}.csv"
         curve = tmp_path / f"curve_{tag}.csv"
-        assert cli(["decompose", "--mode", "gmp", "--kappa", "10", "--max-iters", "20",
-                    "--grid", str(grid_path), "--in", str(sig), "--out", str(steps),
-                    "--threads", str(threads)]).returncode == 0
-        assert cli(["curve", "--grid", str(grid_path), "--trials", "3", "--m-max", "6",
-                    "--mode", "gmp", "--bursts", "30", "--out", str(curve)],
-                   env_threads=threads).returncode == 0
-        blobs.append(steps.read_bytes() + curve.read_bytes())
-    report(13, blobs[0] == blobs[1], "(jsonl and csv outputs byte-identical for 1 vs 8 threads)")
+        assert run_cli(["decompose", "--mode", "gmp", "--kappa", "10", "--max-iters", "20",
+                        "--grid", str(grid_path), "--in", str(sig), "--out", str(steps),
+                        "--csv", str(steps_csv)]).returncode == 0
+        assert run_cli(["curve", "--grid", str(grid_path), "--trials", "3", "--m-max", "6",
+                        "--mode", "gmp", "--bursts", "30", "--out", str(curve)]).returncode == 0
+        blobs.append([steps.read_bytes(), steps_csv.read_bytes(), curve.read_bytes()])
+    report(13, blobs[0] == blobs[1] and all(blobs[0]),
+           "(decompose jsonl/csv and curve csv byte-identical across two runs)")

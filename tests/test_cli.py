@@ -67,18 +67,6 @@ def test_manifest_written_and_reproducible(tmp_path, grid_file):
     assert sig.read_bytes() == first
 
 
-def test_outputs_independent_of_thread_count(tmp_path, grid_file):
-    sig = tmp_path / "s.bin"
-    main(["gen-signal", "--n", "512", "--seed", "11", "--out", str(sig)])
-    outs = []
-    for threads, name in ((1, "a.jsonl"), (8, "b.jsonl")):
-        main(["decompose", "--mode", "gmp", "--kappa", "5", "--max-iters", "10",
-              "--grid", str(grid_file), "--in", str(sig),
-              "--out", str(tmp_path / name), "--threads", str(threads)])
-        outs.append((tmp_path / name).read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_curve_and_nae_csv(tmp_path, grid_file):
     curve_csv = tmp_path / "curve.csv"
     assert main(["curve", "--grid", str(grid_file), "--trials", "2", "--m-max", "4",

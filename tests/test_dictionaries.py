@@ -143,8 +143,13 @@ def test_score_directional_derivative(rng):
 def test_clamp_pulls_into_domain():
     d = gp.Affine1DDictionary(256, scale_range=(1.0, 32.0))
     clamped = d.clamp_coords(np.array([-40.0, 1000.0]))
-    assert 0.0 <= clamped.coords[0] <= 255.0
-    assert 1.0 < clamped.coords[1] < 32.0
+    b, a = clamped.coords
+    assert 1.0 < a < 32.0
+    # b clamps to the grid's mass reach at the clamped scale, not to the buffer
+    reach = gp.affine1d.MASS_RADIUS * a
+    assert -reach <= b <= 255.0 + reach and b == -40.0
+    assert d.clamp_coords(np.array([-1000.0, 1000.0])).coords[0] == -reach
+    assert d.clamp_coords(np.array([1000.0, 1000.0])).coords[0] == 255.0 + reach
     neg = d.clamp_coords(np.array([10.0, -5.0]))
     assert neg.coords[1] > 1.0
 

@@ -177,6 +177,19 @@ def test_ascent_fixed_point():
     assert res.score == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("b", [-32.0, -64.0, -256.0])
+def test_ascent_keeps_out_of_buffer_grid_atom(b):
+    # grid translations reach MASS_RADIUS widths past the edge; the ascent
+    # must start from such an atom, not from its clamp to the buffer
+    d = gp.Affine1DDictionary(512)
+    grid = gp.tau_grid_for_signal(512, b0=2, log2_tau=0.5)
+    atoms = [p for p in grid.points() if abs(p.coords[0] - b) < 1e-9]
+    assert atoms
+    for lam in atoms:
+        res = gradient_ascent(d, d.synthesize(lam), lam, kappa=10)
+        assert (res.steps, res.reason) == (0, "gradient")
+
+
 def test_ascent_kappa_zero_is_identity():
     d = gp.Affine1DDictionary(512)
     lam = d.point(250.0, 10.0)
@@ -365,6 +378,14 @@ def test_select_is_the_run_selection_rule(rng):
     assert gp.selection_score(d, f, grid, cfg) == s
     step = gp.run(f, d, grid, cfg).steps[0]
     assert np.array_equal(step.lam, lam.coords) and step.ascent_steps == steps
+    # a plain list of points is a grid as well, in both scopes
+    small = gp.TauAdicGrid(b0=16, a0=4, tau=2.0, j_min=0, j_max=1, n=256)
+    for scope in ("best_only", "all_atoms"):
+        cfg = gp.PursuitConfig(mode="gmp", kappa=2, optimize_scope=scope)
+        lam, s, seed, steps = gp.select(d, f, small, cfg)
+        lam_l, s_l, seed_l, steps_l = gp.select(d, f, list(small.points()), cfg)
+        assert np.array_equal(lam.coords, lam_l.coords) and (s, steps) == (s_l, steps_l)
+        assert np.array_equal(seed.coords, seed_l.coords)
 
 
 def test_decomposition_csv_output(tmp_path, rng):
