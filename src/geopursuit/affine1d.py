@@ -218,9 +218,14 @@ class TauAdicGrid:
     def points(self):
         """Deterministically ordered grid points."""
         kinds = (TRANSLATION, SCALE)
-        for _, a, step, n_lo, n_hi in self.levels():
-            for k in range(n_lo, n_hi + 1):
-                yield ParamPoint((k * step, a), kinds)
+        for row in self.coords():
+            yield ParamPoint(row, kinds)
+
+    def coords(self) -> np.ndarray:
+        """Grid point coordinates, one (b, a) row per point in enumeration order."""
+        rows = [np.column_stack([np.arange(n_lo, n_hi + 1) * step, np.full(n_hi - n_lo + 1, a)])
+                for _, a, step, n_lo, n_hi in self.levels()]
+        return np.concatenate(rows) if rows else np.empty((0, 2))
 
     def scale_span(self) -> tuple[float, float]:
         return (self.a0 * self.tau ** self.j_min, self.a0 * self.tau ** self.j_max)

@@ -146,10 +146,19 @@ class Grid2DSpec:
 
     def points(self):
         kinds = (TRANSLATION, TRANSLATION, ANGLE, SCALE, SCALE)
-        for theta, a1, a2 in self.slabs():
-            for b1 in range(self.nx):
-                for b2 in range(self.ny):
-                    yield ParamPoint((b1, b2, theta, a1, a2), kinds)
+        for row in self.coords():
+            yield ParamPoint(row, kinds)
+
+    def coords(self) -> np.ndarray:
+        """Grid point coordinates, one (b1, b2, theta, a1, a2) row per point
+        in enumeration order."""
+        b1, b2 = np.divmod(np.arange(self.nx * self.ny), self.ny)
+        slabs = np.array(list(self.slabs())).reshape(-1, 3)
+        out = np.empty((len(slabs), b1.size, 5))
+        out[:, :, 0] = b1
+        out[:, :, 1] = b2
+        out[:, :, 2:] = slabs[:, None, :]
+        return out.reshape(-1, 5)
 
     def to_json(self) -> str:
         """JSON spec; the scale bounds are written only where they differ

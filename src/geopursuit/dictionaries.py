@@ -83,6 +83,15 @@ def grid_points(grid) -> list[ParamPoint]:
     return list(grid.points() if hasattr(grid, "points") else grid)
 
 
+def grid_coords(grid) -> np.ndarray:
+    """The coordinates of a grid's points, one row per point in enumeration
+    order: its `coords()`, or the stacked coordinates of its points."""
+    if hasattr(grid, "coords"):
+        return grid.coords()
+    points = grid_points(grid)
+    return np.array([p.coords for p in points]).reshape(len(points), -1)
+
+
 class Dictionary:
     """Base class for parametric dictionaries.
 

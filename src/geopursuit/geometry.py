@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import Dictionary, ParamPoint, grid_points
+from .dictionaries import ANGLE, Dictionary, ParamPoint, grid_coords
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
@@ -144,28 +144,35 @@ def density_radius(dictionary: Dictionary, grid, probes,
     For each probe, finds the nearest grid points under the local quadratic
     proxy d^2 ~ (k - lambda)^T G(lambda) (k - lambda), refines the best few
     with path lengths, and returns the max over probes of the min distance.
-    A lower bound on the true sup-inf, since probes sample the domain.
+    Angles are pi-periodic, so each grid point is measured at its
+    representative whose angles lie within pi/2 of the probe's. A lower
+    bound on the true sup-inf, since probes sample the domain.
     """
-    pts = grid_points(grid)
-    if not pts:
+    coords = grid_coords(grid)
+    if not len(coords):
         raise ValueError("grid is empty")
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe")
-    coords = np.array([p.coords for p in pts])
+    angles = [i for i, kind in enumerate(dictionary.kinds) if kind == ANGLE]
     worst = 0.0
-    n_cand = min(_PATH_CANDIDATES, len(pts))
+    n_cand = min(_PATH_CANDIDATES, len(coords))
     for probe in probes:
         g = metric(dictionary, probe, shape)
         deltas = coords - probe.coords
-        proxy = np.einsum("np,pq,nq->n", deltas, g.matrix, deltas)
+        turns = np.floor(deltas[:, angles] / math.pi + 0.5) * math.pi
+        deltas[:, angles] -= turns
+        proxy = np.einsum("np,np->n", deltas @ g.matrix, deltas)
         nearest = np.argpartition(proxy, n_cand - 1)[:n_cand]
         best = math.inf
         for idx in sorted(nearest):
             if proxy[idx] == 0.0:
                 best = 0.0
                 break
-            best = min(best, path_length(dictionary, probe, pts[idx], segments, shape))
+            target = coords[idx].copy()
+            target[angles] -= turns[idx]
+            best = min(best, path_length(dictionary, probe,
+                                         ParamPoint(target, dictionary.kinds), segments, shape))
         worst = max(worst, best)
     return worst
 

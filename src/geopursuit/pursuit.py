@@ -3,21 +3,26 @@ with optional manifold gradient-ascent refinement of the selected atom.
 
 Each iteration scores the residual against the whole grid (FFT
 cross-correlation along translation axes where the translations sit on the
-integer sample lattice, windowed direct evaluation otherwise), subtracts
-the best atom, and records the step. In `gmp` mode the best grid atom
+integer sample lattice, windowed direct evaluation otherwise, both from a
+search plan built once per dictionary and grid), subtracts the best atom,
+and records the step. In `gmp` mode the best grid atom
 seeds a gradient ascent on the parameter manifold before subtraction.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
@@ -277,33 +282,137 @@ def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
     (scores, to_point) once per 1-D scale level, once per 2-D slab
     (positions row-major), or once for any other grid (per-atom scoring),
     where to_point(k) is the parameter point scored by scores[k]. Level and
-    slab scores are corr**2 / norm2, with 0 where the atom has no samples
-    in the buffer. Yields nothing for an empty grid.
+    slab scores are corr**2 / norm2 from the grid's search plan, with 0
+    where the atom has no samples in the buffer. Yields nothing for an
+    empty grid.
     """
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        blocks = _affine_level_blocks(dictionary, residual, grid)
+        build = _affine_plan
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        blocks = _grid2d_slab_blocks(dictionary, residual, grid)
+        build = _grid2d_plan
     else:
         points = grid_points(grid)
         if points:
             yield (np.array([score(dictionary, residual, lam) for lam in points]),
                    points.__getitem__)
         return
-    for corr, norm2, to_point in blocks:
+    plans = _PLANS.setdefault(dictionary, {})
+    key = (grid, residual.shape)
+    if key not in plans:
+        plans[key] = build(dictionary, grid, residual.shape)
+    for corr, norm2, to_point in plans[key].correlations(residual.data):
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield scores.ravel(), to_point
+        yield scores.ravel(), functools.partial(to_point, dictionary)
 
 
-def _lattice_correlate(u: np.ndarray, w: np.ndarray, positions):
-    """Correlations of `u` with the centred template `w` (2m+1 samples per
-    axis) at the outer product of integer `positions` (one array per axis,
-    each position at most m outside the buffer), and the squared norms of
-    the in-buffer part of `w` there, from a prefix table of w**2."""
+# Search plans per dictionary, keyed by (grid, residual shape). A plan holds
+# no reference to its dictionary, so it is freed with it.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+@dataclass(frozen=True)
+class _FFTBlock:
+    """A level or slab on the integer lattice: the conjugate spectrum of its
+    centred template wrapped to the plan's FFT shape, the gather index of its
+    positions there, and the in-buffer squared norms."""
+
+    spectrum: np.ndarray
+    gather: tuple
+    norm2: np.ndarray
+    to_point: object  # (dictionary, k) -> ParamPoint
+
+    def correlate(self, u, u_hat, fft_shape):
+        return sp_fft.irfftn(u_hat * self.spectrum, fft_shape)[self.gather]
+
+
+@dataclass(frozen=True)
+class _DirectBlock:
+    """An off-lattice 1-D level: the residual window of each translation
+    starts at `starts`; `kernel()` rebuilds the kernel rows over those
+    windows at each search, and `norm2` holds their squared norms."""
+
+    kernel: object  # () -> kernel rows, one per translation
+    starts: np.ndarray
+    norm2: np.ndarray
+    to_point: object  # (dictionary, k) -> ParamPoint
+
+    def correlate(self, u, u_hat, fft_shape):
+        kernel = self.kernel()
+        windows = sliding_window_view(u, kernel.shape[1])[self.starts]
+        return np.einsum("nl,nl->n", kernel, windows)
+
+
+@dataclass(frozen=True)
+class _SearchPlan:
+    """Everything a grid search needs that does not depend on the residual:
+    one block per level or slab, in enumeration order, and the real-FFT
+    shape the FFT blocks share (empty when there are none)."""
+
+    fft_shape: tuple
+    blocks: list
+
+    def correlations(self, u: np.ndarray):
+        """(corr, norm2, to_point) per block, from one FFT of `u`."""
+        u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
+        for block in self.blocks:
+            yield block.correlate(u, u_hat, self.fft_shape), block.norm2, block.to_point
+
+    @classmethod
+    def build(cls, shape, entries) -> "_SearchPlan":
+        """Plan from `entries` in enumeration order: direct blocks, and
+        `_Lattice` specs turned into FFT blocks one template at a time."""
+        lattices = [e for e in entries if isinstance(e, _Lattice)]
+        fft_shape = ()
+        if lattices:
+            sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices],
+                           axis=0)
+            fft_shape = tuple(sp_fft.next_fast_len(int(s), real=True) for s in sizes)
+        blocks = [_fft_block(e, shape, fft_shape) if isinstance(e, _Lattice) else e
+                  for e in entries]
+        return cls(fft_shape, blocks)
+
+
+class _Lattice(NamedTuple):
+    """A level or slab scored on integer positions (one array per axis; 1-D
+    positions may lie outside the buffer): `template()` builds its centred
+    template, with half-widths `ms` (2m+1 samples per axis)."""
+
+    ms: tuple
+    positions: list
+    template: object
+    to_point: object
+
+
+def _lattice_axes(lattice: _Lattice, shape):
+    """Per axis (size, keep): keep is the template half-width that can meet
+    the buffer, and at the circular-correlation length size = n + reach +
+    keep, where reach is how far the positions lie outside the buffer,
+    template offsets within keep never wrap onto a wanted position."""
+    out = []
+    for m, p, n in zip(lattice.ms, lattice.positions, shape):
+        reach = max(0, -int(p.min()), int(p.max()) - (n - 1))
+        keep = min(m, n - 1 + reach)
+        out.append((n + reach + keep, keep))
+    return out
+
+
+def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
+    w = lattice.template()
+    # template offsets -keep..keep per axis, stored at offset mod the FFT length
+    offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(lattice, shape)]
+    wrapped = np.zeros(fft_shape)
+    wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
+        w[np.ix_(*(o + m for o, m in zip(offsets, lattice.ms)))]
+    gather = np.ix_(*(p % size for p, size in zip(lattice.positions, fft_shape)))
+    return _FFTBlock(np.conj(sp_fft.rfftn(wrapped)), gather,
+                     _lattice_norm2(w, lattice.positions, shape), lattice.to_point)
+
+
+def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
+    """Squared norms of the in-buffer part of the centred template `w` at
+    the outer product of integer `positions`, from a prefix table of w**2."""
     ms = [(k - 1) // 2 for k in w.shape]
-    corr_full = fftconvolve(u, np.flip(w), mode="full")
-    corr = corr_full[np.ix_(*(p + m for p, m in zip(positions, ms)))]
     w2 = w * w
     for axis in range(w.ndim):
         w2 = np.cumsum(w2, axis=axis)
@@ -311,63 +420,86 @@ def _lattice_correlate(u: np.ndarray, w: np.ndarray, positions):
     prefix[(slice(1, None),) * w.ndim] = w2
     # per axis, the prefix-table bounds (past the last in-buffer offset, first one)
     bounds = [(np.minimum(n - 1 - p, m) + m + 1, np.maximum(-p, -m) + m)
-              for p, m, n in zip(positions, ms, u.shape)]
+              for p, m, n in zip(positions, ms, shape)]
     norm2 = 0.0
     for corner in itertools.product((0, 1), repeat=w.ndim):
         corner = corner[::-1]  # in 2-D: hi,hi - lo,hi - hi,lo + lo,lo
         term = prefix[np.ix_(*(b[c] for b, c in zip(bounds, corner)))]
         norm2 = norm2 - term if sum(corner) % 2 else norm2 + term
-    return corr, norm2
+    return norm2
 
 
-def _level_scores_direct(u: np.ndarray, mother, a: float, bs: np.ndarray):
-    """Windowed direct correlations for off-lattice translations."""
-    n = u.size
-    reach = KERNEL_RADIUS * a
-    lo = np.ceil(bs - reach).astype(np.int64)
-    width = int(2 * math.ceil(reach)) + 2
-    idx = lo[:, None] + np.arange(width)
-    valid = (idx >= 0) & (idx < n)
-    svals = (idx - bs[:, None]) / a
-    w = mother.value(svals) / math.sqrt(a)
-    w[~valid] = 0.0
-    uw = u[np.clip(idx, 0, n - 1)]
-    corr = np.einsum("nl,nl->n", w, uw)
-    norm2 = np.einsum("nl,nl->n", w, w)
-    return corr, norm2
+def _direct_starts(n: int, a: float, bs: np.ndarray):
+    """Per off-lattice translation in `bs` at scale `a`: the first sample
+    of the atom's truncated support [lo, lo + width), and the start of its
+    window of min(width, n) in-buffer samples."""
+    lo = np.ceil(bs - KERNEL_RADIUS * a).astype(np.int64)
+    width = int(2 * math.ceil(KERNEL_RADIUS * a)) + 2
+    return lo, width, np.clip(lo, 0, n - min(width, n))
 
 
-def _affine_level_blocks(dictionary: Affine1DDictionary, residual: SignalBuffer,
-                         grid: TauAdicGrid):
-    """Per-level (corr, norm2, to_point), through the lattice correlator
-    where the level's translations sit on the integer sample lattice."""
-    if residual.ndim != 1 or residual.shape[0] != grid.n:
-        raise ValueError(f"residual shape {residual.shape} does not match grid N={grid.n}")
+def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
+    """Kernel rows for off-lattice translations `bs` at scale `a` over their
+    windows, zero outside each atom's truncated support."""
+    lo, width, starts = _direct_starts(n, a, bs)
+    idx = starts[:, None] + np.arange(min(width, n))
+    kernel = mother.value((idx - bs[:, None]) / a) / math.sqrt(a)
+    kernel[(idx < lo[:, None]) | (idx >= lo[:, None] + width)] = 0.0
+    return kernel
+
+
+def _direct_block(n: int, mother, a: float, bs: np.ndarray, to_point) -> _DirectBlock:
+    kernel = functools.partial(_direct_kernel, n, mother, a, bs)
+    w = kernel()
+    return _DirectBlock(kernel, _direct_starts(n, a, bs)[2], np.einsum("nl,nl->n", w, w),
+                        to_point)
+
+
+def _level_point(bs: np.ndarray, a: float, dictionary: Affine1DDictionary, k: int):
+    return dictionary.point(float(bs[k]), float(a))
+
+
+def _level_template(mother, a: float, m: int) -> np.ndarray:
+    return mother.value(np.arange(-m, m + 1, dtype=np.float64) / a) / math.sqrt(a)
+
+
+def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid, shape) -> _SearchPlan:
+    """One block per level: an FFT block where the level's translations sit
+    on the integer sample lattice, a direct block otherwise."""
+    if len(shape) != 1 or shape[0] != grid.n:
+        raise ValueError(f"residual shape {shape} does not match grid N={grid.n}")
     _check_grid_scales(dictionary, *grid.scale_span())
-    u = residual.data
+    n = grid.n
     mother = dictionary.mother
+    entries = []
     for _, a, step, n_lo, n_hi in grid.levels():
         bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
         b_round = np.rint(bs)
+        to_point = functools.partial(_level_point, bs, a)
         if (abs(step - round(step)) < _LATTICE_TOL
                 and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
             # the template reaches every translation the grid keeps
-            m = int(min(math.ceil(KERNEL_RADIUS * a), u.size + math.ceil(MASS_RADIUS * a)))
-            w = mother.value(np.arange(-m, m + 1, dtype=np.float64) / a) / math.sqrt(a)
-            corr, norm2 = _lattice_correlate(u, w, [b_round.astype(np.int64)])
+            m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
+            entries.append(_Lattice((m,), [b_round.astype(np.int64)],
+                                    functools.partial(_level_template, mother, a, m), to_point))
         else:
-            corr, norm2 = _level_scores_direct(u, mother, a, bs)
-        yield corr, norm2, lambda k, bs=bs, a=a: dictionary.point(float(bs[k]), float(a))
+            entries.append(_direct_block(n, mother, a, bs, to_point))
+    return _SearchPlan.build(shape, entries)
 
 
-def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
-    """Atom template on integer pixel offsets, truncated where negligible."""
+def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
+    """Template half-widths per axis: KERNEL_RADIUS widths, clipped to the image."""
     nx, ny = dictionary.shape
+    ct, st = abs(math.cos(theta)), abs(math.sin(theta))
+    h1 = KERNEL_RADIUS * (a1 * ct + a2 * st)
+    h2 = KERNEL_RADIUS * (a1 * st + a2 * ct)
+    return int(min(math.ceil(h1), nx - 1)), int(min(math.ceil(h2), ny - 1))
+
+
+def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float,
+                   m1: int, m2: int):
+    """Atom template on integer pixel offsets within the half-widths."""
     ct, st = math.cos(theta), math.sin(theta)
-    h1 = KERNEL_RADIUS * (a1 * abs(ct) + a2 * abs(st))
-    h2 = KERNEL_RADIUS * (a1 * abs(st) + a2 * abs(ct))
-    m1 = int(min(math.ceil(h1), nx - 1))
-    m2 = int(min(math.ceil(h2), ny - 1))
     d1 = np.arange(-m1, m1 + 1, dtype=np.float64)[:, None]
     d2 = np.arange(-m2, m2 + 1, dtype=np.float64)[None, :]
     uu = (ct * d1 + st * d2) / a1
@@ -375,20 +507,25 @@ def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: f
     return dictionary._mother_uv(uu, vv) / math.sqrt(a1 * a2)
 
 
-def _grid2d_slab_blocks(dictionary: Aniso2DDictionary, residual: SignalBuffer,
-                        grid: Grid2DSpec):
-    """Per-slab (corr, norm2, to_point) over all pixel positions."""
-    if residual.shape != (grid.nx, grid.ny):
-        raise ValueError(f"residual shape {residual.shape} does not match grid "
+def _slab_point(ny: int, slab, dictionary: Aniso2DDictionary, k: int):
+    return dictionary.point(*(float(b) for b in divmod(k, ny)), *slab)
+
+
+def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec, shape) -> _SearchPlan:
+    """One FFT block per slab over all pixel positions."""
+    if shape != (grid.nx, grid.ny):
+        raise ValueError(f"residual shape {shape} does not match grid "
                          f"({grid.nx}, {grid.ny})")
     scales = grid.scales()
     _check_grid_scales(dictionary, float(scales[0]), float(scales[-1]))
     positions = [np.arange(grid.nx), np.arange(grid.ny)]
+    entries = []
     for slab in grid.slabs():
-        w = _slab_template(dictionary, *slab)
-        corr, norm2 = _lattice_correlate(residual.data, w, positions)
-        yield corr, norm2, lambda k, slab=slab: dictionary.point(
-            *(float(b) for b in divmod(k, grid.ny)), *slab)
+        ms = _slab_halfwidths(dictionary, *slab)
+        entries.append(_Lattice(
+            ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms),
+            functools.partial(_slab_point, grid.ny, slab)))
+    return _SearchPlan.build(shape, entries)
 
 
 def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:

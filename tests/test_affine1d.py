@@ -49,6 +49,13 @@ def test_enumeration_order_deterministic():
         assert bs == sorted(bs)  # ascending n within a level
 
 
+def test_grid_coords_match_points():
+    for grid in (gp.TauAdicGrid(b0=2, a0=2, tau=2.0, j_min=0, j_max=3, n=64),
+                 gp.tau_grid_for_signal(300, b0=1.5, log2_tau=0.5, a0=1.3)):
+        want = np.array([p.coords for p in grid.points()])
+        assert np.array_equal(grid.coords(), want)
+
+
 def test_joint_dilation_relates_grids():
     g1 = gp.TauAdicGrid(b0=3, a0=1.5, tau=2.0, j_min=0, j_max=3, n=128)
     g2 = gp.TauAdicGrid(b0=6, a0=3.0, tau=2.0, j_min=0, j_max=3, n=256)

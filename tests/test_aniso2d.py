@@ -115,6 +115,14 @@ def test_grid_enumeration_order():
     assert a1_sequence == sorted(a1_sequence)
 
 
+def test_grid_coords_match_points():
+    for spec in (gp.Grid2DSpec(nx=5, ny=7, j_scales=3, k_orients=4),
+                 gp.Grid2DSpec(nx=6, ny=4, j_scales=1, k_orients=1, min_scale=1.5,
+                               max_scale=3.0)):
+        want = np.array([p.coords for p in spec.points()])
+        assert np.array_equal(spec.coords(), want)
+
+
 def test_grid_validation_and_json():
     with pytest.raises(ValueError):
         gp.Grid2DSpec(nx=0, ny=4, j_scales=1, k_orients=1)

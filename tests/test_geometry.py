@@ -161,6 +161,16 @@ def test_density_radius_requires_grid_and_probes():
         gp.density_radius(d, grid, [])
 
 
+def test_density_radius_angle_is_pi_periodic():
+    # theta = pi - eps is the atom next to the grid's theta = 0, as theta = eps is
+    grid = gp.Grid2DSpec(16, 16, 3, 4)
+    d = gp.Aniso2DDictionary((16, 16))
+    s = float(grid.scales()[1])
+    near_zero, near_pi = (gp.density_radius(d, grid, [d.point(8, 8, theta, s, 1.3 * s)])
+                          for theta in (0.001, math.pi - 0.001))
+    assert near_pi == pytest.approx(near_zero, rel=1e-6)
+
+
 def test_weakness_factors_worked_example():
     w = gp.weakness_factors(1.0, 0.5, 3.0, 0.2)
     assert w.alpha_prime == pytest.approx(0.6, abs=1e-12)

@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import geopursuit as gp
+from geopursuit import pursuit
 from geopursuit.pursuit import full_search, gradient_ascent
 from conftest import naive_search
 
@@ -123,6 +126,51 @@ def test_full_search_grid_scale_domain_check():
     grid = gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=5, n=256)  # tops at 64
     with pytest.raises(gp.DomainError):
         full_search(d, gp.SignalBuffer.zeros((256,)), grid)
+
+
+def test_search_plans_do_not_cross_talk(rng):
+    # one grid under two mothers, and one dictionary over two grids: every
+    # cached plan scores as a fresh dictionary's plan does
+    grids = (gp.tau_grid_for_signal(256, b0=1.5, log2_tau=0.5),     # fft and direct levels
+             gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=5, n=256))
+    mothers = ("mexican_hat", "gaussian")
+    dicts = {m: gp.Affine1DDictionary(256, mother=m) for m in mothers}
+    u = gp.SignalBuffer(rng.standard_normal(256))
+    cases = [(m, g) for m in mothers for g in grids]
+    first = {(m, g): gp.grid_scores(dicts[m], u, g) for m, g in cases}
+    for m, g in cases:
+        want = gp.grid_scores(gp.Affine1DDictionary(256, mother=m), u, g)
+        assert np.array_equal(first[m, g], want)
+        assert np.array_equal(gp.grid_scores(dicts[m], u, g), want)
+        slow = np.array([gp.score(dicts[m], u, lam) for lam in g.points()])
+        assert np.abs(want - slow).max() < 1e-8
+    assert not np.allclose(first["mexican_hat", grids[0]], first["gaussian", grids[0]])
+    with pytest.raises(ValueError, match="does not match"):
+        gp.grid_scores(dicts["gaussian"], gp.SignalBuffer(rng.standard_normal(128)), grids[0])
+
+    d2 = gp.Aniso2DDictionary((10, 12))
+    grids2 = (gp.Grid2DSpec(10, 12, 2, 3), gp.Grid2DSpec(10, 12, 3, 2))
+    u2 = gp.SignalBuffer(rng.standard_normal((10, 12)))
+    first2 = [gp.grid_scores(d2, u2, g) for g in grids2]
+    for g, got in zip(grids2, first2):
+        assert np.array_equal(got, gp.grid_scores(gp.Aniso2DDictionary((10, 12)), u2, g))
+        slow = np.array([gp.score(d2, u2, lam) for lam in g.points()])
+        assert np.abs(got - slow).max() < 1e-8
+    with pytest.raises(ValueError, match="does not match"):
+        gp.grid_scores(d2, gp.SignalBuffer(rng.standard_normal((12, 10))), grids2[0])
+
+
+def test_search_plan_is_freed_with_its_dictionary(rng):
+    d = gp.Affine1DDictionary(256)
+    grid = gp.tau_grid_for_signal(256, b0=1.5, log2_tau=0.5)
+    gp.full_search(d, gp.SignalBuffer(rng.standard_normal(256)), grid)
+    plans = [weakref.ref(plan) for plan in pursuit._PLANS[d].values()]
+    dictionary = weakref.ref(d)
+    assert len(plans) == 1
+    del d
+    gc.collect()
+    assert dictionary() is None
+    assert plans[0]() is None
 
 
 def test_gradient_vanishes_at_own_atom():

@@ -1,9 +1,10 @@
 """Randomised equivalence of the grid search's fast paths and the naive oracle.
 
 Over random tau-adic grids (integer and fractional translation lattices,
-boundary atoms included) and random 2-D grids, `grid_scores` must agree
-atom by atom with per-atom `score`, and `full_search` must pick the same
-atom and score as `conftest.naive_search` and as the argmax of
+boundary atoms included) and random 2-D grids (non-square, up to J = 3 and
+K = 4 as on the benchmark grid, templates clipped at n - 1), `grid_scores`
+must agree atom by atom with per-atom `score`, and `full_search` must pick
+the same atom and score as `conftest.naive_search` and as the argmax of
 `grid_scores`.
 """
 
@@ -52,8 +53,8 @@ def test_tau_adic_search_matches_oracle(n, b0, log2_tau, a0, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(nx=st.integers(4, 12), ny=st.integers(4, 12),
-       j_scales=st.integers(1, 2), k_orients=st.integers(1, 3), seed=seeds)
+@given(nx=st.integers(4, 16), ny=st.integers(4, 16),
+       j_scales=st.integers(1, 3), k_orients=st.integers(1, 4), seed=seeds)
 def test_2d_search_matches_oracle(nx, ny, j_scales, k_orients, seed):
     grid = gp.Grid2DSpec(nx=nx, ny=ny, j_scales=j_scales, k_orients=k_orients)
     check_search(gp.Aniso2DDictionary((nx, ny)), grid, seed)
