@@ -41,11 +41,11 @@ def _mh(s):
 
 
 def _mh_d1(s):
-    return _MH_C * (s ** 3 - 3.0 * s) * np.exp(-0.5 * s * s)
+    return _MH_C * (s * s * s - 3.0 * s) * np.exp(-0.5 * s * s)
 
 
 def _mh_d2(s):
-    return _MH_C * (-(s ** 4) + 6.0 * s * s - 3.0) * np.exp(-0.5 * s * s)
+    return _MH_C * (-(s * s * s * s) + 6.0 * s * s - 3.0) * np.exp(-0.5 * s * s)
 
 
 _GS_C = math.pi ** -0.25

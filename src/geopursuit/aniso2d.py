@@ -72,7 +72,7 @@ class Aniso2DDictionary(Dictionary):
         ct, st = math.cos(theta), math.sin(theta)
         env = np.exp(-0.5 * (u * u + v * v))
         G = _C2D * (1.0 - u * u) * env
-        Gu = _C2D * (u ** 3 - 3.0 * u) * env  # d/du of the mother
+        Gu = _C2D * (u * u * u - 3.0 * u) * env  # d/du of the mother
         Gv = -v * G
         s = 1.0 / math.sqrt(a1 * a2)
         d_b1 = s * (Gu * (-ct / a1) + Gv * (st / a2))
@@ -81,6 +81,47 @@ class Aniso2DDictionary(Dictionary):
         d_a1 = -(s / a1) * (0.5 * G + u * Gu)
         d_a2 = -(s / a2) * (0.5 * G + v * Gv)
         return [d_b1, d_b2, d_th, d_a1, d_a2]
+
+    def _raw_second_partials(self, coords, shape):
+        """Chain rule through s(a1, a2) * G(u, v), with s = (a1*a2)^(-1/2):
+        d_ij = s_ij G + s_i G_j + s_j G_i + s G_ij, where G_i = G_u u_i + G_v v_i
+        and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
+        + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2)."""
+        b1, b2, theta, a1, a2 = coords
+        u, v = self._frame(coords, shape)
+        ct, st = math.cos(theta), math.sin(theta)
+        env = np.exp(-0.5 * (u * u + v * v))
+        uu = u * u
+        G = _C2D * (1.0 - uu) * env
+        Gu = _C2D * (uu * u - 3.0 * u) * env
+        Gv = -v * G
+        Guu = _C2D * (-(uu * uu) + 6.0 * uu - 3.0) * env
+        Guv = -v * Gu
+        Gvv = (v * v - 1.0) * G
+        s = 1.0 / math.sqrt(a1 * a2)
+        # first derivatives of u, v and s; the second derivatives list only
+        # their nonzero entries (i <= j)
+        du = [-ct / a1, -st / a1, a2 * v / a1, -u / a1, 0.0]
+        dv = [st / a2, -ct / a2, -a1 * u / a2, 0.0, -v / a2]
+        ds = [0.0, 0.0, 0.0, -0.5 * s / a1, -0.5 * s / a2]
+        ddu = {(0, 2): st / a1, (0, 3): ct / (a1 * a1), (1, 2): -ct / a1,
+               (1, 3): st / (a1 * a1), (2, 2): -u, (2, 3): -a2 * v / (a1 * a1),
+               (3, 3): 2.0 * u / (a1 * a1)}
+        ddv = {(0, 2): ct / a2, (0, 4): -st / (a2 * a2), (1, 2): st / a2,
+               (1, 4): ct / (a2 * a2), (2, 2): -v, (2, 4): a1 * u / (a2 * a2),
+               (4, 4): 2.0 * v / (a2 * a2)}
+        dds = {(3, 3): 0.75 * s / (a1 * a1), (3, 4): 0.25 * s / (a1 * a2),
+               (4, 4): 0.75 * s / (a2 * a2)}
+        dG = [Gu * du[i] + Gv * dv[i] for i in range(5)]
+        out = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                d2G = (Guu * (du[i] * du[j]) + Guv * (du[i] * dv[j] + du[j] * dv[i])
+                       + Gvv * (dv[i] * dv[j])
+                       + Gu * ddu.get((i, j), 0.0) + Gv * ddv.get((i, j), 0.0))
+                out[i][j] = out[j][i] = (dds.get((i, j), 0.0) * G + ds[i] * dG[j]
+                                         + ds[j] * dG[i] + s * d2G)
+        return out
 
     def oversampled_atom(self, lam: ParamPoint, factor: int = 4) -> np.ndarray:
         """Atom evaluated on a `factor`-times finer lattice (for diagnostics)."""

@@ -72,8 +72,7 @@ def _add_common(sub):
 
 def _pursuit_config(args) -> PursuitConfig:
     return PursuitConfig(mode=args.mode, kappa=args.kappa,
-                         chi=args.chi, max_iterations=args.max_iters,
-                         optimize_scope=args.scope)
+                         chi=args.chi, max_iterations=args.max_iters)
 
 
 def _add_pursuit_flags(sub, default_iters=100):
@@ -81,8 +80,6 @@ def _add_pursuit_flags(sub, default_iters=100):
     sub.add_argument("--kappa", type=int, default=10)
     sub.add_argument("--chi", type=float, default=0.1)
     sub.add_argument("--max-iters", type=int, default=default_iters)
-    sub.add_argument("--scope", choices=("best_only", "all_atoms"),
-                     default="best_only")
 
 
 def cmd_gen_signal(args) -> tuple[dict, list, list]:
@@ -109,7 +106,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
         outputs.append(args.residual_out)
     cfg = {"mode": config.mode, "kappa": config.kappa,
            "chi": config.chi, "max_iterations": config.max_iterations,
-           "optimize_scope": config.optimize_scope, "grid": json.loads(grid.to_json())}
+           "grid": json.loads(grid.to_json())}
     return cfg, [args.grid, args.infile], outputs
 
 
@@ -141,11 +138,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
     if isinstance(grid, TauAdicGrid):
         a_lo, a_hi = grid.scale_span()
         n = grid.n
-        if args.at:
-            coords = [float(v) for v in args.at.split(",")]
-            lam0 = dictionary.point(*coords)
-        else:
-            lam0 = dictionary.point(n / 2, math.sqrt(a_lo * a_hi))
+        center = (n / 2, math.sqrt(a_lo * a_hi))
         samples = [dictionary.point(rng.uniform(0.3 * n, 0.7 * n),
                                     math.exp(rng.uniform(math.log(a_lo * 1.05),
                                                          math.log(a_hi * 0.95))))
@@ -161,12 +154,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
         nx, ny = grid.nx, grid.ny
         scales = grid.scales()
         a_lo, a_hi = float(scales[0]), float(scales[-1])
-        if args.at:
-            coords = [float(v) for v in args.at.split(",")]
-            lam0 = dictionary.point(*coords)
-        else:
-            lam0 = dictionary.point(nx / 2, ny / 2, 0.0, math.sqrt(a_lo * a_hi),
-                                    math.sqrt(a_lo * a_hi))
+        center = (nx / 2, ny / 2, 0.0, math.sqrt(a_lo * a_hi), math.sqrt(a_lo * a_hi))
 
         def _rand_point():
             return dictionary.point(
@@ -179,6 +167,13 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
         probes = [_rand_point() for _ in range(args.probes)]
         corpus = [make_test_image(nx, ny, seed=int(s.generate_state(1)[0]))
                   for s in np.random.SeedSequence(args.seed).spawn(args.beta_corpus)]
+    coords = center
+    if args.at:
+        coords = [float(v) for v in args.at.split(",")]
+        if len(coords) != dictionary.P:
+            raise ValueError(f"--at takes {dictionary.P} comma-separated coordinates "
+                             f"on the {inferred} grid, got {len(coords)}")
+    lam0 = dictionary.point(*coords)
     g = metric(dictionary, lam0)
     gamma = christoffel(dictionary, lam0)
     k_hat = condition_bound(dictionary, samples)

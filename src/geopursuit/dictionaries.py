@@ -5,8 +5,9 @@ fixed sample grid. Atoms are renormalized on the grid (boundary
 renormalization), so truncated atoms are still valid unit-norm atoms and
 the identities <d_i g, g> = 0 and <d_ij g, g> = -G_ij hold exactly in the
 discrete inner product. Derivatives are therefore derivatives of the
-*renormalized* synthesis map, either in closed form via the quotient rule
-or by central finite differences on the full pipeline.
+*renormalized* synthesis map: every dictionary gives the first and second
+partials of its raw atom in closed form, and the quotient rule carries them
+through the renormalization.
 """
 
 from __future__ import annotations
@@ -19,16 +20,10 @@ TRANSLATION = "translation"
 SCALE = "scale"
 ANGLE = "angle"
 
-# Finite-difference steps per coordinate kind: absolute samples for
-# translations and radians for angles, relative for scales. Second-order
-# stencils shrink the step to keep the O(h^2) truncation below the
-# derivative-identity tolerances.
-FD_STEP = {TRANSLATION: 1e-3, SCALE: 1e-3, ANGLE: 1e-3}
-SECOND_FD_SHRINK = 0.25
-
 # Scales this close (relatively) to the domain boundary count as
-# non-interior; clamping pulls slightly further in so that derivative
-# stencils never leave the domain.
+# non-interior, so derivatives are taken only where a small step in any
+# direction stays in the domain; clamping pulls slightly further in so that
+# a clamped point is always interior.
 INTERIOR_MARGIN = 2e-3
 CLAMP_MARGIN = 4e-3
 
@@ -96,9 +91,9 @@ class Dictionary:
     """Base class for parametric dictionaries.
 
     Concrete dictionaries provide `_raw` (continuum-normalized samples of
-    the atom) and optionally `_raw_partials` / `_raw_second_partials` in
-    closed form; everything else falls back to finite differences on the
-    renormalized synthesis.
+    the atom) and its first and second partials `_raw_partials` /
+    `_raw_second_partials` in closed form; synthesis and derivatives of the
+    renormalized atom follow from these.
     """
 
     kinds: tuple[str, ...]
@@ -116,11 +111,11 @@ class Dictionary:
     def _raw(self, coords: np.ndarray, shape) -> np.ndarray:
         raise NotImplementedError
 
-    def _raw_partials(self, coords: np.ndarray, shape):
-        return None
+    def _raw_partials(self, coords: np.ndarray, shape) -> list[np.ndarray]:
+        raise NotImplementedError
 
-    def _raw_second_partials(self, coords: np.ndarray, shape):
-        return None
+    def _raw_second_partials(self, coords: np.ndarray, shape) -> list[list[np.ndarray]]:
+        raise NotImplementedError
 
     def translation_extent(self, i: int, shape) -> tuple[float, float]:
         """Clamping range for translation coordinate i."""
@@ -164,15 +159,6 @@ class Dictionary:
                 coords[i] = min(max(coords[i], t_lo), t_hi)
         return ParamPoint(coords, self.kinds)
 
-    def fd_step(self, i: int, coords: np.ndarray, order: int = 1) -> float:
-        kind = self.kinds[i]
-        h = FD_STEP[kind]
-        if order > 1:
-            h *= SECOND_FD_SHRINK
-        if kind == SCALE:
-            h *= coords[i]
-        return h
-
     # -- synthesis & derivatives -------------------------------------------
     def synthesize(self, lam: ParamPoint, shape=None) -> SignalBuffer:
         """Unit-norm atom at `lam`, renormalized on the sample grid."""
@@ -189,11 +175,8 @@ class Dictionary:
         shape = shape or self.shape
         self._check_domain(lam)
         self.require_interior(lam)
-        raws = self._raw_partials(lam.coords, shape)
-        if raws is None:
-            return self._fd_partials(lam, shape)
-        raw = self._raw(lam.coords, shape)
-        _, parts = _renormalized_partials(raw, raws)
+        parts = _renormalized_partials(self._raw(lam.coords, shape),
+                                       self._raw_partials(lam.coords, shape))
         return [SignalBuffer(p) for p in parts]
 
     def second_partials(self, lam: ParamPoint, shape=None) -> list[list[SignalBuffer]]:
@@ -201,64 +184,10 @@ class Dictionary:
         shape = shape or self.shape
         self._check_domain(lam)
         self.require_interior(lam)
-        second = self._raw_second_partials(lam.coords, shape)
-        if second is not None:
-            raw = self._raw(lam.coords, shape)
-            firsts = self._raw_partials(lam.coords, shape)
-            mat = _renormalized_second_partials(raw, firsts, second)
-        elif self._raw_partials(lam.coords, shape) is not None:
-            mat = self._fd_second_from_partials(lam, shape)
-        else:
-            mat = self._fd_second_from_synthesize(lam, shape)
+        mat = _renormalized_second_partials(self._raw(lam.coords, shape),
+                                            self._raw_partials(lam.coords, shape),
+                                            self._raw_second_partials(lam.coords, shape))
         return [[SignalBuffer(m) for m in row] for row in mat]
-
-    # -- finite-difference fallbacks ----------------------------------------
-    def _shifted(self, coords: np.ndarray, i: int, delta: float) -> ParamPoint:
-        out = np.array(coords, copy=True)
-        out[i] += delta
-        return ParamPoint(out, self.kinds)
-
-    def _fd_partials(self, lam: ParamPoint, shape) -> list[SignalBuffer]:
-        out = []
-        for i in range(self.P):
-            h = self.fd_step(i, lam.coords)
-            plus = self.synthesize(self._shifted(lam.coords, i, +h), shape)
-            minus = self.synthesize(self._shifted(lam.coords, i, -h), shape)
-            out.append(SignalBuffer((plus.data - minus.data) / (2 * h)))
-        return out
-
-    def _fd_second_from_partials(self, lam: ParamPoint, shape):
-        cols = []
-        for i in range(self.P):
-            h = self.fd_step(i, lam.coords, order=2)
-            plus = self.partials(self._shifted(lam.coords, i, +h), shape)
-            minus = self.partials(self._shifted(lam.coords, i, -h), shape)
-            cols.append([(p.data - m.data) / (2 * h) for p, m in zip(plus, minus)])
-        # cols[i][j] ~ d_i d_j; symmetrize to kill the FD asymmetry
-        return [[(cols[i][j] + cols[j][i]) / 2 for j in range(self.P)] for i in range(self.P)]
-
-    def _fd_second_from_synthesize(self, lam: ParamPoint, shape):
-        g0 = self.synthesize(lam, shape).data
-        mat = [[None] * self.P for _ in range(self.P)]
-        for i in range(self.P):
-            hi = self.fd_step(i, lam.coords, order=2)
-            gp = self.synthesize(self._shifted(lam.coords, i, +hi), shape).data
-            gm = self.synthesize(self._shifted(lam.coords, i, -hi), shape).data
-            mat[i][i] = (gp - 2 * g0 + gm) / (hi * hi)
-            for j in range(i + 1, self.P):
-                hj = self.fd_step(j, lam.coords, order=2)
-                cpp = self._raw_like(lam, shape, i, +hi, j, +hj)
-                cpm = self._raw_like(lam, shape, i, +hi, j, -hj)
-                cmp_ = self._raw_like(lam, shape, i, -hi, j, +hj)
-                cmm = self._raw_like(lam, shape, i, -hi, j, -hj)
-                mat[i][j] = mat[j][i] = (cpp - cpm - cmp_ + cmm) / (4 * hi * hj)
-        return mat
-
-    def _raw_like(self, lam, shape, i, di, j, dj):
-        coords = np.array(lam.coords, copy=True)
-        coords[i] += di
-        coords[j] += dj
-        return self.synthesize(ParamPoint(coords, self.kinds), shape).data
 
 
 def _renormalized_partials(raw: np.ndarray, draws):
@@ -272,7 +201,7 @@ def _renormalized_partials(raw: np.ndarray, draws):
     for d in draws:
         proj = float(np.dot(flat, d.ravel()))
         out.append((d - proj * ghat) / nrm)
-    return ghat, out
+    return out
 
 
 def _renormalized_second_partials(raw: np.ndarray, draws, ddraws):

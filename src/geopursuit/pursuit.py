@@ -47,15 +47,14 @@ class PursuitConfig:
     """Knobs for a pursuit run.
 
     Selection is the exact grid argmax (weak matching pursuit with weakness
-    factor 1). kappa/chi drive the gradient ascent in gmp mode;
-    optimize_scope says which grid atoms seed it.
+    factor 1). kappa/chi drive the gradient ascent in gmp mode, which
+    refines the grid argmax.
     """
 
     mode: str = "dmp"
     kappa: int = 10
     chi: float = 0.1
     max_iterations: int = 100
-    optimize_scope: str = "best_only"
     energy_floor_rel: float = 1e-12
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class PursuitConfig:
             raise ValueError("kappa must be nonnegative")
         if not self.chi > 0:
             raise ValueError("chi must be positive")
-        if self.optimize_scope not in ("best_only", "all_atoms"):
-            raise ValueError(f"bad optimize_scope {self.optimize_scope!r}")
 
 
 @dataclass
@@ -544,25 +541,18 @@ def select(dictionary: Dictionary, residual: SignalBuffer, grid, config: Pursuit
     """One pursuit selection on `residual`: (lam, score, seed, ascent_steps).
 
     dmp takes the grid argmax, with seed None and 0 steps. gmp runs the
-    gradient ascent from the grid argmax ("best_only") or from every grid
-    atom ("all_atoms"; ties go to the earliest seed), reports the best
-    refinement's seed and accepted steps, and keeps the grid atom unless
-    that refinement scores at least as high, so it never selects below the
-    grid best (the ascent re-scores its seed with a different summation
-    order than the search). A zero grid score skips the ascent.
+    gradient ascent from the grid argmax, reports it as the seed with the
+    ascent's accepted steps, and keeps the grid atom unless the refinement
+    scores at least as high, so it never selects below the grid best (the
+    ascent re-scores its seed with a different summation order than the
+    search). A zero grid score skips the ascent.
     """
     k_best, s_grid = full_search(dictionary, residual, grid)
     if config.mode == "dmp" or s_grid <= 0:
         return k_best, s_grid, None, 0
-    seeds = [k_best] if config.optimize_scope == "best_only" else grid_points(grid)
-    best = best_seed = None
-    for seed in seeds:
-        result = gradient_ascent(dictionary, residual, seed,
-                                 kappa=config.kappa, chi=config.chi)
-        if best is None or result.score > best.score:
-            best, best_seed = result, seed
-    lam = best.lam if best.score >= s_grid else k_best
-    return lam, max(best.score, s_grid), best_seed, best.steps
+    ascent = gradient_ascent(dictionary, residual, k_best, kappa=config.kappa, chi=config.chi)
+    lam = ascent.lam if ascent.score >= s_grid else k_best
+    return lam, max(ascent.score, s_grid), k_best, ascent.steps
 
 
 def run(signal: SignalBuffer, dictionary: Dictionary, grid,

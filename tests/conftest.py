@@ -59,6 +59,65 @@ def interior_affine_points(dictionary, rng, count, margin_widths=10.0,
     return pts
 
 
+# Finite-difference steps of the derivative oracle per coordinate kind:
+# absolute samples for translations and radians for angles, relative for
+# scales. Second-order stencils shrink the step to keep the O(h^2)
+# truncation below the tolerances of the tests that use them.
+FD_STEP = {gp.TRANSLATION: 1e-3, gp.SCALE: 1e-3, gp.ANGLE: 1e-3}
+SECOND_FD_SHRINK = 0.25
+
+
+def fd_steps(dictionary, lam, order=1):
+    """Oracle step per coordinate of `lam` for first (1) or second (2) differences."""
+    steps = []
+    for x, kind in zip(lam.coords, dictionary.kinds):
+        h = FD_STEP[kind] * (SECOND_FD_SHRINK if order > 1 else 1.0)
+        steps.append(h * x if kind == gp.SCALE else h)
+    return steps
+
+
+def central_differences(fn, coords, steps):
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / 2h_i at x = `coords`, one per coordinate."""
+    out = []
+    for i, h in enumerate(steps):
+        e = np.zeros(len(coords))
+        e[i] = h
+        out.append((fn(coords + e) - fn(coords - e)) / (2 * h))
+    return out
+
+
+def _synthesized(dictionary, shape):
+    """The renormalized atom as a function of raw coordinates."""
+    return lambda coords: dictionary.synthesize(
+        gp.ParamPoint(coords, dictionary.kinds), shape).data
+
+
+def fd_partials(dictionary, lam, shape=None):
+    """Derivative oracle: central differences of the renormalized synthesis."""
+    return central_differences(_synthesized(dictionary, shape or dictionary.shape),
+                               lam.coords, fd_steps(dictionary, lam))
+
+
+def fd_second_partials(dictionary, lam, shape=None):
+    """Second-derivative oracle: three-point and four-point central stencils
+    on the renormalized synthesis, as a symmetric P x P matrix of arrays."""
+    atom = _synthesized(dictionary, shape or dictionary.shape)
+    x = lam.coords
+    steps = fd_steps(dictionary, lam, order=2)
+    basis = np.diag(steps)
+    P = len(steps)
+    g0 = atom(x)
+    mat = [[None] * P for _ in range(P)]
+    for i in range(P):
+        hi, ei = steps[i], basis[i]
+        mat[i][i] = (atom(x + ei) - 2 * g0 + atom(x - ei)) / (hi * hi)
+        for j in range(i + 1, P):
+            hj, ej = steps[j], basis[j]
+            mat[i][j] = mat[j][i] = (atom(x + ei + ej) - atom(x + ei - ej)
+                                     - atom(x - ei + ej) + atom(x - ei - ej)) / (4 * hi * hj)
+    return mat
+
+
 def child_env(env=None):
     """Environment for a child interpreter that imports the same geopursuit
     package as this session, from any working directory and whether or not

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import geopursuit as gp
-from conftest import interior_affine_points
+from conftest import fd_partials, interior_affine_points
 
 # Continuum norms of the Mexican Hat mother's derivative: ||g'||^2 = 5/2
 # (Gaussian-moment quadrature), and the metric constant W = diag(5/2, 5/2).
@@ -146,5 +146,5 @@ def test_translation_dictionary_contract():
     g = td.synthesize(td.point(128.0))
     assert abs(g.norm() - 1.0) < 1e-12
     (p,) = td.partials(td.point(100.5))
-    fd = td._fd_partials(td.point(100.5), td.shape)[0]
-    assert np.linalg.norm(p.data - fd.data) / np.linalg.norm(p.data) < 1e-4
+    (fd,) = fd_partials(td, td.point(100.5))
+    assert np.linalg.norm(p.data - fd) / np.linalg.norm(p.data) < 1e-4

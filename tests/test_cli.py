@@ -111,3 +111,14 @@ def test_geometry_dict_mismatch_is_runtime_error(tmp_path, grid_file):
                    "--out", "g.json"], cwd=tmp_path)
     assert out.returncode == 1
     assert "does not match" in out.stderr
+
+
+@pytest.mark.parametrize("grid", [gp.tau_grid_for_signal(64, b0=2, log2_tau=0.5),
+                                  gp.Grid2DSpec(12, 12, 2, 2)], ids=["tau-adic", "2-d"])
+def test_geometry_at_wrong_count_is_runtime_error(tmp_path, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(grid.to_json())
+    out = run_cli(["geometry", "--grid", str(path), "--at", "1,2,3",
+                   "--beta-corpus", "1", "--out", "g.json"], cwd=tmp_path)
+    assert out.returncode == 1
+    assert "error: --at takes" in out.stderr and "Traceback" not in out.stderr

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geopursuit as gp
-from geopursuit.dictionaries import ParamPoint
-from conftest import interior_affine_points
+from geopursuit.dictionaries import INTERIOR_MARGIN, ParamPoint
+from conftest import fd_partials, fd_second_partials, interior_affine_points
 
 
 def test_param_point_validation():
@@ -59,9 +61,9 @@ def test_partials_match_finite_differences(rng):
     d = gp.Affine1DDictionary(512)
     for lam in interior_affine_points(d, rng, 10):
         analytic = d.partials(lam)
-        fd = d._fd_partials(lam, d.shape)
+        fd = fd_partials(d, lam)
         for a, f in zip(analytic, fd):
-            rel = np.linalg.norm(a.data - f.data) / np.linalg.norm(a.data)
+            rel = np.linalg.norm(a.data - f) / np.linalg.norm(a.data)
             assert rel < 1e-4
 
 
@@ -118,9 +120,34 @@ def test_pure_translation_second_derivative_vs_fd():
     d = gp.Affine1DDictionary(512)
     lam = d.point(260.0, 10.0)
     analytic = d.second_partials(lam)[0][0].data
-    fd = d._fd_second_from_synthesize(lam, d.shape)[0][0]
+    fd = fd_second_partials(d, lam)[0][0]
     rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
     assert rel < 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(8, 32), ny=st.integers(8, 32),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi, exclude_max=True),
+       f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
+def test_2d_second_partials_match_oracle(nx, ny, fx, fy, theta, f1, f2):
+    # anywhere in the buffer (edge-truncated atoms included), any orientation,
+    # scales log-uniform over the interior of the scale range
+    d = gp.Aniso2DDictionary((nx, ny))
+    lo, hi = d.scale_range
+    log_lo, log_hi = math.log(lo * (1 + INTERIOR_MARGIN)), math.log(hi * (1 - INTERIOR_MARGIN))
+    a1, a2 = (math.exp(log_lo + f * (log_hi - log_lo)) for f in (f1, f2))
+    lam = d.point(fx * (nx - 1), fy * (ny - 1), theta, a1, a2)
+    sec = d.second_partials(lam)
+    fd = fd_second_partials(d, lam)
+    g = d.synthesize(lam).data.ravel()
+    G = gp.metric(d, lam).matrix
+    for i in range(d.P):
+        for j in range(d.P):
+            a = sec[i][j].data
+            assert np.array_equal(a, sec[j][i].data)
+            assert np.linalg.norm(a - fd[i][j]) <= 1e-3 * np.linalg.norm(a)
+            assert abs(float(a.ravel() @ g) + G[i, j]) <= 1e-10 * np.abs(G).max()
 
 
 def test_score_directional_derivative(rng):
@@ -178,6 +205,9 @@ class ConstantMother(gp.Dictionary):
 
     def _raw(self, coords, shape):
         return np.ones(shape[0])
+
+    def _raw_partials(self, coords, shape):
+        return [np.zeros(shape[0])]
 
 
 def test_degenerate_dictionary_rejected():

@@ -345,19 +345,6 @@ def test_run_zero_signal_stops_cleanly():
     assert len(dec) == 0
 
 
-def test_run_all_atoms_scope(rng):
-    # the exhaustive-refinement mode never selects below the best-seed mode
-    d = gp.Affine1DDictionary(128)
-    grid = gp.TauAdicGrid(b0=8, a0=4, tau=2.0, j_min=0, j_max=1, n=128)
-    f = unit(rng.standard_normal(128))
-    cfg_best = gp.PursuitConfig(mode="gmp", kappa=3, max_iterations=1)
-    cfg_all = gp.PursuitConfig(mode="gmp", kappa=3, max_iterations=1,
-                               optimize_scope="all_atoms")
-    s_best = gp.run(f, d, grid, cfg_best).steps[0].score
-    s_all = gp.run(f, d, grid, cfg_all).steps[0].score
-    assert s_all >= s_best - 1e-12
-
-
 def test_reconstruct_empty_is_zero():
     d = gp.Affine1DDictionary(64)
     dec = gp.Decomposition(steps=[], initial_energy=0.0, shape=(64,))
@@ -426,14 +413,13 @@ def test_select_is_the_run_selection_rule(rng):
     assert gp.selection_score(d, f, grid, cfg) == s
     step = gp.run(f, d, grid, cfg).steps[0]
     assert np.array_equal(step.lam, lam.coords) and step.ascent_steps == steps
-    # a plain list of points is a grid as well, in both scopes
+    # a plain list of points is a grid as well
     small = gp.TauAdicGrid(b0=16, a0=4, tau=2.0, j_min=0, j_max=1, n=256)
-    for scope in ("best_only", "all_atoms"):
-        cfg = gp.PursuitConfig(mode="gmp", kappa=2, optimize_scope=scope)
-        lam, s, seed, steps = gp.select(d, f, small, cfg)
-        lam_l, s_l, seed_l, steps_l = gp.select(d, f, list(small.points()), cfg)
-        assert np.array_equal(lam.coords, lam_l.coords) and (s, steps) == (s_l, steps_l)
-        assert np.array_equal(seed.coords, seed_l.coords)
+    cfg = gp.PursuitConfig(mode="gmp", kappa=2)
+    lam, s, seed, steps = gp.select(d, f, small, cfg)
+    lam_l, s_l, seed_l, steps_l = gp.select(d, f, list(small.points()), cfg)
+    assert np.array_equal(lam.coords, lam_l.coords) and (s, steps) == (s_l, steps_l)
+    assert np.array_equal(seed.coords, seed_l.coords)
 
 
 def test_decomposition_csv_output(tmp_path, rng):
@@ -457,5 +443,3 @@ def test_pursuit_config_validation():
         gp.PursuitConfig(kappa=-1)
     with pytest.raises(ValueError):
         gp.PursuitConfig(chi=0.0)
-    with pytest.raises(ValueError):
-        gp.PursuitConfig(optimize_scope="everything")
