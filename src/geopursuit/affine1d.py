@@ -1,7 +1,9 @@
 """1-D affine (wavelet-like) dictionary: translated and dilated mother atoms.
 
 Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
-renormalization, with a Mexican Hat mother by default. Grids are tau-adic:
+renormalization, with a Mexican Hat mother by default. `affine_jet` is the
+one evaluation of that formula, with its partials, for both 1-D
+dictionaries and the grid search's templates. Grids are tau-adic:
 k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
 
@@ -73,6 +75,32 @@ def mexican_hat_norm_constant() -> float:
     return _MH_C
 
 
+def affine_jet(mother: MotherFunction, b, a: float, t, order: int = 0) -> tuple:
+    """The raw atom a^(-1/2) g((t-b)/a) sampled at `t` and, up to `order`,
+    its partials in (b, a), stacked along leading axes.
+
+    Returns (raw,), (raw, d1) or (raw, d1, d2): d1 = [d_b, d_a] and d2 the
+    symmetric 2 x 2 stack of second partials. `b` and `t` broadcast, so
+    one call evaluates a row of atoms (b a column, t the sample offsets).
+    """
+    s = (t - b) / a
+    g = mother.value(s)
+    raw = g / math.sqrt(a)
+    if order == 0:
+        return (raw,)
+    g1 = mother.d1(s)
+    inv = a ** -1.5
+    d1 = np.stack([-inv * g1, -inv * (0.5 * g + s * g1)])
+    if order == 1:
+        return raw, d1
+    g2 = mother.d2(s)
+    inv = a ** -2.5
+    d_ba = inv * (1.5 * g1 + s * g2)
+    d2 = np.stack([np.stack([inv * g2, d_ba]),
+                   np.stack([d_ba, inv * (0.75 * g + 3.0 * s * g1 + s * s * g2)])])
+    return raw, d1, d2
+
+
 class Affine1DDictionary(Dictionary):
     """Translation-dilation dictionary on a length-n sample grid."""
 
@@ -106,31 +134,9 @@ class Affine1DDictionary(Dictionary):
         reach = MASS_RADIUS * a
         return self.point(min(max(b, -reach), self.n - 1 + reach), a)
 
-    def _grid_s(self, coords, shape):
+    def _jet(self, coords, shape, order):
         b, a = coords
-        return (np.arange(shape[0], dtype=np.float64) - b) / a
-
-    def _raw(self, coords, shape):
-        b, a = coords
-        return self.mother.value(self._grid_s(coords, shape)) / math.sqrt(a)
-
-    def _raw_partials(self, coords, shape):
-        b, a = coords
-        s = self._grid_s(coords, shape)
-        inv = a ** -1.5
-        d_b = -inv * self.mother.d1(s)
-        d_a = -inv * (0.5 * self.mother.value(s) + s * self.mother.d1(s))
-        return [d_b, d_a]
-
-    def _raw_second_partials(self, coords, shape):
-        b, a = coords
-        s = self._grid_s(coords, shape)
-        g, g1, g2 = self.mother.value(s), self.mother.d1(s), self.mother.d2(s)
-        inv = a ** -2.5
-        d_bb = inv * g2
-        d_ba = inv * (1.5 * g1 + s * g2)
-        d_aa = inv * (0.75 * g + 3.0 * s * g1 + s * s * g2)
-        return [[d_bb, d_ba], [d_ba, d_aa]]
+        return affine_jet(self.mother, b, a, np.arange(shape[0], dtype=np.float64), order)
 
 
 class TranslationDictionary(Dictionary):
@@ -156,19 +162,11 @@ class TranslationDictionary(Dictionary):
     def require_interior(self, lam):  # translations have no boundary
         return None
 
-    def _grid_s(self, coords, shape):
-        return (np.arange(shape[0], dtype=np.float64) - coords[0]) / self.scale
-
-    def _raw(self, coords, shape):
-        return self.mother.value(self._grid_s(coords, shape)) / math.sqrt(self.scale)
-
-    def _raw_partials(self, coords, shape):
-        s = self._grid_s(coords, shape)
-        return [-self.mother.d1(s) * self.scale ** -1.5]
-
-    def _raw_second_partials(self, coords, shape):
-        s = self._grid_s(coords, shape)
-        return [[self.mother.d2(s) * self.scale ** -2.5]]
+    def _jet(self, coords, shape, order):
+        jet = affine_jet(self.mother, coords[0], self.scale,
+                         np.arange(shape[0], dtype=np.float64), order)
+        # the translation rows only: the scale is fixed
+        return tuple(d[(slice(0, 1),) * k] for k, d in enumerate(jet))
 
 
 @dataclass(frozen=True)

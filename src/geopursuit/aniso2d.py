@@ -6,7 +6,10 @@ An atom with parameters (b1, b2, theta, a1, a2) evaluates the mother at
 (u, v) = diag(a1,a2)^-1 * R(-theta) * (x - b1, y - b2) scaled by
 (a1*a2)^(-1/2), sampled at pixel centers (integer coordinates). The mother
 is even in x, so orientation is pi-periodic and theta is canonicalized to
-[0, pi).
+[0, pi). `Aniso2DDictionary._jet` is the one evaluation of the atom: it
+builds the rotated frame and the Gaussian envelope once and returns the
+atom with its first and second partials in closed form, stacked along
+leading axes. The grid search's slab templates are atoms from it too.
 """
 
 from __future__ import annotations
@@ -47,63 +50,43 @@ class Aniso2DDictionary(Dictionary):
     def translation_extent(self, i, shape):
         return (0.0, float(shape[i] - 1))
 
-    def _frame(self, coords, shape):
-        """Rotated, dilated offset coordinates (u, v) on the pixel grid."""
+    def _jet(self, coords, shape, order):
+        """The atom s * G(u, v), s = (a1*a2)^(-1/2), and its partials by the
+        chain rule: d_i = s_i G + s G_i and
+        d_ij = s_ij G + s_i G_j + s_j G_i + s G_ij, where G_i = G_u u_i + G_v v_i
+        and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
+        + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2)."""
         b1, b2, theta, a1, a2 = coords
         dx = np.arange(shape[0], dtype=np.float64)[:, None] - b1
         dy = np.arange(shape[1], dtype=np.float64)[None, :] - b2
         ct, st = math.cos(theta), math.sin(theta)
         u = (ct * dx + st * dy) / a1
         v = (-st * dx + ct * dy) / a2
-        return u, v
-
-    @staticmethod
-    def _mother_uv(u, v):
-        return _C2D * (1.0 - u * u) * np.exp(-0.5 * (u * u + v * v))
-
-    def _raw(self, coords, shape):
-        b1, b2, theta, a1, a2 = coords
-        u, v = self._frame(coords, shape)
-        return self._mother_uv(u, v) / math.sqrt(a1 * a2)
-
-    def _raw_partials(self, coords, shape):
-        b1, b2, theta, a1, a2 = coords
-        u, v = self._frame(coords, shape)
-        ct, st = math.cos(theta), math.sin(theta)
-        env = np.exp(-0.5 * (u * u + v * v))
-        G = _C2D * (1.0 - u * u) * env
-        Gu = _C2D * (u * u * u - 3.0 * u) * env  # d/du of the mother
-        Gv = -v * G
-        s = 1.0 / math.sqrt(a1 * a2)
-        d_b1 = s * (Gu * (-ct / a1) + Gv * (st / a2))
-        d_b2 = s * (Gu * (-st / a1) + Gv * (-ct / a2))
-        d_th = s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2))
-        d_a1 = -(s / a1) * (0.5 * G + u * Gu)
-        d_a2 = -(s / a2) * (0.5 * G + v * Gv)
-        return [d_b1, d_b2, d_th, d_a1, d_a2]
-
-    def _raw_second_partials(self, coords, shape):
-        """Chain rule through s(a1, a2) * G(u, v), with s = (a1*a2)^(-1/2):
-        d_ij = s_ij G + s_i G_j + s_j G_i + s G_ij, where G_i = G_u u_i + G_v v_i
-        and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
-        + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2)."""
-        b1, b2, theta, a1, a2 = coords
-        u, v = self._frame(coords, shape)
-        ct, st = math.cos(theta), math.sin(theta)
         env = np.exp(-0.5 * (u * u + v * v))
         uu = u * u
         G = _C2D * (1.0 - uu) * env
-        Gu = _C2D * (uu * u - 3.0 * u) * env
+        raw = G / math.sqrt(a1 * a2)
+        if order == 0:
+            return (raw,)
+        Gu = _C2D * (uu * u - 3.0 * u) * env  # d/du of the mother
         Gv = -v * G
-        Guu = _C2D * (-(uu * uu) + 6.0 * uu - 3.0) * env
-        Guv = -v * Gu
-        Gvv = (v * v - 1.0) * G
         s = 1.0 / math.sqrt(a1 * a2)
-        # first derivatives of u, v and s; the second derivatives list only
-        # their nonzero entries (i <= j)
+        d1 = np.stack([s * (Gu * (-ct / a1) + Gv * (st / a2)),
+                       s * (Gu * (-st / a1) + Gv * (-ct / a2)),
+                       s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2)),
+                       -(s / a1) * (0.5 * G + u * Gu),
+                       -(s / a2) * (0.5 * G + v * Gv)])
+        if order == 1:
+            return raw, d1
+        # first derivatives of u, v and s
         du = [-ct / a1, -st / a1, a2 * v / a1, -u / a1, 0.0]
         dv = [st / a2, -ct / a2, -a1 * u / a2, 0.0, -v / a2]
         ds = [0.0, 0.0, 0.0, -0.5 * s / a1, -0.5 * s / a2]
+        dG = [Gu * du[i] + Gv * dv[i] for i in range(5)]
+        Guu = _C2D * (-(uu * uu) + 6.0 * uu - 3.0) * env
+        Guv = -v * Gu
+        Gvv = (v * v - 1.0) * G
+        # the nonzero second derivatives of u, v and s (i <= j)
         ddu = {(0, 2): st / a1, (0, 3): ct / (a1 * a1), (1, 2): -ct / a1,
                (1, 3): st / (a1 * a1), (2, 2): -u, (2, 3): -a2 * v / (a1 * a1),
                (3, 3): 2.0 * u / (a1 * a1)}
@@ -112,28 +95,15 @@ class Aniso2DDictionary(Dictionary):
                (4, 4): 2.0 * v / (a2 * a2)}
         dds = {(3, 3): 0.75 * s / (a1 * a1), (3, 4): 0.25 * s / (a1 * a2),
                (4, 4): 0.75 * s / (a2 * a2)}
-        dG = [Gu * du[i] + Gv * dv[i] for i in range(5)]
-        out = [[None] * 5 for _ in range(5)]
+        d2 = np.empty((5, 5) + raw.shape)
         for i in range(5):
             for j in range(i, 5):
                 d2G = (Guu * (du[i] * du[j]) + Guv * (du[i] * dv[j] + du[j] * dv[i])
                        + Gvv * (dv[i] * dv[j])
                        + Gu * ddu.get((i, j), 0.0) + Gv * ddv.get((i, j), 0.0))
-                out[i][j] = out[j][i] = (dds.get((i, j), 0.0) * G + ds[i] * dG[j]
-                                         + ds[j] * dG[i] + s * d2G)
-        return out
-
-    def oversampled_atom(self, lam: ParamPoint, factor: int = 4) -> np.ndarray:
-        """Atom evaluated on a `factor`-times finer lattice (for diagnostics)."""
-        nx, ny = self.shape
-        b1, b2, theta, a1, a2 = lam.coords
-        dx = (np.arange(nx * factor) / factor)[:, None] - b1
-        dy = (np.arange(ny * factor) / factor)[None, :] - b2
-        ct, st = math.cos(theta), math.sin(theta)
-        u = (ct * dx + st * dy) / a1
-        v = (-st * dx + ct * dy) / a2
-        vals = self._mother_uv(u, v) / math.sqrt(a1 * a2)
-        return vals / np.linalg.norm(vals)
+                d2[i, j] = d2[j, i] = (dds.get((i, j), 0.0) * G + ds[i] * dG[j]
+                                       + ds[j] * dG[i] + s * d2G)
+        return raw, d1, d2
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,9 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
                                    math.exp(rng.uniform(math.log(a_lo * 1.05),
                                                         math.log(a_hi * 0.95))))
                   for _ in range(args.probes)]
-        corpus = [BurstSignalSpec(n=n, kind="gaussian",
-                                  envelope=min(256.0, n / 4)).sample(s)
-                  for s in np.random.SeedSequence(args.seed).spawn(args.beta_corpus)]
+
+        def _beta_input(s):
+            return BurstSignalSpec(n=n, kind="gaussian", envelope=min(256.0, n / 4)).sample(s)
     else:
         nx, ny = grid.nx, grid.ny
         scales = grid.scales()
@@ -165,8 +165,9 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
 
         samples = [_rand_point() for _ in range(args.samples)]
         probes = [_rand_point() for _ in range(args.probes)]
-        corpus = [make_test_image(nx, ny, seed=int(s.generate_state(1)[0]))
-                  for s in np.random.SeedSequence(args.seed).spawn(args.beta_corpus)]
+
+        def _beta_input(s):
+            return make_test_image(nx, ny, seed=int(s.generate_state(1)[0]))
     coords = center
     if args.at:
         coords = [float(v) for v in args.at.split(",")]
@@ -178,7 +179,11 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
     gamma = christoffel(dictionary, lam0)
     k_hat = condition_bound(dictionary, samples)
     rho = density_radius(dictionary, grid, probes, segments=args.segments)
-    beta = args.beta if args.beta is not None else beta_surrogate(dictionary, grid, corpus)
+    beta = args.beta
+    if beta is None:
+        corpus = [_beta_input(s)
+                  for s in np.random.SeedSequence(args.seed).spawn(args.beta_corpus)]
+        beta = beta_surrogate(dictionary, grid, corpus)
     report = weakness_factors(args.alpha, beta, k_hat, rho)
     payload = {
         "at": [float(v) for v in lam0.coords],

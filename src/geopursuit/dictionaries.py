@@ -5,9 +5,12 @@ fixed sample grid. Atoms are renormalized on the grid (boundary
 renormalization), so truncated atoms are still valid unit-norm atoms and
 the identities <d_i g, g> = 0 and <d_ij g, g> = -G_ij hold exactly in the
 discrete inner product. Derivatives are therefore derivatives of the
-*renormalized* synthesis map: every dictionary gives the first and second
-partials of its raw atom in closed form, and the quotient rule carries them
-through the renormalization.
+*renormalized* synthesis map. Each dictionary family evaluates its raw atom
+and its first and second partials in closed form in one function, its
+`_jet`, which builds the sample frame once and stacks the partials along
+leading axes; one quotient rule carries them through the renormalization.
+`partials` returns a (P, *shape) array and `second_partials` a
+(P, P, *shape) array, so the geometry contracts them with matrix products.
 """
 
 from __future__ import annotations
@@ -90,10 +93,9 @@ def grid_coords(grid) -> np.ndarray:
 class Dictionary:
     """Base class for parametric dictionaries.
 
-    Concrete dictionaries provide `_raw` (continuum-normalized samples of
-    the atom) and its first and second partials `_raw_partials` /
-    `_raw_second_partials` in closed form; synthesis and derivatives of the
-    renormalized atom follow from these.
+    Concrete dictionaries provide `_jet`: the continuum-normalized samples
+    of the atom with, up to a requested order, its partials in closed form.
+    Synthesis and derivatives of the renormalized atom follow from it.
     """
 
     kinds: tuple[str, ...]
@@ -108,13 +110,11 @@ class Dictionary:
     def point(self, *coords) -> ParamPoint:
         return ParamPoint(coords, self.kinds)
 
-    def _raw(self, coords: np.ndarray, shape) -> np.ndarray:
-        raise NotImplementedError
-
-    def _raw_partials(self, coords: np.ndarray, shape) -> list[np.ndarray]:
-        raise NotImplementedError
-
-    def _raw_second_partials(self, coords: np.ndarray, shape) -> list[list[np.ndarray]]:
+    def _jet(self, coords: np.ndarray, shape, order: int) -> tuple:
+        """(raw,), (raw, d1) or (raw, d1, d2) for order 0, 1 or 2: the raw
+        atom sampled on `shape`, its first partials stacked as (P, *shape)
+        and its second partials as a symmetric (P, P, *shape) stack. The
+        arrays are fresh: the renormalization overwrites the stacks."""
         raise NotImplementedError
 
     def translation_extent(self, i: int, shape) -> tuple[float, float]:
@@ -122,20 +122,22 @@ class Dictionary:
         raise NotImplementedError
 
     # -- domain handling --------------------------------------------------
-    def _check_domain(self, lam: ParamPoint) -> None:
+    def _check_scales(self, lam: ParamPoint, margin: float, problem: str) -> None:
+        """Reject scales outside the scale range shrunk by `margin`
+        (relative) at each end, allowing _DOMAIN_TOL relative fuzz."""
         lo, hi = self.scale_range
+        lo_in, hi_in = lo * (1 + margin - _DOMAIN_TOL), hi * (1 - margin + _DOMAIN_TOL)
         for x, k in zip(lam.coords, lam.kinds):
-            if k == SCALE and not (lo * (1 - _DOMAIN_TOL) <= x <= hi * (1 + _DOMAIN_TOL)):
-                raise DomainError(f"scale {x} outside [{lo}, {hi}]")
+            if k == SCALE and not (lo_in <= x <= hi_in):
+                raise DomainError(f"scale {x} {problem} [{lo}, {hi}]")
+
+    def _check_domain(self, lam: ParamPoint) -> None:
+        self._check_scales(lam, 0.0, "outside")
 
     def require_interior(self, lam: ParamPoint) -> None:
         """Reject points too close to the scale bounds for derivatives."""
-        lo, hi = self.scale_range
-        for x, k in zip(lam.coords, lam.kinds):
-            if k == SCALE and not (lo * (1 + INTERIOR_MARGIN) <= x <= hi * (1 - INTERIOR_MARGIN)):
-                raise DomainError(
-                    f"scale {x} not strictly interior to [{lo}, {hi}]; "
-                    "one-sided derivatives unsupported")
+        self._check_scales(lam, INTERIOR_MARGIN,
+                           f"for derivatives is not {INTERIOR_MARGIN:g} (relative) inside")
 
     def clamp(self, lam: ParamPoint) -> ParamPoint:
         return self.clamp_coords(lam.coords)
@@ -164,64 +166,63 @@ class Dictionary:
         """Unit-norm atom at `lam`, renormalized on the sample grid."""
         shape = shape or self.shape
         self._check_domain(lam)
-        raw = self._raw(lam.coords, shape)
-        nrm = np.linalg.norm(raw)
-        if not nrm > _MIN_ATOM_NORM:
-            raise DomainError("atom has no effective support in the buffer")
-        return SignalBuffer(raw / nrm)
+        (raw,) = self._jet(lam.coords, shape, 0)
+        return SignalBuffer(raw / _atom_norm(raw))
 
-    def partials(self, lam: ParamPoint, shape=None) -> list[SignalBuffer]:
-        """First partials of the renormalized atom, one buffer per coordinate."""
+    def partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
+        """First partials of the renormalized atom: a read-only (P, *shape)
+        array, one row per coordinate."""
         shape = shape or self.shape
         self._check_domain(lam)
         self.require_interior(lam)
-        parts = _renormalized_partials(self._raw(lam.coords, shape),
-                                       self._raw_partials(lam.coords, shape))
-        return [SignalBuffer(p) for p in parts]
+        return _renormalized(*self._jet(lam.coords, shape, 1))
 
-    def second_partials(self, lam: ParamPoint, shape=None) -> list[list[SignalBuffer]]:
-        """Symmetric P x P matrix of second partials of the renormalized atom."""
+    def second_partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
+        """Second partials of the renormalized atom: a read-only, exactly
+        symmetric (P, P, *shape) array."""
         shape = shape or self.shape
         self._check_domain(lam)
         self.require_interior(lam)
-        mat = _renormalized_second_partials(self._raw(lam.coords, shape),
-                                            self._raw_partials(lam.coords, shape),
-                                            self._raw_second_partials(lam.coords, shape))
-        return [[SignalBuffer(m) for m in row] for row in mat]
+        return _renormalized(*self._jet(lam.coords, shape, 2))
 
 
-def _renormalized_partials(raw: np.ndarray, draws):
-    """Partials of raw/||raw|| given raw and its partials (quotient rule)."""
+def _atom_norm(raw: np.ndarray) -> float:
     nrm = np.linalg.norm(raw)
     if not nrm > _MIN_ATOM_NORM:
         raise DomainError("atom has no effective support in the buffer")
+    return nrm
+
+
+def _renormalized(raw: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
+    """Partials of raw/||raw|| by the exact quotient rule: the first partials
+    from raw and its partials d1 (P, *shape), or, given its second partials
+    d2 (P, P, *shape), the second partials. Works in place on the stack of
+    the highest order given (a fresh (P, P, *shape) array costs page faults
+    on every call) and returns it finite (else DomainError) and read-only."""
+    nrm = _atom_norm(raw)
     ghat = raw / nrm
-    flat = ghat.ravel()
-    out = []
-    for d in draws:
-        proj = float(np.dot(flat, d.ravel()))
-        out.append((d - proj * ghat) / nrm)
+    P = len(d1)
+    flat = d1.reshape(P, -1)
+    dn = flat @ ghat.ravel()  # d_i ||raw||
+    if d2 is None:
+        out = d1
+        out -= np.multiply.outer(dn, ghat)
+        out /= nrm
+    else:
+        # d_ij ||raw||, from <d_i raw, d_j raw> and <raw, d_ij raw>
+        ddn = ((flat @ flat.T + (d2.reshape(P * P, -1) @ raw.ravel()).reshape(P, P)) / nrm
+               - np.outer(dn, dn) / nrm)
+        # with n = ||raw||: d_ij (raw/n) = (d_ij raw - (d_i raw d_j n + d_j raw d_i n) / n
+        #                                   + raw (2 d_i n d_j n / n - d_ij n) / n) / n
+        e = d1 / nrm
+        c = (2 * np.outer(dn, dn) / nrm - ddn) / nrm
+        out = d2
+        for i in range(P):
+            for j in range(i, P):
+                out[i, j] -= e[i] * dn[j] + e[j] * dn[i] - raw * c[i, j]
+                out[i, j] /= nrm
+                out[j, i] = out[i, j]
+    if not np.isfinite(out).all():
+        raise DomainError("atom derivatives are not finite")
+    out.setflags(write=False)
     return out
-
-
-def _renormalized_second_partials(raw: np.ndarray, draws, ddraws):
-    """Second partials of raw/||raw|| from raw derivatives; exact quotient rule."""
-    nrm = np.linalg.norm(raw)
-    if not nrm > _MIN_ATOM_NORM:
-        raise DomainError("atom has no effective support in the buffer")
-    ghat = raw / nrm
-    gflat = ghat.ravel()
-    P = len(draws)
-    dn = [float(np.dot(gflat, d.ravel())) for d in draws]  # d_i ||raw||
-    mat = [[None] * P for _ in range(P)]
-    for i in range(P):
-        for j in range(i, P):
-            dii = ddraws[i][j]
-            ddn = (float(np.dot(draws[j].ravel(), draws[i].ravel()))
-                   + float(np.dot(raw.ravel(), dii.ravel()))) / nrm - dn[i] * dn[j] / nrm
-            term = (dii / nrm
-                    - (draws[i] * dn[j] + draws[j] * dn[i]) / nrm**2
-                    - raw * ddn / nrm**2
-                    + 2 * raw * dn[i] * dn[j] / nrm**3)
-            mat[i][j] = mat[j][i] = term
-    return mat

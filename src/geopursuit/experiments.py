@@ -226,13 +226,15 @@ def make_test_image(nx: int = 64, ny: int = 64, seed: int = 0,
     coarse parameter grid's samples.
     """
     rng = np.random.default_rng(seed)
-    dictionary = Aniso2DDictionary((nx, ny), scale_range=(0.5, float(max(nx, ny))))
+    # blob scales reach 10 px and centres keep 4 px from the edges, both
+    # relaxed on images too small for them
+    dictionary = Aniso2DDictionary((nx, ny), scale_range=(0.5, float(max(nx, ny, 10))))
     xs = np.arange(nx)[:, None] / max(nx - 1, 1)
     ys = np.arange(ny)[None, :] / max(ny - 1, 1)
     img = 30.0 * xs + 20.0 * ys
     for _ in range(n_blobs):
-        b1 = rng.uniform(4, nx - 5)
-        b2 = rng.uniform(4, ny - 5)
+        b1 = rng.uniform(min(4, (nx - 1) / 2), max(nx - 5, (nx - 1) / 2))
+        b2 = rng.uniform(min(4, (ny - 1) / 2), max(ny - 5, (ny - 1) / 2))
         theta = rng.uniform(0.0, math.pi)
         a1 = math.exp(rng.uniform(math.log(1.5), math.log(10.0)))
         a2 = math.exp(rng.uniform(math.log(1.5), math.log(10.0)))

@@ -3,7 +3,8 @@
 The parameter space carries the pullback metric G_ij = <d_i g, d_j g>
 (Gram matrix of atom partials), which induces path lengths, curvature
 estimates, a grid density radius, and the effective weakness factors that
-relate discrete pursuit to a weakened continuous pursuit.
+relate discrete pursuit to a weakened continuous pursuit. Inner products of
+partials are matrix products of the dictionary's stacked partials.
 """
 
 from __future__ import annotations
@@ -43,20 +44,11 @@ class MetricTensor:
         return math.sqrt(max(float(xi @ self.matrix @ xi), 0.0))
 
 
-def _gram(buffers) -> np.ndarray:
-    flats = [b.data.ravel() for b in buffers]
-    P = len(flats)
-    G = np.empty((P, P))
-    for i in range(P):
-        for j in range(i, P):
-            G[i, j] = G[j, i] = float(np.dot(flats[i], flats[j]))
-    return G
-
-
 def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
     """Gram matrix of atom partials at `lam`; symmetric positive definite."""
     parts = dictionary.partials(lam, shape)
-    G = _gram(parts)
+    F = parts.reshape(len(parts), -1)  # one flattened partial per row
+    G = F @ F.T
     G = (G + G.T) / 2
     eigvals = np.linalg.eigvalsh(G)
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _METRIC_COND_LIMIT:
@@ -68,31 +60,19 @@ def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
 def christoffel(dictionary: Dictionary, lam: ParamPoint, shape=None) -> np.ndarray:
     """Connection coefficients Gamma[k, i, j] = G^(kl) <d_ij g, d_l g>."""
     g = metric(dictionary, lam, shape)
-    parts = dictionary.partials(lam, shape)
-    second = dictionary.second_partials(lam, shape)
     P = g.P
-    A = np.empty((P, P, P))  # A[i, j, l] = <d_ij g, d_l g>
-    flats = [p.data.ravel() for p in parts]
-    for i in range(P):
-        for j in range(P):
-            sec = second[i][j].data.ravel()
-            for l in range(P):
-                A[i, j, l] = float(np.dot(sec, flats[l]))
+    F = dictionary.partials(lam, shape).reshape(P, -1)
+    S = dictionary.second_partials(lam, shape).reshape(P * P, -1)
+    A = (S @ F.T).reshape(P, P, P)  # A[i, j, l] = <d_ij g, d_l g>
     return np.einsum("kl,ijl->kij", g.inverse, A)
 
 
 def curvature_bracket(dictionary: Dictionary, lam: ParamPoint, shape=None) -> float:
     """Contraction <d_ij g, d_kl g> G^(ik) G^(jl) at one point."""
     g = metric(dictionary, lam, shape)
-    second = dictionary.second_partials(lam, shape)
     P = g.P
-    H = np.empty((P, P, P, P))
-    flats = [[second[i][j].data.ravel() for j in range(P)] for i in range(P)]
-    for i in range(P):
-        for j in range(P):
-            for k in range(P):
-                for l in range(P):
-                    H[i, j, k, l] = float(np.dot(flats[i][j], flats[k][l]))
+    S = dictionary.second_partials(lam, shape).reshape(P * P, -1)
+    H = (S @ S.T).reshape(P, P, P, P)  # H[i, j, k, l] = <d_ij g, d_kl g>
     return float(np.einsum("ijkl,ik,jl->", H, g.inverse, g.inverse))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 
-from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid
+from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, inner_product
 from .dictionaries import Dictionary, DomainError, ParamPoint, grid_points
@@ -179,7 +179,7 @@ def gradient(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) ->
     atom = dictionary.synthesize(lam, residual.shape)
     parts = dictionary.partials(lam, residual.shape)
     corr = inner_product(atom, residual)
-    partial = np.array([2.0 * corr * inner_product(p, residual) for p in parts])
+    partial = 2.0 * corr * (parts.reshape(len(parts), -1) @ residual.data.ravel())
     grad = g.inverse @ partial
     grad_norm = math.sqrt(max(float(partial @ grad), 0.0))
     return ScoreGradient(score=corr * corr, partial=partial, grad=grad, grad_norm=grad_norm)
@@ -440,7 +440,7 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
     windows, zero outside each atom's truncated support."""
     lo, width, starts = _direct_starts(n, a, bs)
     idx = starts[:, None] + np.arange(min(width, n))
-    kernel = mother.value((idx - bs[:, None]) / a) / math.sqrt(a)
+    (kernel,) = affine_jet(mother, bs[:, None], a, idx)
     kernel[(idx < lo[:, None]) | (idx >= lo[:, None] + width)] = 0.0
     return kernel
 
@@ -457,7 +457,8 @@ def _level_point(bs: np.ndarray, a: float, dictionary: Affine1DDictionary, k: in
 
 
 def _level_template(mother, a: float, m: int) -> np.ndarray:
-    return mother.value(np.arange(-m, m + 1, dtype=np.float64) / a) / math.sqrt(a)
+    """The atom at b = 0 over offsets -m..m."""
+    return affine_jet(mother, 0.0, a, np.arange(-m, m + 1, dtype=np.float64))[0]
 
 
 def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid, shape) -> _SearchPlan:
@@ -495,13 +496,10 @@ def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2:
 
 def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float,
                    m1: int, m2: int):
-    """Atom template on integer pixel offsets within the half-widths."""
-    ct, st = math.cos(theta), math.sin(theta)
-    d1 = np.arange(-m1, m1 + 1, dtype=np.float64)[:, None]
-    d2 = np.arange(-m2, m2 + 1, dtype=np.float64)[None, :]
-    uu = (ct * d1 + st * d2) / a1
-    vv = (-st * d1 + ct * d2) / a2
-    return dictionary._mother_uv(uu, vv) / math.sqrt(a1 * a2)
+    """Atom template on integer pixel offsets within the half-widths: the
+    atom centred at (m1, m2) on a (2*m1 + 1) x (2*m2 + 1) image."""
+    coords = np.array([m1, m2, theta, a1, a2], dtype=np.float64)
+    return dictionary._jet(coords, (2 * m1 + 1, 2 * m2 + 1), 0)[0]
 
 
 def _slab_point(ny: int, slab, dictionary: Aniso2DDictionary, k: int):

@@ -77,13 +77,14 @@ def fd_steps(dictionary, lam, order=1):
 
 
 def central_differences(fn, coords, steps):
-    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / 2h_i at x = `coords`, one per coordinate."""
+    """(fn(x + h_i e_i) - fn(x - h_i e_i)) / 2h_i at x = `coords`, stacked
+    with one row per coordinate."""
     out = []
     for i, h in enumerate(steps):
         e = np.zeros(len(coords))
         e[i] = h
         out.append((fn(coords + e) - fn(coords - e)) / (2 * h))
-    return out
+    return np.array(out)
 
 
 def _synthesized(dictionary, shape):
@@ -100,20 +101,20 @@ def fd_partials(dictionary, lam, shape=None):
 
 def fd_second_partials(dictionary, lam, shape=None):
     """Second-derivative oracle: three-point and four-point central stencils
-    on the renormalized synthesis, as a symmetric P x P matrix of arrays."""
+    on the renormalized synthesis, as a symmetric (P, P, *shape) stack."""
     atom = _synthesized(dictionary, shape or dictionary.shape)
     x = lam.coords
     steps = fd_steps(dictionary, lam, order=2)
     basis = np.diag(steps)
     P = len(steps)
     g0 = atom(x)
-    mat = [[None] * P for _ in range(P)]
+    mat = np.empty((P, P) + g0.shape)
     for i in range(P):
         hi, ei = steps[i], basis[i]
-        mat[i][i] = (atom(x + ei) - 2 * g0 + atom(x - ei)) / (hi * hi)
+        mat[i, i] = (atom(x + ei) - 2 * g0 + atom(x - ei)) / (hi * hi)
         for j in range(i + 1, P):
             hj, ej = steps[j], basis[j]
-            mat[i][j] = mat[j][i] = (atom(x + ei + ej) - atom(x + ei - ej)
+            mat[i, j] = mat[j, i] = (atom(x + ei + ej) - atom(x + ei - ej)
                                      - atom(x - ei + ej) + atom(x - ei - ej)) / (4 * hi * hj)
     return mat
 

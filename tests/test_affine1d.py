@@ -101,8 +101,8 @@ def test_analytic_partials_orthogonality(rng):
     for lam in interior_affine_points(d, rng, 8):
         g = d.synthesize(lam)
         db, da = d.partials(lam)
-        assert abs(gp.inner_product(db, g)) < 1e-8
-        assert abs(gp.inner_product(da, g)) < 1e-8
+        assert abs(float(db @ g.data)) < 1e-8
+        assert abs(float(da @ g.data)) < 1e-8
 
 
 @pytest.mark.parametrize("a", [4.0, 9.5, 20.0, 41.0])
@@ -147,4 +147,4 @@ def test_translation_dictionary_contract():
     assert abs(g.norm() - 1.0) < 1e-12
     (p,) = td.partials(td.point(100.5))
     (fd,) = fd_partials(td, td.point(100.5))
-    assert np.linalg.norm(p.data - fd) / np.linalg.norm(p.data) < 1e-4
+    assert np.linalg.norm(p - fd) / np.linalg.norm(p) < 1e-4

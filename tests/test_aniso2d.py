@@ -23,7 +23,7 @@ def test_mother_amplitude_constant():
     # peak of the continuum mother is sqrt(4 / (3 pi))
     d = gp.Aniso2DDictionary((64, 64))
     c = math.sqrt(4.0 / (3.0 * math.pi))
-    raw = d._raw(np.array([32.0, 32.0, 0.0, 1.0, 1.0]), (64, 64))
+    (raw,) = d._jet(np.array([32.0, 32.0, 0.0, 1.0, 1.0]), (64, 64), 0)
     assert raw[32, 32] == pytest.approx(c, abs=1e-14)
     # at a well-resolved scale the renormalized atom keeps the continuum
     # amplitude c / sqrt(a1 a2)
@@ -48,8 +48,8 @@ def test_boundary_atom_unit_norm():
 
 def test_pi_periodic_orientation():
     d = gp.Aniso2DDictionary((40, 40))
-    raw_a = d._raw(np.array([20.5, 19.2, 0.7, 2.5, 4.0]), (40, 40))
-    raw_b = d._raw(np.array([20.5, 19.2, 0.7 + math.pi, 2.5, 4.0]), (40, 40))
+    (raw_a,) = d._jet(np.array([20.5, 19.2, 0.7, 2.5, 4.0]), (40, 40), 0)
+    (raw_b,) = d._jet(np.array([20.5, 19.2, 0.7 + math.pi, 2.5, 4.0]), (40, 40), 0)
     assert np.abs(raw_a / np.linalg.norm(raw_a)
                   - raw_b / np.linalg.norm(raw_b)).max() < 1e-12
 
@@ -57,12 +57,14 @@ def test_pi_periodic_orientation():
 def test_isotropic_scales_rotation_invariant_oversampled():
     # with a1 == a2 the atom is a function of the rotated frame only through
     # its Mexican-Hat axis; checked on a 4x oversampled lattice to separate
-    # parametrization effects from pixel-sampling anisotropy
-    d = gp.Aniso2DDictionary((32, 32))
-    lam1 = d.point(16.0, 16.0, 0.0, 3.0, 3.0)
-    lam2 = d.point(16.0, 16.0, math.pi / 2, 3.0, 3.0)
-    g1 = d.oversampled_atom(lam1, factor=4)
-    g2 = d.oversampled_atom(lam2, factor=4)
+    # parametrization effects from pixel-sampling anisotropy: the 4x
+    # oversampled atom at (b, a) on a 32 px image is the atom at (4b, 4a)
+    # on a 128 px image
+    d = gp.Aniso2DDictionary((32 * 4, 32 * 4))
+    lam1 = d.point(16.0 * 4, 16.0 * 4, 0.0, 3.0 * 4, 3.0 * 4)
+    lam2 = d.point(16.0 * 4, 16.0 * 4, math.pi / 2, 3.0 * 4, 3.0 * 4)
+    g1 = d.synthesize(lam1).data
+    g2 = d.synthesize(lam2).data
     assert np.abs(g1 - g2.T).max() < 1e-6
 
 

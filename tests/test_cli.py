@@ -122,3 +122,25 @@ def test_geometry_at_wrong_count_is_runtime_error(tmp_path, grid):
                    "--beta-corpus", "1", "--out", "g.json"], cwd=tmp_path)
     assert out.returncode == 1
     assert "error: --at takes" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_image_subcommand_on_small_image(tmp_path):
+    # blob centres and scales of the test image fit images below 10 px
+    out_csv = tmp_path / "img.csv"
+    assert main(["image", "--nx", "8", "--ny", "8", "--j", "2", "--k", "2",
+                 "--atoms", "3", "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("beta", [None, "0.5"], ids=["estimated", "given"])
+def test_geometry_on_small_2d_grid(tmp_path, beta):
+    path = tmp_path / "grid.json"
+    path.write_text(gp.Grid2DSpec(8, 8, 2, 2).to_json())
+    out_path = tmp_path / "geom.json"
+    args = ["geometry", "--grid", str(path), "--samples", "2", "--probes", "3",
+            "--beta-corpus", "2", "--out", str(out_path)]
+    assert main(args + (["--beta", beta] if beta else [])) == 0
+    payload = json.loads(out_path.read_text())
+    assert np.array(payload["metric"]).shape == (5, 5)
+    if beta:
+        assert payload["weakness"]["beta"] == 0.5

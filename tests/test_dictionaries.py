@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geopursuit as gp
@@ -63,7 +63,7 @@ def test_partials_match_finite_differences(rng):
         analytic = d.partials(lam)
         fd = fd_partials(d, lam)
         for a, f in zip(analytic, fd):
-            rel = np.linalg.norm(a.data - f) / np.linalg.norm(a.data)
+            rel = np.linalg.norm(a - f) / np.linalg.norm(a)
             assert rel < 1e-4
 
 
@@ -72,7 +72,7 @@ def test_partials_orthogonal_to_atom(rng):
     for lam in interior_affine_points(d, rng, 10):
         g = d.synthesize(lam)
         for p in d.partials(lam):
-            assert abs(gp.inner_product(p, g)) < 1e-8
+            assert abs(float(p @ g.data)) < 1e-8
 
 
 def test_partials_boundary_scale_raises():
@@ -94,8 +94,8 @@ def test_second_partials_symmetric(rng):
     d = gp.Affine1DDictionary(512)
     lam = d.point(247.3, 9.1)
     sec = d.second_partials(lam)
-    off = np.abs(sec[0][1].data - sec[1][0].data).max()
-    assert off / np.abs(sec[0][1].data).max() < 1e-6
+    off = np.abs(sec[0, 1] - sec[1, 0]).max()
+    assert off / np.abs(sec[0, 1]).max() < 1e-6
 
 
 def test_second_partials_metric_identity(rng):
@@ -107,25 +107,28 @@ def test_second_partials_metric_identity(rng):
             lam = d.point(251.7, 12.4)
         else:
             lam = d.point(23.4, 24.8, 0.9, 3.3, 5.1)
-        g0 = d.synthesize(lam)
+        g0 = d.synthesize(lam).data.ravel()
         G = gp.metric(d, lam)
         sec = d.second_partials(lam)
         for i in range(d.P):
             for j in range(d.P):
-                lhs = gp.inner_product(sec[i][j], g0)
+                lhs = float(sec[i, j].ravel() @ g0)
                 assert lhs == pytest.approx(-G.matrix[i, j], abs=1e-6)
 
 
 def test_pure_translation_second_derivative_vs_fd():
     d = gp.Affine1DDictionary(512)
     lam = d.point(260.0, 10.0)
-    analytic = d.second_partials(lam)[0][0].data
-    fd = fd_second_partials(d, lam)[0][0]
+    analytic = d.second_partials(lam)[0, 0]
+    fd = fd_second_partials(d, lam)[0, 0]
     rel = np.linalg.norm(analytic - fd) / np.linalg.norm(analytic)
     assert rel < 1e-3
 
 
 @settings(max_examples=40, deadline=None)
+# a2 = exp(log(hi * (1 - INTERIOR_MARGIN))) lands a float step above the
+# interior bound; the interior check must allow that fuzz
+@example(nx=10, ny=10, fx=0.0, fy=0.0, theta=0.0, f1=0.0, f2=1.0)
 @given(nx=st.integers(8, 32), ny=st.integers(8, 32),
        fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
        theta=st.floats(0.0, math.pi, exclude_max=True),
@@ -144,10 +147,53 @@ def test_2d_second_partials_match_oracle(nx, ny, fx, fy, theta, f1, f2):
     G = gp.metric(d, lam).matrix
     for i in range(d.P):
         for j in range(d.P):
-            a = sec[i][j].data
-            assert np.array_equal(a, sec[j][i].data)
-            assert np.linalg.norm(a - fd[i][j]) <= 1e-3 * np.linalg.norm(a)
+            a = sec[i, j]
+            assert np.array_equal(a, sec[j, i])
+            assert np.linalg.norm(a - fd[i, j]) <= 1e-3 * np.linalg.norm(a)
             assert abs(float(a.ravel() @ g) + G[i, j]) <= 1e-10 * np.abs(G).max()
+
+
+def _contract_case(family, fx, fy, theta, f1, f2):
+    """A small dictionary of `family` and an interior point anywhere in its
+    buffer (edge-truncated atoms included)."""
+    if family == "translation":
+        d = gp.TranslationDictionary(40, scale=3.0, mother="mexican_hat")
+        return d, d.point(fx * 39)
+    d = gp.Affine1DDictionary(40) if family == "affine" else gp.Aniso2DDictionary((12, 15))
+    lo, hi = d.scale_range
+    log_lo, log_hi = math.log(lo * (1 + INTERIOR_MARGIN)), math.log(hi * (1 - INTERIOR_MARGIN))
+    a1, a2 = (math.exp(log_lo + f * (log_hi - log_lo)) for f in (f1, f2))
+    if family == "affine":
+        return d, d.point(fx * 39, a1)
+    return d, d.point(fx * 11, fy * 14, theta, a1, a2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["affine", "translation", "aniso2d"]),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi, exclude_max=True),
+       f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
+def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2):
+    d, lam = _contract_case(family, fx, fy, theta, f1, f2)
+    shape = d.shape
+    jets = [d._jet(lam.coords, shape, order) for order in (0, 1, 2)]
+    assert [len(j) for j in jets] == [1, 2, 3]
+    # the parts the orders share are the same floats
+    for j in jets[1:]:
+        assert np.array_equal(j[0], jets[0][0])
+    assert np.array_equal(jets[2][1], jets[1][1])
+    assert jets[1][1].shape == (d.P, *shape)
+    assert jets[2][2].shape == (d.P, d.P, *shape)
+
+    parts = d.partials(lam)
+    assert parts.shape == (d.P, *shape)
+    assert not parts.flags.writeable
+    with pytest.raises(ValueError):
+        parts[0] = 0.0
+    sec = d.second_partials(lam)
+    assert sec.shape == (d.P, d.P, *shape)
+    assert not sec.flags.writeable
+    assert np.array_equal(sec, np.swapaxes(sec, 0, 1))
 
 
 def test_score_directional_derivative(rng):
@@ -203,11 +249,8 @@ class ConstantMother(gp.Dictionary):
     def require_interior(self, lam):
         return None
 
-    def _raw(self, coords, shape):
-        return np.ones(shape[0])
-
-    def _raw_partials(self, coords, shape):
-        return [np.zeros(shape[0])]
+    def _jet(self, coords, shape, order):
+        return (np.ones(shape[0]), np.zeros((1, shape[0])))[:order + 1]
 
 
 def test_degenerate_dictionary_rejected():

@@ -236,13 +236,16 @@ class LogScaleAffine(gp.Dictionary):
         return None
 
     def _raw(self, coords, shape):
-        return self.base._raw(np.array([coords[0], math.exp(coords[1])]), shape)
+        return self.base._jet(np.array([coords[0], math.exp(coords[1])]), shape, 0)[0]
 
-    def _raw_partials(self, coords, shape):
-        # central differences of _raw rather than the chain rule through the
-        # base dictionary, so the tensor law is checked independently; the
-        # step is fine enough to verify it at 1e-6
-        return central_differences(lambda c: self._raw(c, shape), coords, [1e-4, 1e-4])
+    def _jet(self, coords, shape, order):
+        # first partials by central differences of the raw atom rather than
+        # the chain rule through the base dictionary, so the tensor law is
+        # checked independently; the step is fine enough to verify it at 1e-6
+        raw = self._raw(coords, shape)
+        if order == 0:
+            return (raw,)
+        return raw, central_differences(lambda c: self._raw(c, shape), coords, [1e-4, 1e-4])
 
 
 def test_metric_transforms_as_tensor():
