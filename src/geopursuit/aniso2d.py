@@ -160,14 +160,20 @@ class Grid2DSpec:
         for row in self.coords():
             yield ParamPoint(row, kinds)
 
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid as a product: (positions, slabs), one (b1, b2) row per
+        pixel row-major and one (theta, a1, a2) row per slab in enumeration
+        order; point (s, p) of the enumeration is positions[p] + slabs[s]."""
+        b1, b2 = np.divmod(np.arange(self.nx * self.ny), self.ny)
+        positions = np.column_stack([b1, b2]).astype(np.float64)
+        return positions, np.array(list(self.slabs())).reshape(-1, 3)
+
     def coords(self) -> np.ndarray:
         """Grid point coordinates, one (b1, b2, theta, a1, a2) row per point
         in enumeration order."""
-        b1, b2 = np.divmod(np.arange(self.nx * self.ny), self.ny)
-        slabs = np.array(list(self.slabs())).reshape(-1, 3)
-        out = np.empty((len(slabs), b1.size, 5))
-        out[:, :, 0] = b1
-        out[:, :, 1] = b2
+        positions, slabs = self.factors()
+        out = np.empty((len(slabs), len(positions), 5))
+        out[:, :, :2] = positions
         out[:, :, 2:] = slabs[:, None, :]
         return out.reshape(-1, 5)
 

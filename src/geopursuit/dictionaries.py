@@ -81,13 +81,21 @@ def grid_points(grid) -> list[ParamPoint]:
     return list(grid.points() if hasattr(grid, "points") else grid)
 
 
-def grid_coords(grid) -> np.ndarray:
-    """The coordinates of a grid's points, one row per point in enumeration
-    order: its `coords()`, or the stacked coordinates of its points."""
+def grid_factors(grid) -> tuple[np.ndarray, np.ndarray]:
+    """The points of a grid as a product of two coordinate blocks: a
+    (positions, others) pair whose point (s, p), in enumeration order s-major,
+    has the coordinates positions[p] followed by others[s]. Translations lead
+    every dictionary's coordinates, so `positions` holds translations only.
+    A grid's own `factors()` is used when it has one; any other grid is the
+    degenerate pair of no translation columns and all coordinates."""
+    if hasattr(grid, "factors"):
+        return grid.factors()
     if hasattr(grid, "coords"):
-        return grid.coords()
-    points = grid_points(grid)
-    return np.array([p.coords for p in points]).reshape(len(points), -1)
+        coords = grid.coords()
+    else:
+        points = grid_points(grid)
+        coords = np.array([p.coords for p in points]).reshape(len(points), -1)
+    return np.zeros((1, 0)), coords
 
 
 class Dictionary:

@@ -10,11 +10,11 @@ partials are matrix products of the dictionary's stacked partials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionaries import ANGLE, Dictionary, ParamPoint, grid_coords
+from .dictionaries import ANGLE, Dictionary, ParamPoint, grid_factors
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
@@ -28,11 +28,13 @@ class DegenerateMetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Pullback metric at a parameter point, with its inverse."""
+    """Pullback metric at a parameter point, with its inverse and the
+    first partials (P, *shape) it is the Gram matrix of."""
 
     lam: ParamPoint
     matrix: np.ndarray
     inverse: np.ndarray
+    partials: np.ndarray = field(repr=False)
 
     @property
     def P(self) -> int:
@@ -54,14 +56,14 @@ def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _METRIC_COND_LIMIT:
         raise DegenerateMetricError(
             f"metric at {lam} is numerically singular (eigenvalues {eigvals})")
-    return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G))
+    return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G), partials=parts)
 
 
 def christoffel(dictionary: Dictionary, lam: ParamPoint, shape=None) -> np.ndarray:
     """Connection coefficients Gamma[k, i, j] = G^(kl) <d_ij g, d_l g>."""
     g = metric(dictionary, lam, shape)
     P = g.P
-    F = dictionary.partials(lam, shape).reshape(P, -1)
+    F = g.partials.reshape(P, -1)
     S = dictionary.second_partials(lam, shape).reshape(P * P, -1)
     A = (S @ F.T).reshape(P, P, P)  # A[i, j, l] = <d_ij g, d_l g>
     return np.einsum("kl,ijl->kij", g.inverse, A)
@@ -127,34 +129,59 @@ def density_radius(dictionary: Dictionary, grid, probes,
     Angles are pi-periodic, so each grid point is measured at its
     representative whose angles lie within pi/2 of the probe's. A lower
     bound on the true sup-inf, since probes sample the domain.
+
+    The grid comes as a product of positions and other coordinates
+    (`grid_factors`), and the proxy is evaluated on that product: one
+    quadratic form per position, one per other-coordinate row and a cross
+    term, so each probe costs O(positions * others) scalars.
     """
-    coords = grid_coords(grid)
-    if not len(coords):
+    positions, others = grid_factors(grid)
+    if not len(positions) * len(others):
         raise ValueError("grid is empty")
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe")
-    angles = [i for i, kind in enumerate(dictionary.kinds) if kind == ANGLE]
+    t = positions.shape[1]
+    # angle columns of `others`: translations lead every dictionary's coordinates
+    angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == ANGLE]
+    n_cand = min(_PATH_CANDIDATES, len(positions) * len(others))
     worst = 0.0
-    n_cand = min(_PATH_CANDIDATES, len(coords))
     for probe in probes:
         g = metric(dictionary, probe, shape)
-        deltas = coords - probe.coords
-        turns = np.floor(deltas[:, angles] / math.pi + 0.5) * math.pi
-        deltas[:, angles] -= turns
-        proxy = np.einsum("np,np->n", deltas @ g.matrix, deltas)
-        nearest = np.argpartition(proxy, n_cand - 1)[:n_cand]
+        proxy, wrapped = _block_proxy(g.matrix, positions, others, probe.coords, angles)
+        nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
         best = math.inf
         for idx in sorted(nearest):
-            if proxy[idx] == 0.0:
+            s, p = divmod(int(idx), len(positions))
+            if proxy[s, p] == 0.0:
                 best = 0.0
                 break
-            target = coords[idx].copy()
-            target[angles] -= turns[idx]
+            target = np.concatenate([positions[p], wrapped[s]])
             best = min(best, path_length(dictionary, probe,
                                          ParamPoint(target, dictionary.kinds), segments, shape))
         worst = max(worst, best)
     return worst
+
+
+def _block_proxy(G: np.ndarray, positions: np.ndarray, others: np.ndarray, x: np.ndarray,
+                 angles) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic proxy (k - x)^T G (k - x) of every grid point k of the
+    product `positions` x `others`, as an (others, positions) array, with
+    `others` angle-wrapped to within pi/2 of the probe `x` (the `angles`
+    index its columns). With d = (d_p, d_o) the proxy is
+    d_p^T G_pp d_p + 2 d_o^T G_op d_p + d_o^T G_oo d_o."""
+    t = positions.shape[1]
+    dp = positions - x[:t]
+    do = others - x[t:]
+    turns = np.floor(do[:, angles] / math.pi + 0.5) * math.pi
+    do[:, angles] -= turns
+    wrapped = others.copy()
+    wrapped[:, angles] -= turns
+    proxy = (do @ G[t:, :t]) @ dp.T
+    proxy *= 2.0
+    proxy += np.einsum("np,np->n", dp @ G[:t, :t], dp)
+    proxy += np.einsum("nq,nq->n", do @ G[t:, t:], do)[:, None]
+    return proxy, wrapped
 
 
 @dataclass(frozen=True)

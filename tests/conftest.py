@@ -119,6 +119,17 @@ def fd_second_partials(dictionary, lam, shape=None):
     return mat
 
 
+def dense_proxy(dictionary, grid, probe, matrix):
+    """Density-proxy oracle: (k - x)^T G (k - x) for every point k of the
+    grid's enumeration, one full coordinate row per point, with each row's
+    angle differences wrapped into [-pi/2, pi/2) (angles are pi-periodic)."""
+    coords = np.array([p.coords for p in grid.points()])
+    angles = [i for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
+    deltas = coords - probe.coords
+    deltas[:, angles] -= np.floor(deltas[:, angles] / math.pi + 0.5) * math.pi
+    return np.einsum("np,np->n", deltas @ matrix, deltas)
+
+
 def child_env(env=None):
     """Environment for a child interpreter that imports the same geopursuit
     package as this session, from any working directory and whether or not

@@ -121,8 +121,13 @@ def test_grid_coords_match_points():
     for spec in (gp.Grid2DSpec(nx=5, ny=7, j_scales=3, k_orients=4),
                  gp.Grid2DSpec(nx=6, ny=4, j_scales=1, k_orients=1, min_scale=1.5,
                                max_scale=3.0)):
-        want = np.array([p.coords for p in spec.points()])
+        # the documented enumeration: scale j, scale j', orientation, then
+        # positions row-major
+        want = np.array([(b1, b2, theta, a1, a2) for a1 in spec.scales() for a2 in spec.scales()
+                         for theta in spec.thetas()
+                         for b1 in range(spec.nx) for b2 in range(spec.ny)])
         assert np.array_equal(spec.coords(), want)
+        assert np.array_equal(np.array([p.coords for p in spec.points()]), want)
 
 
 def test_grid_validation_and_json():

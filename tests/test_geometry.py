@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geopursuit as gp
-from geopursuit.dictionaries import ParamPoint
-from conftest import central_differences, interior_affine_points
+from geopursuit import geometry
+from geopursuit.dictionaries import Dictionary, ParamPoint, grid_factors
+from conftest import central_differences, dense_proxy, interior_affine_points
 
 SQRT3 = 1.7320508075688772  # ||g''|| / ||g'||^2 for a unit Gaussian, any scale
 
@@ -26,6 +29,16 @@ def test_christoffel_symmetric_lower_indices():
     d = gp.Affine1DDictionary(512)
     gamma = gp.christoffel(d, d.point(250.0, 11.0))
     assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() < 1e-6
+
+
+def test_christoffel_reuses_the_partials_of_its_metric(monkeypatch):
+    calls = []
+    partials = Dictionary.partials
+    monkeypatch.setattr(Dictionary, "partials",
+                        lambda self, *a, **k: calls.append(1) or partials(self, *a, **k))
+    d = gp.Aniso2DDictionary((24, 24))
+    gp.christoffel(d, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
+    assert len(calls) == 1
 
 
 def test_christoffel_matches_scaled_translation_dilation_form():
@@ -169,6 +182,71 @@ def test_density_radius_angle_is_pi_periodic():
     near_zero, near_pi = (gp.density_radius(d, grid, [d.point(8, 8, theta, s, 1.3 * s)])
                           for theta in (0.001, math.pi - 0.001))
     assert near_pi == pytest.approx(near_zero, rel=1e-6)
+
+
+def test_density_radius_zero_on_2d_grid_points():
+    grid = gp.Grid2DSpec(12, 12, 2, 3)
+    d = gp.Aniso2DDictionary((12, 12), scale_range=(0.5, 16.0))
+    probes = list(grid.points())[::17]
+    assert gp.density_radius(d, grid, probes) == 0.0
+
+
+PROXY_RTOL = 1e-12  # relative to the largest proxy value on the grid
+
+
+def check_block_proxy(dictionary, grid, probe, seed):
+    """The block proxy, by which density_radius picks its candidates, equals
+    the dense oracle at every grid point and names the same nearest points
+    unless the oracle's last candidate ties with the next point to rounding.
+    The split is an identity for any symmetric G, so a random SPD G, with
+    every block coupled, stands in for the metric."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dictionary.P, dictionary.P))
+    G = A @ A.T + 0.1 * np.eye(dictionary.P)
+    angles = [i for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
+    positions, others = grid_factors(grid)
+    t = positions.shape[1]
+    block, _ = geometry._block_proxy(G, positions, others, probe.coords,
+                                     [i - t for i in angles])
+    want = dense_proxy(dictionary, grid, probe, G)
+    assert block.shape == (len(others), len(positions))
+    assert np.abs(block.ravel() - want).max() <= PROXY_RTOL * want.max()
+
+    count = geometry._PATH_CANDIDATES
+    got = set(np.argpartition(block, count - 1, axis=None)[:count].tolist())
+    ranked = np.sort(want)
+    if abs(ranked[count] - ranked[count - 1]) > PROXY_RTOL * ranked[count]:
+        assert got == set(np.argpartition(want, count - 1)[:count].tolist())
+
+
+thetas = st.one_of(st.floats(0.0, 1e-6), st.floats(math.pi - 1e-6, math.pi),
+                   st.floats(0.0, math.pi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(8, 24), ny=st.integers(8, 24), j_scales=st.integers(1, 3),
+       k_orients=st.integers(1, 4), u=st.tuples(*[st.floats(0, 1)] * 4), theta=thetas,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_proxy_matches_dense_oracle_on_2d_grids(nx, ny, j_scales, k_orients, u,
+                                                      theta, seed):
+    grid = gp.Grid2DSpec(nx, ny, j_scales, k_orients)
+    d = gp.Aniso2DDictionary((nx, ny))
+    lo, hi = d.scale_range
+    a1, a2 = (lo * (hi / lo) ** f for f in u[2:])
+    probe = ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta, a1, a2), d.kinds)
+    check_block_proxy(d, grid, probe, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(24, 256), b0=st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]), a0=st.floats(0.8, 2.0),
+       u=st.tuples(st.floats(0, 1), st.floats(0, 1)), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_proxy_matches_dense_oracle_on_tau_adic_grids(n, b0, log2_tau, a0, u, seed):
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    d = gp.Affine1DDictionary(n)
+    lo, hi = grid.scale_span()
+    probe = d.point(u[0] * (n - 1), lo * (hi / lo) ** u[1])
+    check_block_proxy(d, grid, probe, seed)
 
 
 def test_weakness_factors_worked_example():
