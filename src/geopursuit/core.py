@@ -159,6 +159,10 @@ def _load_raw(path: Path) -> SignalBuffer:
 
 
 def _save_csv(buf: SignalBuffer, path: Path) -> None:
+    if buf.ndim == 2 and buf.shape[0] == 1:
+        # one CSV row reads back as a 1-D signal
+        raise ValueError(f"a {buf.shape} image cannot round-trip through CSV; "
+                         "save it as raw-f64-le, which keeps the shape")
     rows = buf.data if buf.ndim == 2 else buf.data[None, :]
     with open(path, "w") as fh:
         for row in rows:

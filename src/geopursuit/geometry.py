@@ -134,6 +134,14 @@ def density_radius(dictionary: Dictionary, grid, probes,
     (`grid_factors`), and the proxy is evaluated on that product: one
     quadratic form per position, one per other-coordinate row and a cross
     term, so each probe costs O(positions * others) scalars.
+
+    The max-min is pruned exactly: a probe's candidates are refined nearest
+    first by proxy (ties to the lower grid index), and refinement stops once
+    the probe's running min is at most the running max over earlier probes,
+    since it can no longer raise the result. The radius equals that of
+    refining every candidate, bit for bit, but a candidate path that cannot
+    change it is never evaluated, so a `DomainError` such a path would raise
+    does not abort the estimate. `segments` must be at least 1.
     """
     positions, others = grid_factors(grid)
     if not len(positions) * len(others):
@@ -141,6 +149,8 @@ def density_radius(dictionary: Dictionary, grid, probes,
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe")
+    if segments < 1:
+        raise ValueError("segment count must be at least 1")
     t = positions.shape[1]
     # angle columns of `others`: translations lead every dictionary's coordinates
     angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == ANGLE]
@@ -151,7 +161,8 @@ def density_radius(dictionary: Dictionary, grid, probes,
         proxy, wrapped = _block_proxy(g.matrix, positions, others, probe.coords, angles)
         nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
         best = math.inf
-        for idx in sorted(nearest):
+        # nearest first, ties to the lower grid index
+        for idx in nearest[np.lexsort((nearest, proxy.ravel()[nearest]))]:
             s, p = divmod(int(idx), len(positions))
             if proxy[s, p] == 0.0:
                 best = 0.0
@@ -159,6 +170,8 @@ def density_radius(dictionary: Dictionary, grid, probes,
             target = np.concatenate([positions[p], wrapped[s]])
             best = min(best, path_length(dictionary, probe,
                                          ParamPoint(target, dictionary.kinds), segments, shape))
+            if best <= worst:  # this probe can no longer raise the max
+                break
         worst = max(worst, best)
     return worst
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import geopursuit as gp
+from geopursuit import geometry
+from geopursuit.dictionaries import grid_factors
 
 # The directory holding the geopursuit package this session imported.
 PACKAGE_ROOT = Path(gp.__file__).resolve().parents[1]
@@ -128,6 +130,33 @@ def dense_proxy(dictionary, grid, probe, matrix):
     deltas = coords - probe.coords
     deltas[:, angles] -= np.floor(deltas[:, angles] / math.pi + 0.5) * math.pi
     return np.einsum("np,np->n", deltas @ matrix, deltas)
+
+
+def exhaustive_density_radius(dictionary, grid, probes, segments=4, shape=None):
+    """Density-radius oracle without pruning: for every probe, refine every
+    one of its `_PATH_CANDIDATES` proxy-nearest grid points by a path
+    length, in grid order, and return the max over probes of the min."""
+    positions, others = grid_factors(grid)
+    t = positions.shape[1]
+    angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
+    n_cand = min(geometry._PATH_CANDIDATES, len(positions) * len(others))
+    worst = 0.0
+    for probe in probes:
+        g = gp.metric(dictionary, probe, shape)
+        proxy, wrapped = geometry._block_proxy(g.matrix, positions, others, probe.coords,
+                                               angles)
+        nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
+        best = math.inf
+        for idx in sorted(nearest):
+            s, p = divmod(int(idx), len(positions))
+            if proxy[s, p] == 0.0:
+                best = 0.0
+                break
+            target = gp.ParamPoint(np.concatenate([positions[p], wrapped[s]]),
+                                   dictionary.kinds)
+            best = min(best, gp.path_length(dictionary, probe, target, segments, shape))
+        worst = max(worst, best)
+    return worst
 
 
 def child_env(env=None):

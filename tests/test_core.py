@@ -165,6 +165,19 @@ def test_csv_parse_and_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.data, img.data)
 
 
+def test_csv_refuses_one_row_images(tmp_path):
+    # one CSV row is also the form of a 1-D signal, so (1, N) would reload as (N,)
+    row_image = gp.SignalBuffer(np.arange(6.0).reshape(1, 6))
+    with pytest.raises(ValueError, match="raw-f64-le"):
+        gp.save_signal(row_image, tmp_path / "row.csv")
+    assert not (tmp_path / "row.csv").exists()
+    gp.save_signal(row_image, tmp_path / "row.bin")
+    assert gp.load_signal(tmp_path / "row.bin").shape == (1, 6)
+    column = gp.SignalBuffer(np.arange(6.0).reshape(6, 1))
+    gp.save_signal(column, tmp_path / "column.csv")
+    assert gp.load_signal(tmp_path / "column.csv").shape == (6, 1)
+
+
 def test_csv_rejects_ragged(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")

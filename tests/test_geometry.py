@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import geopursuit as gp
 from geopursuit import geometry
 from geopursuit.dictionaries import Dictionary, ParamPoint, grid_factors
-from conftest import central_differences, dense_proxy, interior_affine_points
+from conftest import (central_differences, dense_proxy, exhaustive_density_radius,
+                      interior_affine_points)
 
 SQRT3 = 1.7320508075688772  # ||g''|| / ||g'||^2 for a unit Gaussian, any scale
 
@@ -191,6 +192,31 @@ def test_density_radius_zero_on_2d_grid_points():
     assert gp.density_radius(d, grid, probes) == 0.0
 
 
+def test_density_radius_on_grid_points_refines_no_path(monkeypatch):
+    # nearest first, a probe on a grid point meets its zero proxy before any path
+    calls = []
+    path_length = geometry.path_length
+    monkeypatch.setattr(geometry, "path_length",
+                        lambda *a, **k: calls.append(1) or path_length(*a, **k))
+    tau = gp.TauAdicGrid(b0=2, a0=2, tau=2.0, j_min=0, j_max=3, n=256)
+    d1 = gp.Affine1DDictionary(256)
+    assert gp.density_radius(d1, tau, list(tau.points())[::7]) == 0.0
+    grid = gp.Grid2DSpec(12, 12, 2, 3)
+    d2 = gp.Aniso2DDictionary((12, 12), scale_range=(0.5, 16.0))
+    assert gp.density_radius(d2, grid, list(grid.points())[::17]) == 0.0
+    assert calls == []
+
+
+def test_density_radius_rejects_bad_segment_count():
+    # checked up front, not only once a path is refined: this probe needs none
+    d = gp.Affine1DDictionary(64)
+    grid = gp.TauAdicGrid(b0=2, a0=2, tau=2.0, j_min=0, j_max=1, n=64)
+    first = next(iter(grid.points()))
+    for segments in (0, -1):
+        with pytest.raises(ValueError, match="segment"):
+            gp.density_radius(d, grid, [first], segments=segments)
+
+
 PROXY_RTOL = 1e-12  # relative to the largest proxy value on the grid
 
 
@@ -247,6 +273,44 @@ def test_block_proxy_matches_dense_oracle_on_tau_adic_grids(n, b0, log2_tau, a0,
     lo, hi = grid.scale_span()
     probe = d.point(u[0] * (n - 1), lo * (hi / lo) ** u[1])
     check_block_proxy(d, grid, probe, seed)
+
+
+def check_density_radius(dictionary, grid, probes):
+    """Pruned and exhaustive refinement give the same radius, bit for bit."""
+    want = exhaustive_density_radius(dictionary, grid, probes)
+    got = gp.density_radius(dictionary, grid, probes)
+    assert got.hex() == want.hex()
+
+
+probe_counts = {"min_size": 2, "max_size": 8}
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(8, 16), ny=st.integers(8, 16), j_scales=st.integers(1, 3),
+       k_orients=st.integers(1, 4),
+       probes=st.lists(st.tuples(st.tuples(*[st.floats(0, 1)] * 4), thetas), **probe_counts))
+def test_density_radius_matches_exhaustive_oracle_on_2d_grids(nx, ny, j_scales, k_orients,
+                                                              probes):
+    grid = gp.Grid2DSpec(nx, ny, j_scales, k_orients)
+    d = gp.Aniso2DDictionary((nx, ny), scale_range=(0.5, 2.0 * max(nx, ny)))
+    lo, hi = float(grid.scales()[0]), float(grid.scales()[-1])
+    points = [ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta,
+                          *(lo * (hi / lo) ** f for f in u[2:])), d.kinds)
+              for u, theta in probes]
+    check_density_radius(d, grid, points)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(24, 256), b0=st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]), a0=st.floats(0.8, 2.0),
+       probes=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), **probe_counts))
+def test_density_radius_matches_exhaustive_oracle_on_tau_adic_grids(n, b0, log2_tau, a0,
+                                                                    probes):
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    d = gp.Affine1DDictionary(n)
+    lo, hi = grid.scale_span()
+    check_density_radius(d, grid, [d.point(u * (n - 1), lo * (hi / lo) ** v)
+                                   for u, v in probes])
 
 
 def test_weakness_factors_worked_example():
