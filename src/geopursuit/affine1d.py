@@ -1,9 +1,11 @@
 """1-D affine (wavelet-like) dictionary: translated and dilated mother atoms.
 
 Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
-renormalization, with a Mexican Hat mother by default. `affine_jet` is the
-one evaluation of that formula, with its partials, for both 1-D
-dictionaries and the grid search's templates. Grids are tau-adic:
+renormalization, with a Mexican Hat mother by default. A mother is one
+`jet`: its profile and, up to order 2, its derivatives from a single
+exponential. `affine_jet` calls it once and is the one evaluation of the
+atom formula, with its partials, for both 1-D dictionaries and the grid
+search's templates. Grids are tau-adic:
 k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
 
@@ -27,46 +29,41 @@ _GRID_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MotherFunction:
-    """Unit-norm mother profile with first and second derivatives."""
+    """Unit-norm mother profile: `jet(s, order)` returns [g], [g, g'] or
+    [g, g', g''] sampled at `s`, all from one exponential."""
 
     name: str
-    value: callable
-    d1: callable
-    d2: callable
+    jet: callable
 
 
 _MH_C = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
 
 
-def _mh(s):
-    return _MH_C * (1.0 - s * s) * np.exp(-0.5 * s * s)
-
-
-def _mh_d1(s):
-    return _MH_C * (s * s * s - 3.0 * s) * np.exp(-0.5 * s * s)
-
-
-def _mh_d2(s):
-    return _MH_C * (-(s * s * s * s) + 6.0 * s * s - 3.0) * np.exp(-0.5 * s * s)
+def _mh_jet(s, order):
+    e = np.exp(-0.5 * s * s)
+    out = [_MH_C * (1.0 - s * s) * e]
+    if order >= 1:
+        out.append(_MH_C * (s * s * s - 3.0 * s) * e)
+    if order >= 2:
+        out.append(_MH_C * (-(s * s * s * s) + 6.0 * s * s - 3.0) * e)
+    return out
 
 
 _GS_C = math.pi ** -0.25
 
 
-def _gauss(s):
-    return _GS_C * np.exp(-0.5 * s * s)
+def _gauss_jet(s, order):
+    e = np.exp(-0.5 * s * s)
+    out = [_GS_C * e]
+    if order >= 1:
+        out.append(-_GS_C * s * e)
+    if order >= 2:
+        out.append(_GS_C * (s * s - 1.0) * e)
+    return out
 
 
-def _gauss_d1(s):
-    return -_GS_C * s * np.exp(-0.5 * s * s)
-
-
-def _gauss_d2(s):
-    return _GS_C * (s * s - 1.0) * np.exp(-0.5 * s * s)
-
-
-MEXICAN_HAT = MotherFunction("mexican_hat", _mh, _mh_d1, _mh_d2)
-GAUSSIAN = MotherFunction("gaussian", _gauss, _gauss_d1, _gauss_d2)
+MEXICAN_HAT = MotherFunction("mexican_hat", _mh_jet)
+GAUSSIAN = MotherFunction("gaussian", _gauss_jet)
 MOTHERS = {m.name: m for m in (MEXICAN_HAT, GAUSSIAN)}
 
 
@@ -77,27 +74,25 @@ def mexican_hat_norm_constant() -> float:
 
 def affine_jet(mother: MotherFunction, b, a: float, t, order: int = 0) -> tuple:
     """The raw atom a^(-1/2) g((t-b)/a) sampled at `t` and, up to `order`,
-    its partials in (b, a), stacked along leading axes.
+    its partials in (b, a), stacked along leading axes, from one mother jet.
 
     Returns (raw,), (raw, d1) or (raw, d1, d2): d1 = [d_b, d_a] and d2 the
     symmetric 2 x 2 stack of second partials. `b` and `t` broadcast, so
     one call evaluates a row of atoms (b a column, t the sample offsets).
     """
     s = (t - b) / a
-    g = mother.value(s)
-    raw = g / math.sqrt(a)
+    g = mother.jet(s, order)  # g[k]: the k-th derivative of the mother at s
+    raw = g[0] / math.sqrt(a)
     if order == 0:
         return (raw,)
-    g1 = mother.d1(s)
     inv = a ** -1.5
-    d1 = np.stack([-inv * g1, -inv * (0.5 * g + s * g1)])
+    d1 = np.stack([-inv * g[1], -inv * (0.5 * g[0] + s * g[1])])
     if order == 1:
         return raw, d1
-    g2 = mother.d2(s)
     inv = a ** -2.5
-    d_ba = inv * (1.5 * g1 + s * g2)
-    d2 = np.stack([np.stack([inv * g2, d_ba]),
-                   np.stack([d_ba, inv * (0.75 * g + 3.0 * s * g1 + s * s * g2)])])
+    d_ba = inv * (1.5 * g[1] + s * g[2])
+    d2 = np.stack([np.stack([inv * g[2], d_ba]),
+                   np.stack([d_ba, inv * (0.75 * g[0] + 3.0 * s * g[1] + s * s * g[2])])])
     return raw, d1, d2
 
 

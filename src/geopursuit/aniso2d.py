@@ -128,6 +128,9 @@ class Grid2DSpec:
             raise ValueError("zero-sized image")
         if self.j_scales < 1 or self.k_orients < 1:
             raise ValueError("J and K must be at least 1")
+        if not 0 < self.min_scale <= self._max_scale() < math.inf:
+            raise ValueError("scale bounds must satisfy 0 < min_scale <= max_scale < inf, "
+                             f"got {self.min_scale} and {self._max_scale()}")
 
     def _max_scale(self) -> float:
         return float(min(self.nx, self.ny)) if self.max_scale is None else self.max_scale
@@ -193,4 +196,4 @@ class Grid2DSpec:
         return cls(nx=int(d["Nx"]), ny=int(d["Ny"]),
                    j_scales=int(d["J"]), k_orients=int(d["K"]),
                    min_scale=float(d.get("min_scale", DEFAULT_MIN_SCALE)),
-                   max_scale=d.get("max_scale"))
+                   max_scale=None if d.get("max_scale") is None else float(d["max_scale"]))

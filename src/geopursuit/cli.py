@@ -70,16 +70,14 @@ def _add_common(sub):
     sub.add_argument("--manifest", default=None, help="manifest output path")
 
 
-def _pursuit_config(args) -> PursuitConfig:
-    return PursuitConfig(mode=args.mode, kappa=args.kappa,
-                         chi=args.chi, max_iterations=args.max_iters)
+def _pursuit_config(args, **overrides) -> PursuitConfig:
+    return PursuitConfig(mode=args.mode, kappa=args.kappa, chi=args.chi, **overrides)
 
 
-def _add_pursuit_flags(sub, default_iters=100):
+def _add_pursuit_flags(sub):
     sub.add_argument("--mode", choices=("dmp", "gmp"), default="dmp")
     sub.add_argument("--kappa", type=int, default=10)
     sub.add_argument("--chi", type=float, default=0.1)
-    sub.add_argument("--max-iters", type=int, default=default_iters)
 
 
 def cmd_gen_signal(args) -> tuple[dict, list, list]:
@@ -94,7 +92,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
     grid = _load_grid(args.grid)
     dictionary = _dictionary_for(grid)
     signal = load_signal(args.infile)
-    config = _pursuit_config(args)
+    config = _pursuit_config(args, max_iterations=args.max_iters)
     decomposition = run(signal, dictionary, grid, config)
     decomposition.to_jsonl(args.out)
     outputs = [args.out]
@@ -305,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="also write steps as CSV")
     p.add_argument("--residual-out", default=None)
     _add_pursuit_flags(p)
+    p.add_argument("--max-iters", type=int, default=100)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_pursuit_flags(p, default_iters=12)
+    _add_pursuit_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_curve)
 

@@ -8,9 +8,10 @@ discrete inner product. Derivatives are therefore derivatives of the
 *renormalized* synthesis map. Each dictionary family evaluates its raw atom
 and its first and second partials in closed form in one function, its
 `_jet`, which builds the sample frame once and stacks the partials along
-leading axes; one quotient rule carries them through the renormalization.
-`partials` returns a (P, *shape) array and `second_partials` a
-(P, P, *shape) array, so the geometry contracts them with matrix products.
+leading axes. `Dictionary.jet`, of which `synthesize`, `partials` and
+`second_partials` are views, is the one place that checks the domain and
+renormalizes: one quotient rule gives the first partials, (P, *shape), and
+the second, (P, P, *shape), from them; the geometry contracts the stacks.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Dictionary:
 
     Concrete dictionaries provide `_jet`: the continuum-normalized samples
     of the atom with, up to a requested order, its partials in closed form.
-    Synthesis and derivatives of the renormalized atom follow from it.
+    The renormalized atom and its partials, `jet`, follow from it.
     """
 
     kinds: tuple[str, ...]
@@ -170,67 +171,61 @@ class Dictionary:
         return ParamPoint(coords, self.kinds)
 
     # -- synthesis & derivatives -------------------------------------------
+    def jet(self, lam: ParamPoint, shape=None, order: int = 0) -> tuple:
+        """The renormalized atom at `lam` and, up to `order`, its partials:
+        (atom,), (atom, d1) or (atom, d1, d2), with d1 a (P, *shape) stack
+        and d2 an exactly symmetric (P, P, *shape) stack, all read-only.
+        Derivatives need `lam` interior to the domain."""
+        shape = shape or self.shape
+        self._check_domain(lam)
+        if order:
+            self.require_interior(lam)
+        return _renormalized(*self._jet(lam.coords, shape, order))
+
     def synthesize(self, lam: ParamPoint, shape=None) -> SignalBuffer:
         """Unit-norm atom at `lam`, renormalized on the sample grid."""
-        shape = shape or self.shape
-        self._check_domain(lam)
-        (raw,) = self._jet(lam.coords, shape, 0)
-        return SignalBuffer(raw / _atom_norm(raw))
+        return SignalBuffer(self.jet(lam, shape)[0])
 
     def partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
-        """First partials of the renormalized atom: a read-only (P, *shape)
-        array, one row per coordinate."""
-        shape = shape or self.shape
-        self._check_domain(lam)
-        self.require_interior(lam)
-        return _renormalized(*self._jet(lam.coords, shape, 1))
+        """First partials of the renormalized atom: `jet` of order 1."""
+        return self.jet(lam, shape, 1)[1]
 
     def second_partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
-        """Second partials of the renormalized atom: a read-only, exactly
-        symmetric (P, P, *shape) array."""
-        shape = shape or self.shape
-        self._check_domain(lam)
-        self.require_interior(lam)
-        return _renormalized(*self._jet(lam.coords, shape, 2))
+        """Second partials of the renormalized atom: `jet` of order 2."""
+        return self.jet(lam, shape, 2)[2]
 
 
-def _atom_norm(raw: np.ndarray) -> float:
+def _renormalized(raw: np.ndarray, *partials: np.ndarray) -> tuple:
+    """raw/||raw|| and, from the stacked partials of raw given after it, its
+    own partials by the exact quotient rule. With n = ||raw|| and atom =
+    raw/n, the first partials p_i = (d_i raw - atom d_i n)/n overwrite d1,
+    then the second partials (d_ij raw - p_i d_j n - p_j d_i n - atom d_ij n)/n
+    overwrite d2 (a fresh (P, P, *shape) array costs page faults on every
+    call). Every part is returned finite (else DomainError) and read-only."""
     nrm = np.linalg.norm(raw)
-    if not nrm > _MIN_ATOM_NORM:
-        raise DomainError("atom has no effective support in the buffer")
-    return nrm
-
-
-def _renormalized(raw: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None) -> np.ndarray:
-    """Partials of raw/||raw|| by the exact quotient rule: the first partials
-    from raw and its partials d1 (P, *shape), or, given its second partials
-    d2 (P, P, *shape), the second partials. Works in place on the stack of
-    the highest order given (a fresh (P, P, *shape) array costs page faults
-    on every call) and returns it finite (else DomainError) and read-only."""
-    nrm = _atom_norm(raw)
-    ghat = raw / nrm
-    P = len(d1)
-    flat = d1.reshape(P, -1)
-    dn = flat @ ghat.ravel()  # d_i ||raw||
-    if d2 is None:
-        out = d1
-        out -= np.multiply.outer(dn, ghat)
-        out /= nrm
-    else:
-        # d_ij ||raw||, from <d_i raw, d_j raw> and <raw, d_ij raw>
-        ddn = ((flat @ flat.T + (d2.reshape(P * P, -1) @ raw.ravel()).reshape(P, P)) / nrm
-               - np.outer(dn, dn) / nrm)
-        # with n = ||raw||: d_ij (raw/n) = (d_ij raw - (d_i raw d_j n + d_j raw d_i n) / n
-        #                                   + raw (2 d_i n d_j n / n - d_ij n) / n) / n
-        e = d1 / nrm
-        c = (2 * np.outer(dn, dn) / nrm - ddn) / nrm
-        out = d2
+    if not _MIN_ATOM_NORM < nrm < np.inf:  # a finite norm means a finite atom
+        raise DomainError("atom has no effective support in the buffer, or is not finite")
+    atom = raw / nrm
+    out = (atom, *partials)
+    if partials:
+        d1 = partials[0]
+        P = len(d1)
+        dn = d1.reshape(P, -1) @ atom.ravel()  # d_i n = <d_i raw, atom>
+        d1 -= np.multiply.outer(dn, atom)
+        d1 /= nrm
+    if len(partials) == 2:
+        d2 = partials[1]
+        flat = d1.reshape(P, -1)
+        # d_ij n = <d_ij raw, atom> + <d_i raw, p_j>, where d_i raw = n p_i + atom d_i n
+        # and <atom, p_j> = 0 leave <d_i raw, p_j> = n <p_i, p_j>
+        ddn = (d2.reshape(P * P, -1) @ atom.ravel()).reshape(P, P) + nrm * (flat @ flat.T)
         for i in range(P):
             for j in range(i, P):
-                out[i, j] -= e[i] * dn[j] + e[j] * dn[i] - raw * c[i, j]
-                out[i, j] /= nrm
-                out[j, i] = out[i, j]
-    if not np.isfinite(out).all():
+                d2[i, j] -= d1[i] * dn[j] + d1[j] * dn[i] + atom * ddn[i, j]
+                d2[i, j] /= nrm
+                d2[j, i] = d2[i, j]
+    if not all(np.isfinite(part).all() for part in partials):
         raise DomainError("atom derivatives are not finite")
-    out.setflags(write=False)
+    for part in out:
+        part.setflags(write=False)
     return out

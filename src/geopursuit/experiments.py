@@ -120,8 +120,9 @@ def nae(signal_factory, dictionary: Dictionary, grid, config: PursuitConfig,
     other settings); the unit-normalized residual is then scored by one
     selection under `config`.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 1 or at_iteration < 1:
+        raise ValueError(f"need trials >= 1 and at_iteration >= 1, "
+                         f"got {trials} and {at_iteration}")
     warm = replace(config, mode="gmp", max_iterations=at_iteration - 1)
     scores = []
     for seed in _trial_seeds(master_seed, trials):
@@ -155,6 +156,8 @@ def convergence_curve(signal_factory, dictionary: Dictionary, grid,
                       config: PursuitConfig, trials: int, m_max: int = 12,
                       master_seed: int = 0) -> CurveResult:
     """Mean residual energy after each of m_max pursuit iterations."""
+    if trials < 1 or m_max < 0:
+        raise ValueError(f"need trials >= 1 and m_max >= 0, got {trials} and {m_max}")
     rows = []
     cfg = replace(config, max_iterations=m_max)
     for seed in _trial_seeds(master_seed, trials):

@@ -10,7 +10,7 @@ partials are matrix products of the dictionary's stacked partials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,13 +28,11 @@ class DegenerateMetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Pullback metric at a parameter point, with its inverse and the
-    first partials (P, *shape) it is the Gram matrix of."""
+    """Pullback metric at a parameter point, with its inverse."""
 
     lam: ParamPoint
     matrix: np.ndarray
     inverse: np.ndarray
-    partials: np.ndarray = field(repr=False)
 
     @property
     def P(self) -> int:
@@ -48,7 +46,11 @@ class MetricTensor:
 
 def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
     """Gram matrix of atom partials at `lam`; symmetric positive definite."""
-    parts = dictionary.partials(lam, shape)
+    return _gram(lam, dictionary.partials(lam, shape))
+
+
+def _gram(lam: ParamPoint, parts: np.ndarray) -> MetricTensor:
+    """The metric at `lam` from its first partials (P, *shape)."""
     F = parts.reshape(len(parts), -1)  # one flattened partial per row
     G = F @ F.T
     G = (G + G.T) / 2
@@ -56,24 +58,24 @@ def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _METRIC_COND_LIMIT:
         raise DegenerateMetricError(
             f"metric at {lam} is numerically singular (eigenvalues {eigvals})")
-    return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G), partials=parts)
+    return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G))
 
 
 def christoffel(dictionary: Dictionary, lam: ParamPoint, shape=None) -> np.ndarray:
-    """Connection coefficients Gamma[k, i, j] = G^(kl) <d_ij g, d_l g>."""
-    g = metric(dictionary, lam, shape)
+    """Connection coefficients Gamma[k, i, j] = G^(kl) <d_ij g, d_l g>, from one jet."""
+    _, d1, d2 = dictionary.jet(lam, shape, 2)
+    g = _gram(lam, d1)
     P = g.P
-    F = g.partials.reshape(P, -1)
-    S = dictionary.second_partials(lam, shape).reshape(P * P, -1)
-    A = (S @ F.T).reshape(P, P, P)  # A[i, j, l] = <d_ij g, d_l g>
+    A = (d2.reshape(P * P, -1) @ d1.reshape(P, -1).T).reshape(P, P, P)  # <d_ij g, d_l g>
     return np.einsum("kl,ijl->kij", g.inverse, A)
 
 
 def curvature_bracket(dictionary: Dictionary, lam: ParamPoint, shape=None) -> float:
-    """Contraction <d_ij g, d_kl g> G^(ik) G^(jl) at one point."""
-    g = metric(dictionary, lam, shape)
+    """Contraction <d_ij g, d_kl g> G^(ik) G^(jl) at one point, from one jet."""
+    _, d1, d2 = dictionary.jet(lam, shape, 2)
+    g = _gram(lam, d1)
     P = g.P
-    S = dictionary.second_partials(lam, shape).reshape(P * P, -1)
+    S = d2.reshape(P * P, -1)
     H = (S @ S.T).reshape(P, P, P, P)  # H[i, j, k, l] = <d_ij g, d_kl g>
     return float(np.einsum("ijkl,ik,jl->", H, g.inverse, g.inverse))
 

@@ -147,3 +147,19 @@ def test_grid_json_keeps_scale_bounds():
     back = gp.Grid2DSpec.from_json(spec.to_json())
     assert back == spec
     np.testing.assert_array_equal(back.scales(), spec.scales())
+
+
+@pytest.mark.parametrize("bounds", [{"min_scale": 0}, {"min_scale": -1.0},
+                                    {"min_scale": float("nan")}, {"min_scale": float("inf")},
+                                    {"max_scale": float("nan")}, {"max_scale": float("inf")},
+                                    {"min_scale": 4.0, "max_scale": 1.0}],
+                         ids=["min-zero", "min-negative", "min-nan", "min-inf", "max-nan",
+                              "max-inf", "descending"])
+def test_grid_scale_bounds_are_validated(bounds):
+    text = json.dumps({"Nx": 8, "Ny": 8, "J": 2, "K": 2, **bounds})
+    with pytest.raises(ValueError, match="scale bounds must satisfy"):
+        gp.Grid2DSpec.from_json(text)
+    # equal bounds are one scale level, repeated
+    spec = gp.Grid2DSpec.from_json(json.dumps({"Nx": 8, "Ny": 8, "J": 2, "K": 2,
+                                               "min_scale": 2.0, "max_scale": 2.0}))
+    assert list(spec.scales()) == [2.0, 2.0]

@@ -85,6 +85,36 @@ def test_curve_and_nae_csv(tmp_path, grid_file):
     assert 0.0 <= mean <= 1.0
 
 
+@pytest.mark.parametrize("command", ["curve", "nae"])
+def test_curve_and_nae_take_no_max_iters(tmp_path, grid_file, command):
+    # both run their own iteration count (--m-max, --at-iteration)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--grid", str(grid_file), "--max-iters", "3",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [["curve", "--trials", "0"], ["curve", "--m-max", "-1"],
+                                  ["nae", "--at-iteration", "0"], ["nae", "--trials", "0"]],
+                         ids=["curve-trials", "curve-m-max", "nae-at-iteration", "nae-trials"])
+def test_experiment_counts_are_runtime_errors(tmp_path, grid_file, capsys, args):
+    out_csv = tmp_path / "x.csv"
+    assert main(args + ["--grid", str(grid_file), "--bursts", "5", "--out", str(out_csv)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("bounds", ['"min_scale": 0', '"max_scale": NaN',
+                                    '"min_scale": 4, "max_scale": 1'],
+                         ids=["min-zero", "max-nan", "descending"])
+def test_bad_grid_scale_bounds_are_runtime_errors(tmp_path, capsys, bounds):
+    path = tmp_path / "grid.json"
+    path.write_text('{"Nx": 8, "Ny": 8, "J": 2, "K": 2, %s}' % bounds)
+    assert main(["decompose", "--grid", str(path), "--in", str(tmp_path / "x.bin"),
+                 "--out", str(tmp_path / "steps.jsonl")]) == 1
+    assert "scale bounds must satisfy" in capsys.readouterr().err
+
+
 def test_image_subcommand(tmp_path):
     out_csv = tmp_path / "img.csv"
     assert main(["image", "--nx", "20", "--ny", "20", "--j", "2", "--k", "2",

@@ -185,15 +185,38 @@ def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2
     assert jets[1][1].shape == (d.P, *shape)
     assert jets[2][2].shape == (d.P, d.P, *shape)
 
+    # the renormalized jet: each order is a prefix of the next, bit for bit,
+    # every part is read-only, and the public views are its parts
+    renorm = [d.jet(lam, order=order) for order in (0, 1, 2)]
+    assert [len(j) for j in renorm] == [1, 2, 3]
+    for j in renorm[1:]:
+        assert np.array_equal(j[0], renorm[0][0])
+    assert np.array_equal(renorm[2][1], renorm[1][1])
+    for part in (p for j in renorm for p in j):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+    assert np.array_equal(d.synthesize(lam).data, renorm[0][0])
     parts = d.partials(lam)
     assert parts.shape == (d.P, *shape)
-    assert not parts.flags.writeable
-    with pytest.raises(ValueError):
-        parts[0] = 0.0
+    assert np.array_equal(parts, renorm[1][1])
     sec = d.second_partials(lam)
     assert sec.shape == (d.P, d.P, *shape)
-    assert not sec.flags.writeable
+    assert np.array_equal(sec, renorm[2][2])
     assert np.array_equal(sec, np.swapaxes(sec, 0, 1))
+
+    # both 1-D mothers: the same prefix law, and each derivative is the
+    # central difference of the order below it
+    s = np.linspace(-8.0, 8.0, 97) + fx
+    h = 1e-5
+    for mother in (gp.MEXICAN_HAT, gp.GAUSSIAN):
+        mjets = [mother.jet(s, order) for order in (0, 1, 2)]
+        assert [len(j) for j in mjets] == [1, 2, 3]
+        for k, j in enumerate(mjets[1:], 1):
+            assert all(np.array_equal(x, y) for x, y in zip(j, mjets[k - 1]))
+        for k in (1, 2):
+            fd = (mother.jet(s + h, 2)[k - 1] - mother.jet(s - h, 2)[k - 1]) / (2 * h)
+            assert np.abs(fd - mjets[2][k]).max() < 1e-8
 
 
 def test_score_directional_derivative(rng):
@@ -258,3 +281,14 @@ def test_degenerate_dictionary_rejected():
     assert abs(d.synthesize(d.point(3.0)).norm() - 1.0) < 1e-12
     with pytest.raises(gp.DegenerateMetricError):
         gp.metric(d, d.point(3.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_raw_atom_is_a_domain_error(bad):
+    d = ConstantMother(8)
+    raw = np.ones(8)
+    raw[3] = bad
+    d._jet = lambda coords, shape, order: (raw.copy(), np.zeros((1, 8)))[:order + 1]
+    for order in (0, 1):
+        with pytest.raises(gp.DomainError):
+            d.jet(d.point(3.0), order=order)

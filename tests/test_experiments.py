@@ -114,6 +114,23 @@ def test_convergence_curve_deterministic():
     np.testing.assert_array_equal(a.trial_energy, b.trial_energy)
 
 
+def test_experiment_counts_are_validated():
+    d = gp.Affine1DDictionary(64)
+    grid = gp.experiment_grid(64, b0=2, log2_tau=1.0)
+    cfg = gp.PursuitConfig()
+
+    def factory(seed):
+        raise AssertionError("no trial runs on a rejected count")
+
+    for bad in ({"trials": 0}, {"trials": 2, "m_max": -1}):
+        with pytest.raises(ValueError):
+            gp.convergence_curve(factory, d, grid, cfg, **bad)
+    for bad in ({"trials": 0}, {"trials": 2, "at_iteration": 0},
+                {"trials": 2, "at_iteration": -3}):
+        with pytest.raises(ValueError):
+            gp.nae(factory, d, grid, cfg, **bad)
+
+
 def test_beta_surrogate_in_unit_interval():
     n = 512
     d = gp.Affine1DDictionary(n)

@@ -32,14 +32,15 @@ def test_christoffel_symmetric_lower_indices():
     assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() < 1e-6
 
 
-def test_christoffel_reuses_the_partials_of_its_metric(monkeypatch):
-    calls = []
-    partials = Dictionary.partials
-    monkeypatch.setattr(Dictionary, "partials",
-                        lambda self, *a, **k: calls.append(1) or partials(self, *a, **k))
+@pytest.mark.parametrize("quantity", [gp.christoffel, geometry.curvature_bracket])
+def test_christoffel_and_curvature_take_one_order_2_jet(monkeypatch, quantity):
+    orders = []
+    jet = gp.Aniso2DDictionary._jet
+    monkeypatch.setattr(gp.Aniso2DDictionary, "_jet",
+                        lambda self, c, s, order: orders.append(order) or jet(self, c, s, order))
     d = gp.Aniso2DDictionary((24, 24))
-    gp.christoffel(d, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
-    assert len(calls) == 1
+    quantity(d, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
+    assert orders == [2]
 
 
 def test_christoffel_matches_scaled_translation_dilation_form():
