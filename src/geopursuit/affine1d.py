@@ -117,9 +117,6 @@ class Affine1DDictionary(Dictionary):
     def point(self, b: float, a: float) -> ParamPoint:
         return ParamPoint((b, a), self.kinds)
 
-    def translation_extent(self, i, shape):
-        return (0.0, float(shape[0] - 1))
-
     def clamp_coords(self, coords) -> ParamPoint:
         """As `Dictionary.clamp_coords`, except that b clamps to
         [-MASS_RADIUS*a, n-1 + MASS_RADIUS*a] at the clamped scale a, the
@@ -150,9 +147,6 @@ class TranslationDictionary(Dictionary):
 
     def point(self, b: float) -> ParamPoint:
         return ParamPoint((b,), self.kinds)
-
-    def translation_extent(self, i, shape):
-        return (0.0, float(shape[0] - 1))
 
     def require_interior(self, lam):  # translations have no boundary
         return None

@@ -47,9 +47,6 @@ class Aniso2DDictionary(Dictionary):
     def point(self, b1: float, b2: float, theta: float, a1: float, a2: float) -> ParamPoint:
         return ParamPoint((b1, b2, theta % math.pi, a1, a2), self.kinds)
 
-    def translation_extent(self, i, shape):
-        return (0.0, float(shape[i] - 1))
-
     def _jet(self, coords, shape, order):
         """The atom s * G(u, v), s = (a1*a2)^(-1/2), and its partials by the
         chain rule: d_i = s_i G + s G_i and

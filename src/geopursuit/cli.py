@@ -34,11 +34,15 @@ def _fmt(x: float) -> str:
 
 
 def _load_grid(path):
-    spec = json.loads(Path(path).read_text())
-    if "b0" in spec:
-        return TauAdicGrid.from_json(json.dumps(spec))
-    if "Nx" in spec:
-        return Grid2DSpec.from_json(json.dumps(spec))
+    text = Path(path).read_text()
+    spec = json.loads(text)
+    try:
+        if "b0" in spec:
+            return TauAdicGrid.from_json(text)
+        if "Nx" in spec:
+            return Grid2DSpec.from_json(text)
+    except KeyError as exc:
+        raise ValueError(f"{path}: grid spec has no {exc.args[0]!r} key") from None
     raise ValueError(f"{path}: unrecognized grid spec (expected tau-adic or 2-D keys)")
 
 
@@ -111,7 +115,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
     grid = _load_grid(args.grid)
     dictionary = _dictionary_for(grid)
-    decomposition = Decomposition.from_jsonl(args.steps, shape=dictionary.shape)
+    decomposition = Decomposition.from_jsonl(args.steps)
     approx = reconstruct(decomposition, dictionary)
     save_signal(approx, args.out)
     inputs = [args.grid, args.steps]
@@ -127,10 +131,6 @@ def cmd_reconstruct(args) -> tuple[dict, list, list]:
 
 def cmd_geometry(args) -> tuple[dict, list, list]:
     grid = _load_grid(args.grid)
-    inferred = "affine1d" if isinstance(grid, TauAdicGrid) else "aniso2d"
-    if args.dict_name and args.dict_name != inferred:
-        raise ValueError(f"--dict {args.dict_name} does not match the "
-                         f"{inferred} grid in {args.grid}")
     dictionary = _dictionary_for(grid)
     rng = np.random.default_rng(args.seed)
     if isinstance(grid, TauAdicGrid):
@@ -171,7 +171,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
         coords = [float(v) for v in args.at.split(",")]
         if len(coords) != dictionary.P:
             raise ValueError(f"--at takes {dictionary.P} comma-separated coordinates "
-                             f"on the {inferred} grid, got {len(coords)}")
+                             f"on the grid in {args.grid}, got {len(coords)}")
     lam0 = dictionary.point(*coords)
     g = metric(dictionary, lam0)
     gamma = christoffel(dictionary, lam0)
@@ -320,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("geometry", help="geometry diagnostics for a grid")
     p.add_argument("--grid", required=True)
-    p.add_argument("--dict", dest="dict_name", choices=("affine1d", "aniso2d"),
-                   default=None, help="dictionary family (inferred from the grid)")
     p.add_argument("--at", default=None, help="comma-separated evaluation point")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=None,

@@ -104,30 +104,27 @@ def _infer_format(path: Path) -> str:
     return "raw-f64-le"
 
 
-def save_signal(buf: SignalBuffer, path, fmt: str | None = None) -> None:
-    """Write a buffer as raw-f64-le, csv, or pgm-p5 (inferred from suffix)."""
+def save_signal(buf: SignalBuffer, path) -> None:
+    """Write a buffer as csv (.csv suffix), pgm-p5 (.pgm) or raw-f64-le (any other)."""
     path = Path(path)
-    fmt = fmt or _infer_format(path)
-    if fmt == "raw-f64-le":
-        _save_raw(buf, path)
-    elif fmt == "csv":
+    fmt = _infer_format(path)
+    if fmt == "csv":
         _save_csv(buf, path)
     elif fmt == "pgm-p5":
         _save_pgm(buf, path)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        _save_raw(buf, path)
 
 
-def load_signal(path, fmt: str | None = None) -> SignalBuffer:
+def load_signal(path) -> SignalBuffer:
+    """Read a buffer in the format its suffix names, as `save_signal` writes it."""
     path = Path(path)
-    fmt = fmt or _infer_format(path)
-    if fmt == "raw-f64-le":
-        return _load_raw(path)
+    fmt = _infer_format(path)
     if fmt == "csv":
         return _load_csv(path)
     if fmt == "pgm-p5":
         return _load_pgm(path)
-    raise ValueError(f"unknown format {fmt!r}")
+    return _load_raw(path)
 
 
 def _save_raw(buf: SignalBuffer, path: Path) -> None:

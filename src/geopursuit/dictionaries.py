@@ -1,7 +1,8 @@
 """Parametric dictionary interface: atom synthesis and parameter derivatives.
 
-A dictionary maps a P-dimensional parameter point to a unit-norm atom on a
-fixed sample grid. Atoms are renormalized on the grid (boundary
+A dictionary maps a P-dimensional parameter point to a unit-norm atom on
+its own sample grid, `Dictionary.shape`, and refuses signals of any other
+shape. Atoms are renormalized on the grid (boundary
 renormalization), so truncated atoms are still valid unit-norm atoms and
 the identities <d_i g, g> = 0 and <d_ij g, g> = -G_ij hold exactly in the
 discrete inner product. Derivatives are therefore derivatives of the
@@ -123,12 +124,15 @@ class Dictionary:
         """(raw,), (raw, d1) or (raw, d1, d2) for order 0, 1 or 2: the raw
         atom sampled on `shape`, its first partials stacked as (P, *shape)
         and its second partials as a symmetric (P, P, *shape) stack. The
-        arrays are fresh: the renormalization overwrites the stacks."""
+        arrays are fresh: the renormalization overwrites the stacks. Atoms
+        use `self.shape`; the search's templates use their own canvas."""
         raise NotImplementedError
 
-    def translation_extent(self, i: int, shape) -> tuple[float, float]:
-        """Clamping range for translation coordinate i."""
-        raise NotImplementedError
+    def check_shape(self, shape) -> None:
+        """Reject a sample shape other than the dictionary's own."""
+        if tuple(shape) != self.shape:
+            raise ValueError(f"shape {tuple(shape)} does not match the dictionary's "
+                             f"sample grid {self.shape}")
 
     # -- domain handling --------------------------------------------------
     def _check_scales(self, lam: ParamPoint, margin: float, problem: str) -> None:
@@ -154,9 +158,11 @@ class Dictionary:
     def clamp_coords(self, coords) -> ParamPoint:
         """Pull raw coordinates into the interior of the domain.
 
-        Translations clamp to the buffer extent, scales to a margin inside
-        the scale range, angles wrap modulo pi. Accepts coordinates outside
-        the valid region (e.g. negative scales from an overshot step).
+        Translations clamp to the buffer extent (translations lead the
+        coordinates, so translation i moves along sample axis i), scales to
+        a margin inside the scale range, angles wrap modulo pi. Accepts
+        coordinates outside the valid region (e.g. negative scales from an
+        overshot step).
         """
         lo, hi = self.scale_range
         coords = np.array(coords, dtype=np.float64, copy=True)
@@ -166,33 +172,34 @@ class Dictionary:
             elif k == ANGLE:
                 coords[i] = coords[i] % np.pi
             else:
-                t_lo, t_hi = self.translation_extent(i, self.shape)
-                coords[i] = min(max(coords[i], t_lo), t_hi)
+                coords[i] = min(max(coords[i], 0.0), float(self.shape[i] - 1))
         return ParamPoint(coords, self.kinds)
 
     # -- synthesis & derivatives -------------------------------------------
-    def jet(self, lam: ParamPoint, shape=None, order: int = 0) -> tuple:
+    def jet(self, lam: ParamPoint, order: int = 0) -> tuple:
         """The renormalized atom at `lam` and, up to `order`, its partials:
         (atom,), (atom, d1) or (atom, d1, d2), with d1 a (P, *shape) stack
         and d2 an exactly symmetric (P, P, *shape) stack, all read-only.
         Derivatives need `lam` interior to the domain."""
-        shape = shape or self.shape
         self._check_domain(lam)
         if order:
             self.require_interior(lam)
-        return _renormalized(*self._jet(lam.coords, shape, order))
+        return _renormalized(*self._jet(lam.coords, self.shape, order))
 
     def synthesize(self, lam: ParamPoint, shape=None) -> SignalBuffer:
-        """Unit-norm atom at `lam`, renormalized on the sample grid."""
-        return SignalBuffer(self.jet(lam, shape)[0])
+        """Unit-norm atom at `lam`, renormalized on the sample grid. A
+        `shape` other than the dictionary's raises ValueError."""
+        if shape is not None:
+            self.check_shape(shape)
+        return SignalBuffer(self.jet(lam)[0])
 
-    def partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
+    def partials(self, lam: ParamPoint) -> np.ndarray:
         """First partials of the renormalized atom: `jet` of order 1."""
-        return self.jet(lam, shape, 1)[1]
+        return self.jet(lam, 1)[1]
 
-    def second_partials(self, lam: ParamPoint, shape=None) -> np.ndarray:
+    def second_partials(self, lam: ParamPoint) -> np.ndarray:
         """Second partials of the renormalized atom: `jet` of order 2."""
-        return self.jet(lam, shape, 2)[2]
+        return self.jet(lam, 2)[2]
 
 
 def _renormalized(raw: np.ndarray, *partials: np.ndarray) -> tuple:

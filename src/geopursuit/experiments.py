@@ -31,7 +31,7 @@ class BurstSignalSpec:
     Bursts are Gaussian windows (width = standard deviation) or rectangular
     windows (width = duration); widths are uniform in
     [envelope/2, 3*envelope/4], positions uniform, magnitudes uniform in
-    `magnitude` with a random sign when `signed` (an all-positive sum is
+    [1/2, 1] with a random sign when `signed` (an all-positive sum is
     dominated by its DC pedestal, which a zero-mean dictionary only reaches
     through boundary-truncated atoms).
     """
@@ -40,7 +40,6 @@ class BurstSignalSpec:
     n_bursts: int = 100
     kind: str = "gaussian"
     envelope: float = 2.0 ** 8
-    magnitude: tuple[float, float] = (0.5, 1.0)
     signed: bool = True
 
     def __post_init__(self):
@@ -56,7 +55,7 @@ class BurstSignalSpec:
         x = np.zeros(self.n)
         w_lo, w_hi = 0.5 * self.envelope, 0.75 * self.envelope
         for _ in range(self.n_bursts):
-            amp = rng.uniform(*self.magnitude)
+            amp = rng.uniform(0.5, 1.0)
             if self.signed and rng.random() < 0.5:
                 amp = -amp
             width = rng.uniform(w_lo, w_hi)
@@ -208,7 +207,7 @@ def image_harness(image: SignalBuffer, grid: Grid2DSpec, configs,
         start = time.perf_counter()
         decomposition = run(image, dictionary, grid, cfg)
         elapsed = time.perf_counter() - start
-        approx = reconstruct(decomposition, dictionary, image.shape)
+        approx = reconstruct(decomposition, dictionary)
         rows.append({
             "label": f"{cfg.mode}(kappa={cfg.kappa})",
             "mode": cfg.mode,
@@ -220,11 +219,10 @@ def image_harness(image: SignalBuffer, grid: Grid2DSpec, configs,
     return rows
 
 
-def make_test_image(nx: int = 64, ny: int = 64, seed: int = 0,
-                    n_blobs: int = 30) -> SignalBuffer:
+def make_test_image(nx: int = 64, ny: int = 64, seed: int = 0) -> SignalBuffer:
     """Deterministic 8-bit grayscale test image.
 
-    A smooth background plus randomly placed, oriented, anisotropic
+    A smooth background plus 30 randomly placed, oriented, anisotropic
     blob/ridge structures whose scales and orientations fall between any
     coarse parameter grid's samples.
     """
@@ -235,7 +233,7 @@ def make_test_image(nx: int = 64, ny: int = 64, seed: int = 0,
     xs = np.arange(nx)[:, None] / max(nx - 1, 1)
     ys = np.arange(ny)[None, :] / max(ny - 1, 1)
     img = 30.0 * xs + 20.0 * ys
-    for _ in range(n_blobs):
+    for _ in range(30):
         b1 = rng.uniform(min(4, (nx - 1) / 2), max(nx - 5, (nx - 1) / 2))
         b2 = rng.uniform(min(4, (ny - 1) / 2), max(ny - 5, (ny - 1) / 2))
         theta = rng.uniform(0.0, math.pi)

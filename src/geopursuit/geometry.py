@@ -3,8 +3,9 @@
 The parameter space carries the pullback metric G_ij = <d_i g, d_j g>
 (Gram matrix of atom partials), which induces path lengths, curvature
 estimates, a grid density radius, and the effective weakness factors that
-relate discrete pursuit to a weakened continuous pursuit. Inner products of
-partials are matrix products of the dictionary's stacked partials.
+relate discrete pursuit to a weakened continuous pursuit, all measured on
+the dictionary's own sample grid. Inner products of partials are matrix
+products of the dictionary's stacked partials.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class MetricTensor:
         return math.sqrt(max(float(xi @ self.matrix @ xi), 0.0))
 
 
-def metric(dictionary: Dictionary, lam: ParamPoint, shape=None) -> MetricTensor:
+def metric(dictionary: Dictionary, lam: ParamPoint) -> MetricTensor:
     """Gram matrix of atom partials at `lam`; symmetric positive definite."""
-    return _gram(lam, dictionary.partials(lam, shape))
+    return _gram(lam, dictionary.partials(lam))
 
 
 def _gram(lam: ParamPoint, parts: np.ndarray) -> MetricTensor:
@@ -61,18 +62,18 @@ def _gram(lam: ParamPoint, parts: np.ndarray) -> MetricTensor:
     return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G))
 
 
-def christoffel(dictionary: Dictionary, lam: ParamPoint, shape=None) -> np.ndarray:
+def christoffel(dictionary: Dictionary, lam: ParamPoint) -> np.ndarray:
     """Connection coefficients Gamma[k, i, j] = G^(kl) <d_ij g, d_l g>, from one jet."""
-    _, d1, d2 = dictionary.jet(lam, shape, 2)
+    _, d1, d2 = dictionary.jet(lam, 2)
     g = _gram(lam, d1)
     P = g.P
     A = (d2.reshape(P * P, -1) @ d1.reshape(P, -1).T).reshape(P, P, P)  # <d_ij g, d_l g>
     return np.einsum("kl,ijl->kij", g.inverse, A)
 
 
-def curvature_bracket(dictionary: Dictionary, lam: ParamPoint, shape=None) -> float:
+def curvature_bracket(dictionary: Dictionary, lam: ParamPoint) -> float:
     """Contraction <d_ij g, d_kl g> G^(ik) G^(jl) at one point, from one jet."""
-    _, d1, d2 = dictionary.jet(lam, shape, 2)
+    _, d1, d2 = dictionary.jet(lam, 2)
     g = _gram(lam, d1)
     P = g.P
     S = d2.reshape(P * P, -1)
@@ -80,7 +81,7 @@ def curvature_bracket(dictionary: Dictionary, lam: ParamPoint, shape=None) -> fl
     return float(np.einsum("ijkl,ik,jl->", H, g.inverse, g.inverse))
 
 
-def condition_bound(dictionary: Dictionary, lam_samples, shape=None) -> float:
+def condition_bound(dictionary: Dictionary, lam_samples) -> float:
     """Upper bound on the principal-curvature supremum over the samples.
 
     Returns max over samples of the square root of the second-derivative
@@ -91,7 +92,7 @@ def condition_bound(dictionary: Dictionary, lam_samples, shape=None) -> float:
         raise ValueError("need at least one sample point")
     worst = 0.0
     for lam in samples:
-        worst = max(worst, math.sqrt(max(curvature_bracket(dictionary, lam, shape), 0.0)))
+        worst = max(worst, math.sqrt(max(curvature_bracket(dictionary, lam), 0.0)))
     if worst < 1.0 - _CURVATURE_SLACK:
         raise ArithmeticError(
             f"curvature bound {worst} fell below its unit lower bound; "
@@ -100,7 +101,7 @@ def condition_bound(dictionary: Dictionary, lam_samples, shape=None) -> float:
 
 
 def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
-                segments: int = 16, shape=None) -> float:
+                segments: int = 16) -> float:
     """Length of the straight parameter segment from lam_a to lam_b.
 
     Riemann sum of sqrt(d_lambda^T G d_lambda) with the metric evaluated at
@@ -116,13 +117,12 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     total = 0.0
     for k in range(segments):
         mid = start + (k + 0.5) * delta
-        g = metric(dictionary, ParamPoint(mid, lam_a.kinds), shape)
+        g = metric(dictionary, ParamPoint(mid, lam_a.kinds))
         total += g.norm(delta)
     return total
 
 
-def density_radius(dictionary: Dictionary, grid, probes,
-                   segments: int = 4, shape=None) -> float:
+def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> float:
     """Monte-Carlo estimate of the covering radius of a grid.
 
     For each probe, finds the nearest grid points under the local quadratic
@@ -159,7 +159,7 @@ def density_radius(dictionary: Dictionary, grid, probes,
     n_cand = min(_PATH_CANDIDATES, len(positions) * len(others))
     worst = 0.0
     for probe in probes:
-        g = metric(dictionary, probe, shape)
+        g = metric(dictionary, probe)
         proxy, wrapped = _block_proxy(g.matrix, positions, others, probe.coords, angles)
         nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
         best = math.inf
@@ -171,7 +171,7 @@ def density_radius(dictionary: Dictionary, grid, probes,
                 break
             target = np.concatenate([positions[p], wrapped[s]])
             best = min(best, path_length(dictionary, probe,
-                                         ParamPoint(target, dictionary.kinds), segments, shape))
+                                         ParamPoint(target, dictionary.kinds), segments))
             if best <= worst:  # this probe can no longer raise the max
                 break
         worst = max(worst, best)

@@ -64,6 +64,8 @@ class PursuitConfig:
             raise ValueError("kappa must be nonnegative")
         if not self.chi > 0:
             raise ValueError("chi must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
 
 
 @dataclass
@@ -105,7 +107,6 @@ class Decomposition:
 
     steps: list[DecompositionStep] = field(default_factory=list)
     initial_energy: float = 0.0
-    shape: tuple = ()
     mode: str = "dmp"
     final_residual: SignalBuffer | None = None
 
@@ -125,8 +126,7 @@ class Decomposition:
                 fh.write(json.dumps(step.to_record()) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path, initial_energy: float | None = None,
-                   shape=()) -> "Decomposition":
+    def from_jsonl(cls, path, initial_energy: float | None = None) -> "Decomposition":
         """Read steps written by `to_jsonl`.
 
         Without `initial_energy`, it is recovered from the first step as
@@ -142,7 +142,7 @@ class Decomposition:
         if initial_energy is None:
             initial_energy = (steps[0].residual_energy + steps[0].coeff ** 2
                               if steps else 0.0)
-        return cls(steps=steps, initial_energy=initial_energy, shape=tuple(shape))
+        return cls(steps=steps, initial_energy=initial_energy)
 
     def to_csv(self, path) -> None:
         P = len(self.steps[0].lam) if self.steps else 0
@@ -162,7 +162,7 @@ class Decomposition:
 
 def score(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> float:
     """Squared correlation of the residual with the atom at `lam`."""
-    return inner_product(dictionary.synthesize(lam, residual.shape), residual) ** 2
+    return inner_product(dictionary.synthesize(lam), residual) ** 2
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ class ScoreGradient:
 
 def gradient(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> ScoreGradient:
     """Score value, coordinate partials, and manifold gradient at `lam`."""
-    g = metric(dictionary, lam, residual.shape)
-    atom = dictionary.synthesize(lam, residual.shape)
-    parts = dictionary.partials(lam, residual.shape)
+    g = metric(dictionary, lam)
+    atom = dictionary.synthesize(lam)
+    parts = dictionary.partials(lam)
     corr = inner_product(atom, residual)
     partial = 2.0 * corr * (parts.reshape(len(parts), -1) @ residual.data.ravel())
     grad = g.inverse @ partial
@@ -281,8 +281,10 @@ def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
     where to_point(k) is the parameter point scored by scores[k]. Level and
     slab scores are corr**2 / norm2 from the grid's search plan, with 0
     where the atom has no samples in the buffer. Yields nothing for an
-    empty grid.
+    empty grid. A residual whose shape is not the dictionary's raises
+    ValueError: the FFT path would pad or truncate it.
     """
+    dictionary.check_shape(residual.shape)
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
         build = _affine_plan
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
@@ -294,17 +296,16 @@ def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
                    points.__getitem__)
         return
     plans = _PLANS.setdefault(dictionary, {})
-    key = (grid, residual.shape)
-    if key not in plans:
-        plans[key] = build(dictionary, grid, residual.shape)
-    for corr, norm2, to_point in plans[key].correlations(residual.data):
+    if grid not in plans:
+        plans[grid] = build(dictionary, grid)
+    for corr, norm2, to_point in plans[grid].correlations(residual.data):
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
         yield scores.ravel(), functools.partial(to_point, dictionary)
 
 
-# Search plans per dictionary, keyed by (grid, residual shape). A plan holds
-# no reference to its dictionary, so it is freed with it.
+# Search plans per dictionary, keyed by grid. A plan holds no reference to
+# its dictionary, so it is freed with it.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -461,11 +462,12 @@ def _level_template(mother, a: float, m: int) -> np.ndarray:
     return affine_jet(mother, 0.0, a, np.arange(-m, m + 1, dtype=np.float64))[0]
 
 
-def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid, shape) -> _SearchPlan:
+def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> _SearchPlan:
     """One block per level: an FFT block where the level's translations sit
     on the integer sample lattice, a direct block otherwise."""
-    if len(shape) != 1 or shape[0] != grid.n:
-        raise ValueError(f"residual shape {shape} does not match grid N={grid.n}")
+    if dictionary.shape != (grid.n,):
+        raise ValueError(f"grid N={grid.n} does not match the dictionary's "
+                         f"sample grid {dictionary.shape}")
     _check_grid_scales(dictionary, *grid.scale_span())
     n = grid.n
     mother = dictionary.mother
@@ -482,7 +484,7 @@ def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid, shape) -> _S
                                     functools.partial(_level_template, mother, a, m), to_point))
         else:
             entries.append(_direct_block(n, mother, a, bs, to_point))
-    return _SearchPlan.build(shape, entries)
+    return _SearchPlan.build(dictionary.shape, entries)
 
 
 def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
@@ -506,11 +508,11 @@ def _slab_point(ny: int, slab, dictionary: Aniso2DDictionary, k: int):
     return dictionary.point(*(float(b) for b in divmod(k, ny)), *slab)
 
 
-def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec, shape) -> _SearchPlan:
+def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> _SearchPlan:
     """One FFT block per slab over all pixel positions."""
-    if shape != (grid.nx, grid.ny):
-        raise ValueError(f"residual shape {shape} does not match grid "
-                         f"({grid.nx}, {grid.ny})")
+    if dictionary.shape != (grid.nx, grid.ny):
+        raise ValueError(f"grid ({grid.nx}, {grid.ny}) does not match the dictionary's "
+                         f"sample grid {dictionary.shape}")
     scales = grid.scales()
     _check_grid_scales(dictionary, float(scales[0]), float(scales[-1]))
     positions = [np.arange(grid.nx), np.arange(grid.ny)]
@@ -520,7 +522,7 @@ def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec, shape) -> _Sea
         entries.append(_Lattice(
             ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms),
             functools.partial(_slab_point, grid.ny, slab)))
-    return _SearchPlan.build(shape, entries)
+    return _SearchPlan.build(dictionary.shape, entries)
 
 
 def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:
@@ -567,15 +569,14 @@ def run(signal: SignalBuffer, dictionary: Dictionary, grid,
     residual = signal
     initial_energy = signal.energy()
     energy = initial_energy
-    decomposition = Decomposition(initial_energy=initial_energy,
-                                  shape=signal.shape, mode=config.mode)
+    decomposition = Decomposition(initial_energy=initial_energy, mode=config.mode)
     for m in range(config.max_iterations):
         if energy <= config.energy_floor_rel * initial_energy:
             break
         lam, s, seed, ascent_steps = select(dictionary, residual, grid, config)
         if s <= 0:
             break  # residual orthogonal to the whole grid
-        atom = dictionary.synthesize(lam, residual.shape)
+        atom = dictionary.synthesize(lam)
         coeff = inner_product(atom, residual)
         if coeff == 0.0:
             break
@@ -592,12 +593,13 @@ def run(signal: SignalBuffer, dictionary: Dictionary, grid,
 
 def reconstruct(decomposition: Decomposition, dictionary: Dictionary,
                 shape=None) -> SignalBuffer:
-    """Sum of coefficient-weighted atoms recorded in the decomposition."""
-    shape = tuple(shape) if shape else tuple(decomposition.shape)
-    if not shape:
-        raise ValueError("no target shape available")
-    acc = np.zeros(shape)
+    """Sum of coefficient-weighted atoms recorded in the decomposition, on
+    the dictionary's sample grid (zeros for no steps). A `shape` other than
+    the dictionary's raises ValueError."""
+    if shape is not None:
+        dictionary.check_shape(shape)
+    acc = np.zeros(dictionary.shape)
     for step in decomposition.steps:
         lam = ParamPoint(step.lam, dictionary.kinds)
-        acc += step.coeff * dictionary.synthesize(lam, shape).data
+        acc += step.coeff * dictionary.synthesize(lam).data
     return SignalBuffer(acc)

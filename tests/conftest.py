@@ -24,7 +24,7 @@ def naive_search(dictionary, residual, grid):
     """
     best_p, best_s = None, -1.0
     for lam in grid.points():
-        atom = dictionary.synthesize(lam, residual.shape)
+        atom = dictionary.synthesize(lam)
         s = gp.inner_product(atom, residual) ** 2
         if s > best_s:
             best_p, best_s = lam, s
@@ -89,22 +89,22 @@ def central_differences(fn, coords, steps):
     return np.array(out)
 
 
-def _synthesized(dictionary, shape):
+def _synthesized(dictionary):
     """The renormalized atom as a function of raw coordinates."""
     return lambda coords: dictionary.synthesize(
-        gp.ParamPoint(coords, dictionary.kinds), shape).data
+        gp.ParamPoint(coords, dictionary.kinds)).data
 
 
-def fd_partials(dictionary, lam, shape=None):
+def fd_partials(dictionary, lam):
     """Derivative oracle: central differences of the renormalized synthesis."""
-    return central_differences(_synthesized(dictionary, shape or dictionary.shape),
-                               lam.coords, fd_steps(dictionary, lam))
+    return central_differences(_synthesized(dictionary), lam.coords,
+                               fd_steps(dictionary, lam))
 
 
-def fd_second_partials(dictionary, lam, shape=None):
+def fd_second_partials(dictionary, lam):
     """Second-derivative oracle: three-point and four-point central stencils
     on the renormalized synthesis, as a symmetric (P, P, *shape) stack."""
-    atom = _synthesized(dictionary, shape or dictionary.shape)
+    atom = _synthesized(dictionary)
     x = lam.coords
     steps = fd_steps(dictionary, lam, order=2)
     basis = np.diag(steps)
@@ -132,7 +132,7 @@ def dense_proxy(dictionary, grid, probe, matrix):
     return np.einsum("np,np->n", deltas @ matrix, deltas)
 
 
-def exhaustive_density_radius(dictionary, grid, probes, segments=4, shape=None):
+def exhaustive_density_radius(dictionary, grid, probes, segments=4):
     """Density-radius oracle without pruning: for every probe, refine every
     one of its `_PATH_CANDIDATES` proxy-nearest grid points by a path
     length, in grid order, and return the max over probes of the min."""
@@ -142,7 +142,7 @@ def exhaustive_density_radius(dictionary, grid, probes, segments=4, shape=None):
     n_cand = min(geometry._PATH_CANDIDATES, len(positions) * len(others))
     worst = 0.0
     for probe in probes:
-        g = gp.metric(dictionary, probe, shape)
+        g = gp.metric(dictionary, probe)
         proxy, wrapped = geometry._block_proxy(g.matrix, positions, others, probe.coords,
                                                angles)
         nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
@@ -154,7 +154,7 @@ def exhaustive_density_radius(dictionary, grid, probes, segments=4, shape=None):
                 break
             target = gp.ParamPoint(np.concatenate([positions[p], wrapped[s]]),
                                    dictionary.kinds)
-            best = min(best, gp.path_length(dictionary, probe, target, segments, shape))
+            best = min(best, gp.path_length(dictionary, probe, target, segments))
         worst = max(worst, best)
     return worst
 

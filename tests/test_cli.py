@@ -40,7 +40,7 @@ def test_pipeline_gen_decompose_reconstruct(tmp_path, grid_file):
 
 def test_geometry_emits_condition_bound(tmp_path, grid_file):
     out_path = tmp_path / "geom.json"
-    assert main(["geometry", "--dict", "affine1d", "--grid", str(grid_file),
+    assert main(["geometry", "--grid", str(grid_file),
                  "--samples", "4", "--probes", "10", "--beta-corpus", "3",
                  "--seed", "1", "--out", str(out_path),
                  "--manifest", str(tmp_path / "m.json")]) == 0
@@ -136,11 +136,31 @@ def test_runtime_error_exit_code(tmp_path):
     assert "error:" in out.stderr
 
 
-def test_geometry_dict_mismatch_is_runtime_error(tmp_path, grid_file):
-    out = run_cli(["geometry", "--dict", "aniso2d", "--grid", str(grid_file),
-                   "--out", "g.json"], cwd=tmp_path)
+@pytest.mark.parametrize("command", ["decompose", "image"])
+def test_negative_iteration_counts_are_runtime_errors(tmp_path, grid_file, capsys, command):
+    if command == "decompose":
+        sig = tmp_path / "s.bin"
+        main(["gen-signal", "--n", "512", "--out", str(sig)])
+        args = ["decompose", "--grid", str(grid_file), "--in", str(sig), "--max-iters", "-1"]
+    else:
+        args = ["image", "--nx", "16", "--ny", "16", "--atoms", "-2"]
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "geometry"])
+@pytest.mark.parametrize("spec, key", [('{"b0": 2}', "'a0'"), ('{"Nx": 8, "Ny": 8}', "'J'")],
+                         ids=["tau-adic", "2-d"])
+def test_grid_spec_missing_key_is_runtime_error(tmp_path, command, spec, key):
+    (tmp_path / "grid.json").write_text(spec)
+    args = ["--in", "s.bin", "--out", "steps.jsonl"] if command == "decompose" else []
+    out = run_cli([command, "--grid", "grid.json", *args], cwd=tmp_path)
     assert out.returncode == 1
-    assert "does not match" in out.stderr
+    assert out.stderr.startswith("error: ") and f"no {key} key" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("grid", [gp.tau_grid_for_signal(64, b0=2, log2_tau=0.5),

@@ -248,6 +248,10 @@ def test_clamp_pulls_into_domain():
     assert d.clamp_coords(np.array([1000.0, 1000.0])).coords[0] == 255.0 + reach
     neg = d.clamp_coords(np.array([10.0, -5.0]))
     assert neg.coords[1] > 1.0
+    # translation i clamps to sample axis i of a non-square image
+    d2 = gp.Aniso2DDictionary((10, 20))
+    assert list(d2.clamp_coords([-5.0, 50.0, 0.1, 2.0, 2.0]).coords[:2]) == [0.0, 19.0]
+    assert list(d2.clamp_coords([30.0, -3.0, 0.1, 2.0, 2.0]).coords[:2]) == [9.0, 0.0]
 
 
 def test_angle_canonicalization():
@@ -265,9 +269,6 @@ class ConstantMother(gp.Dictionary):
         self.shape = (n,)
         self.kinds = (gp.TRANSLATION,)
         self.scale_range = (1.0, 1.0)
-
-    def translation_extent(self, i, shape):
-        return (0.0, float(shape[0] - 1))
 
     def require_interior(self, lam):
         return None

@@ -369,11 +369,8 @@ class LogScaleAffine(gp.Dictionary):
     def __init__(self, base):
         self.base = base
         self.shape = base.shape
-        self.kinds = (gp.TRANSLATION, gp.TRANSLATION)  # both unbounded here
+        self.kinds = (gp.TRANSLATION, gp.TRANSLATION)  # no scale-range check on log a
         self.scale_range = (1.0, 1.0)
-
-    def translation_extent(self, i, shape):
-        return (-1e9, 1e9)
 
     def require_interior(self, lam):
         return None

@@ -145,8 +145,22 @@ def test_search_plans_do_not_cross_talk(rng):
         slow = np.array([gp.score(dicts[m], u, lam) for lam in g.points()])
         assert np.abs(want - slow).max() < 1e-8
     assert not np.allclose(first["mexican_hat", grids[0]], first["gaussian", grids[0]])
-    with pytest.raises(ValueError, match="does not match"):
-        gp.grid_scores(dicts["gaussian"], gp.SignalBuffer(rng.standard_normal(128)), grids[0])
+    # atoms live on the dictionary's own sample grid: a residual, grid or
+    # target shape of another size is refused, not padded or truncated
+    u128 = gp.SignalBuffer(rng.standard_normal(128))
+    lam = dicts["gaussian"].point(100.0, 8.0)
+    for call in (lambda: gp.grid_scores(dicts["gaussian"], u128, grids[0]),
+                 lambda: gp.full_search(dicts["gaussian"], u128, list(grids[1].points())),
+                 lambda: gp.grid_scores(gp.Affine1DDictionary(128), u128, grids[0]),
+                 lambda: gp.run(u, gp.Affine1DDictionary(128), grids[0]),
+                 lambda: gp.run(u128, dicts["gaussian"], grids[0]),
+                 lambda: dicts["gaussian"].synthesize(lam, (128,)),
+                 lambda: gp.reconstruct(gp.Decomposition(), dicts["gaussian"], (128,))):
+        with pytest.raises(ValueError, match="does not match"):
+            call()
+    for call in (gp.score, gp.gradient):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            call(dicts["gaussian"], u128, lam)
 
     d2 = gp.Aniso2DDictionary((10, 12))
     grids2 = (gp.Grid2DSpec(10, 12, 2, 3), gp.Grid2DSpec(10, 12, 3, 2))
@@ -156,8 +170,10 @@ def test_search_plans_do_not_cross_talk(rng):
         assert np.array_equal(got, gp.grid_scores(gp.Aniso2DDictionary((10, 12)), u2, g))
         slow = np.array([gp.score(d2, u2, lam) for lam in g.points()])
         assert np.abs(got - slow).max() < 1e-8
-    with pytest.raises(ValueError, match="does not match"):
-        gp.grid_scores(d2, gp.SignalBuffer(rng.standard_normal((12, 10))), grids2[0])
+    u2t = gp.SignalBuffer(rng.standard_normal((12, 10)))
+    for d in (d2, gp.Aniso2DDictionary((12, 10))):  # residual, then grid, mismatched
+        with pytest.raises(ValueError, match="does not match"):
+            gp.grid_scores(d, u2t, grids2[0])
 
 
 def test_search_plan_is_freed_with_its_dictionary(rng):
@@ -347,9 +363,9 @@ def test_run_zero_signal_stops_cleanly():
 
 def test_reconstruct_empty_is_zero():
     d = gp.Affine1DDictionary(64)
-    dec = gp.Decomposition(steps=[], initial_energy=0.0, shape=(64,))
+    dec = gp.Decomposition(steps=[], initial_energy=0.0)
     out = gp.reconstruct(dec, d)
-    assert out.norm() == 0.0
+    assert out.shape == (64,) and out.norm() == 0.0
 
 
 def test_reconstruct_roundtrip(rng):
@@ -372,8 +388,7 @@ def test_decomposition_jsonl_roundtrip(tmp_path, rng):
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec) == {"m", "lambda", "coeff", "score", "residual_energy",
                         "seed_lambda", "ascent_steps"}
-    back = gp.Decomposition.from_jsonl(path, initial_energy=dec.initial_energy,
-                                       shape=dec.shape)
+    back = gp.Decomposition.from_jsonl(path, initial_energy=dec.initial_energy)
     assert len(back) == len(dec)
     for a, b in zip(dec.steps, back.steps):
         np.testing.assert_array_equal(a.lam, b.lam)
@@ -443,3 +458,6 @@ def test_pursuit_config_validation():
         gp.PursuitConfig(kappa=-1)
     with pytest.raises(ValueError):
         gp.PursuitConfig(chi=0.0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        gp.PursuitConfig(max_iterations=-1)
+    assert gp.PursuitConfig(max_iterations=0).max_iterations == 0
