@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import SCALE, TRANSLATION, Dictionary, ParamPoint
+from .dictionaries import SCALE, TRANSLATION, Dictionary, ParamPoint, spec_number
 
 # Atom mass within 4 standard widths is treated as "intersecting" the
 # signal: grid translations near the boundary, the search template's reach
@@ -148,9 +148,6 @@ class TranslationDictionary(Dictionary):
     def point(self, b: float) -> ParamPoint:
         return ParamPoint((b,), self.kinds)
 
-    def require_interior(self, lam):  # translations have no boundary
-        return None
-
     def _jet(self, coords, shape, order):
         jet = affine_jet(self.mother, coords[0], self.scale,
                          np.arange(shape[0], dtype=np.float64), order)
@@ -176,10 +173,10 @@ class TauAdicGrid:
     n: int
 
     def __post_init__(self):
-        if not (self.b0 > 0 and self.a0 > 0):
-            raise ValueError("b0 and a0 must be positive")
-        if not self.tau > 1:
-            raise ValueError("tau must exceed 1")
+        if not (0 < self.b0 < math.inf and 0 < self.a0 < math.inf):
+            raise ValueError("b0 and a0 must be positive and finite")
+        if not 1 < self.tau < math.inf:
+            raise ValueError("tau must be finite and exceed 1")
         if self.j_min > self.j_max:
             raise ValueError("empty scale index range")
         if self.n < 1:
@@ -224,8 +221,9 @@ class TauAdicGrid:
     @classmethod
     def from_json(cls, text: str) -> "TauAdicGrid":
         d = json.loads(text)
-        return cls(b0=d["b0"], a0=d["a0"], tau=d["tau"],
-                   j_min=int(d["jmin"]), j_max=int(d["jmax"]), n=int(d["N"]))
+        return cls(b0=spec_number(d, "b0"), a0=spec_number(d, "a0"),
+                   tau=spec_number(d, "tau"), j_min=spec_number(d, "jmin", True),
+                   j_max=spec_number(d, "jmax", True), n=spec_number(d, "N", True))
 
 
 def tau_grid_for_signal(n: int, b0: float, log2_tau: float, a0: float = 1.0,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import ANGLE, SCALE, TRANSLATION, Dictionary, ParamPoint
+from .dictionaries import ANGLE, SCALE, TRANSLATION, Dictionary, ParamPoint, spec_number
 
 DEFAULT_MIN_SCALE = 0.7
 
@@ -189,8 +189,9 @@ class Grid2DSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "Grid2DSpec":
-        d = json.loads(text)
-        return cls(nx=int(d["Nx"]), ny=int(d["Ny"]),
-                   j_scales=int(d["J"]), k_orients=int(d["K"]),
-                   min_scale=float(d.get("min_scale", DEFAULT_MIN_SCALE)),
-                   max_scale=None if d.get("max_scale") is None else float(d["max_scale"]))
+        d = {"min_scale": DEFAULT_MIN_SCALE, **json.loads(text)}
+        return cls(nx=spec_number(d, "Nx", True), ny=spec_number(d, "Ny", True),
+                   j_scales=spec_number(d, "J", True), k_orients=spec_number(d, "K", True),
+                   min_scale=float(spec_number(d, "min_scale")),
+                   max_scale=None if d.get("max_scale") is None
+                   else float(spec_number(d, "max_scale")))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-signal, decompose, reconstruct, geometry, curve, nae,
-image. Every run writes a JSON manifest recording the resolved
-configuration, inputs, outputs, and wall time; rerunning the same command
+image. Every run writes a JSON manifest recording every parsed option,
+inputs, outputs, and wall time; rerunning the same command
 reproduces data outputs byte-identically (wall time lives only in the
 manifest). Numeric CSV output uses 17 significant digits.
 """
@@ -36,6 +36,8 @@ def _fmt(x: float) -> str:
 def _load_grid(path):
     text = Path(path).read_text()
     spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: grid spec must be a JSON object")
     try:
         if "b0" in spec:
             return TauAdicGrid.from_json(text)
@@ -52,12 +54,17 @@ def _dictionary_for(grid):
     return Aniso2DDictionary((grid.nx, grid.ny))
 
 
-def _write_manifest(args, command: str, config: dict, inputs: list, outputs: list,
+# not options, or keys of their own; cmd_* return what parsing cannot know
+_NOT_CONFIG = ("func", "command", "manifest", "seed")
+
+
+def _write_manifest(args, argv: list, extras: dict, inputs: list, outputs: list,
                     wall_time: float) -> None:
     manifest = {
-        "command": command,
-        "argv": sys.argv[1:],
-        "config": config,
+        "command": args.command,
+        "argv": argv,
+        "config": {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG},
+        **extras,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": [str(p) for p in inputs],
@@ -68,6 +75,10 @@ def _write_manifest(args, command: str, config: dict, inputs: list, outputs: lis
     if path is None:
         path = (str(outputs[0]) + ".manifest.json") if outputs else "run-manifest.json"
     Path(path).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _grid_spec(grid) -> dict:
+    return {"grid_spec": json.loads(grid.to_json())}
 
 
 def _add_common(sub):
@@ -88,8 +99,7 @@ def cmd_gen_signal(args) -> tuple[dict, list, list]:
     spec = BurstSignalSpec(n=args.n, n_bursts=args.bursts, kind=args.signal_class)
     buf = spec.sample(args.seed)
     save_signal(buf, args.out)
-    config = {"class": args.signal_class, "n": args.n, "bursts": args.bursts}
-    return config, [], [args.out]
+    return {}, [], [args.out]
 
 
 def cmd_decompose(args) -> tuple[dict, list, list]:
@@ -106,10 +116,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
     if args.residual_out:
         save_signal(decomposition.final_residual, args.residual_out)
         outputs.append(args.residual_out)
-    cfg = {"mode": config.mode, "kappa": config.kappa,
-           "chi": config.chi, "max_iterations": config.max_iterations,
-           "grid": json.loads(grid.to_json())}
-    return cfg, [args.grid, args.infile], outputs
+    return _grid_spec(grid), [args.grid, args.infile], outputs
 
 
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
@@ -126,7 +133,7 @@ def cmd_reconstruct(args) -> tuple[dict, list, list]:
         rel = float(np.linalg.norm(gap)) / max(original.norm(), 1e-300)
         print(f"reconstruction_gap_rel={_fmt(rel)}")
         inputs += [args.infile, args.residual]
-    return {"atoms": len(decomposition)}, inputs, [args.out]
+    return {**_grid_spec(grid), "atoms": len(decomposition)}, inputs, [args.out]
 
 
 def cmd_geometry(args) -> tuple[dict, list, list]:
@@ -207,9 +214,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
         outputs.append(args.out)
     else:
         sys.stdout.write(text)
-    cfg = {"alpha": args.alpha, "beta": args.beta, "samples": args.samples,
-           "probes": args.probes, "grid": json.loads(grid.to_json())}
-    return cfg, [args.grid], outputs
+    return _grid_spec(grid), [args.grid], outputs
 
 
 def cmd_curve(args) -> tuple[dict, list, list]:
@@ -226,12 +231,9 @@ def cmd_curve(args) -> tuple[dict, list, list]:
         fh.write(f"# grid={grid.to_json()} mode={config.mode} kappa={config.kappa} "
                  f"class={args.signal_class} trials={args.trials} seed={args.seed}\n")
         fh.write("m,mean_residual_energy\n")
-        for m, e in zip(result.iterations, result.mean_energy):
+        for m, e in enumerate(result.mean_energy):
             fh.write(f"{m},{_fmt(e)}\n")
-    cfg = {"class": args.signal_class, "trials": args.trials, "m_max": args.m_max,
-           "mode": config.mode, "kappa": config.kappa,
-           "grid": json.loads(grid.to_json())}
-    return cfg, [args.grid], [args.out]
+    return _grid_spec(grid), [args.grid], [args.out]
 
 
 def cmd_nae(args) -> tuple[dict, list, list]:
@@ -249,10 +251,7 @@ def cmd_nae(args) -> tuple[dict, list, list]:
                            str(grid.j_min), str(grid.j_max), str(grid.n),
                            config.mode, str(args.at_iteration), str(args.trials),
                            _fmt(result.mean), _fmt(result.stderr)]) + "\n")
-    cfg = {"class": args.signal_class, "trials": args.trials,
-           "at_iteration": args.at_iteration, "mode": config.mode,
-           "grid": json.loads(grid.to_json())}
-    return cfg, [args.grid], [args.out]
+    return _grid_spec(grid), [args.grid], [args.out]
 
 
 def cmd_image(args) -> tuple[dict, list, list]:
@@ -264,8 +263,7 @@ def cmd_image(args) -> tuple[dict, list, list]:
         image = make_test_image(args.nx, args.ny, seed=args.seed)
     grid = Grid2DSpec(nx=image.shape[0], ny=image.shape[1],
                       j_scales=args.j, k_orients=args.k)
-    modes = args.modes.split(",")
-    configs = [PursuitConfig(mode=m, kappa=args.kappa) for m in modes]
+    configs = [PursuitConfig(mode=m, kappa=args.kappa) for m in args.modes.split(",")]
     rows = image_harness(image, grid, configs, n_atoms=args.atoms)
     with open(args.out, "w") as fh:
         fh.write(f"# grid={grid.to_json()} atoms={args.atoms} kappa={args.kappa}\n")
@@ -273,10 +271,7 @@ def cmd_image(args) -> tuple[dict, list, list]:
         for row in rows:
             fh.write(",".join([row["label"], row["mode"], str(row["kappa"]),
                                str(row["atoms"]), _fmt(row["psnr_db"])]) + "\n")
-    cfg = {"J": args.j, "K": args.k, "atoms": args.atoms, "kappa": args.kappa,
-           "modes": modes,
-           "timings_s": [row["wall_time_s"] for row in rows]}
-    return cfg, inputs, [args.out]
+    return {**_grid_spec(grid), "timings_s": [r["wall_time_s"] for r in rows]}, inputs, [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,16 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        config, inputs, outputs = args.func(args)
+        extras, inputs, outputs = args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(args, args.command, config, inputs, outputs,
-                    time.perf_counter() - start)
+    _write_manifest(args, argv, extras, inputs, outputs, time.perf_counter() - start)
     return 0
 
 

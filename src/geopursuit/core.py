@@ -74,16 +74,15 @@ def inner_product(u: SignalBuffer, v: SignalBuffer) -> float:
     return float(np.dot(u.data.ravel(), v.data.ravel()))
 
 
-def psnr(reference: SignalBuffer, approx: SignalBuffer, peak: float | None = None) -> float:
+def psnr(reference: SignalBuffer, approx: SignalBuffer) -> float:
     """Peak signal-to-noise ratio in dB, capped at PSNR_CAP.
 
-    `peak` defaults to the reference's peak hint (255 for PGM-loaded
-    images) and otherwise to max|reference|.
+    The peak is the reference's peak hint (255 for PGM-loaded images) and
+    otherwise max|reference|.
     """
     if reference.shape != approx.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {approx.shape}")
-    if peak is None:
-        peak = reference.peak_hint
+    peak = reference.peak_hint
     if peak is None:
         peak = float(np.max(np.abs(reference.data)))
     if not peak > 0:

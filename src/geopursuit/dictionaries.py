@@ -100,6 +100,17 @@ def grid_factors(grid) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((1, 0)), coords
 
 
+def spec_number(spec: dict, key: str, integral: bool = False):
+    """`spec[key]` of a parsed grid spec, a JSON number (an int if
+    `integral`), else ValueError; the grids check finiteness and range."""
+    x = spec[key]
+    if (isinstance(x, bool) or not isinstance(x, (int, float))
+            or integral and isinstance(x, float) and not x.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"grid spec {key!r} must be {kind}, got {x!r}")
+    return int(x) if integral else x
+
+
 class Dictionary:
     """Base class for parametric dictionaries.
 

@@ -16,12 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
-from .core import SignalBuffer, inner_product, psnr
+from .core import SignalBuffer, psnr
 from .dictionaries import Dictionary
 # gradient_ascent is not called here; it stays an attribute of this module
 # because the benchmark's tracer (perfbench/spans.py) rebinds it.
 from .pursuit import (PursuitConfig, full_search, gradient_ascent,  # noqa: F401
                       reconstruct, run, select)
+
+# burst width scale of the default signal class and of the experiment grid
+BURST_ENVELOPE = 2.0 ** 8
 
 
 @dataclass(frozen=True)
@@ -31,16 +34,15 @@ class BurstSignalSpec:
     Bursts are Gaussian windows (width = standard deviation) or rectangular
     windows (width = duration); widths are uniform in
     [envelope/2, 3*envelope/4], positions uniform, magnitudes uniform in
-    [1/2, 1] with a random sign when `signed` (an all-positive sum is
-    dominated by its DC pedestal, which a zero-mean dictionary only reaches
-    through boundary-truncated atoms).
+    [1/2, 1] with a random sign (an all-positive sum is dominated by its DC
+    pedestal, which a zero-mean dictionary only reaches through
+    boundary-truncated atoms).
     """
 
     n: int = 2 ** 13
     n_bursts: int = 100
     kind: str = "gaussian"
-    envelope: float = 2.0 ** 8
-    signed: bool = True
+    envelope: float = BURST_ENVELOPE
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "rectangular"):
@@ -56,7 +58,7 @@ class BurstSignalSpec:
         w_lo, w_hi = 0.5 * self.envelope, 0.75 * self.envelope
         for _ in range(self.n_bursts):
             amp = rng.uniform(0.5, 1.0)
-            if self.signed and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 amp = -amp
             width = rng.uniform(w_lo, w_hi)
             if self.kind == "gaussian":
@@ -75,12 +77,12 @@ def _trial_seeds(master_seed: int, trials: int):
     return np.random.SeedSequence(master_seed).spawn(trials)
 
 
-def experiment_grid(n: int, b0: float, log2_tau: float, a0: float = 1.0,
-                    envelope: float = 2.0 ** 8):
-    """Tau-adic grid whose scales cover the class band [a0, 3*envelope].
+def experiment_grid(n: int, b0: float, log2_tau: float):
+    """Tau-adic grid whose scales cover the default class band
+    [1, 3*BURST_ENVELOPE] (capped at n/4).
 
     The matched-filter optimum for a Gaussian burst of width sigma sits
-    near 2.2*sigma, so 3*envelope covers the whole width range with
+    near 2.2*sigma, so 3*BURST_ENVELOPE covers the whole width range with
     margin. Scales far above the class band only contribute
     boundary-envelope atoms whose alignment across tau values is
     arbitrary; excluding them keeps first-iteration statistics about the
@@ -88,8 +90,8 @@ def experiment_grid(n: int, b0: float, log2_tau: float, a0: float = 1.0,
     """
     from .affine1d import tau_grid_for_signal
 
-    return tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0,
-                               max_scale=min(3.0 * envelope, n / 4))
+    return tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau,
+                               max_scale=min(3.0 * BURST_ENVELOPE, n / 4))
 
 
 def selection_score(dictionary: Dictionary, residual: SignalBuffer, grid,
@@ -100,24 +102,22 @@ def selection_score(dictionary: Dictionary, residual: SignalBuffer, grid,
 
 @dataclass(frozen=True)
 class NAEResult:
-    """Mean best squared correlation of unit-normalized residuals."""
+    """Mean best squared correlation of unit-normalized residuals, and its
+    standard error over the trials."""
 
     mean: float
     stderr: float
-    trials: int
-    at_iteration: int
-    mode: str
-    grid_label: str
 
 
 def nae(signal_factory, dictionary: Dictionary, grid, config: PursuitConfig,
         trials: int, at_iteration: int = 1, master_seed: int = 0) -> NAEResult:
     """Normalized atom energy of a signal class at a pursuit iteration.
 
-    For `at_iteration` > 1, each trial's residual comes from
+    One signal per trial comes from `signal_factory`, seeded off
+    `master_seed`. For `at_iteration` > 1, each trial's residual comes from
     `at_iteration - 1` gMP iterations on the same grid (with `config`'s
     other settings); the unit-normalized residual is then scored by one
-    selection under `config`.
+    selection under `config`. Only the statistics are returned.
     """
     if trials < 1 or at_iteration < 1:
         raise ValueError(f"need trials >= 1 and at_iteration >= 1, "
@@ -137,24 +137,22 @@ def nae(signal_factory, dictionary: Dictionary, grid, config: PursuitConfig,
         scores.append(selection_score(dictionary, unit, grid, config))
     arr = np.array(scores)
     stderr = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    label = grid.to_json() if hasattr(grid, "to_json") else repr(grid)
-    return NAEResult(mean=float(arr.mean()), stderr=stderr, trials=trials,
-                     at_iteration=at_iteration, mode=config.mode, grid_label=label)
+    return NAEResult(mean=float(arr.mean()), stderr=stderr)
 
 
 @dataclass(frozen=True)
 class CurveResult:
     """Residual-energy decay, averaged over trials."""
 
-    iterations: np.ndarray          # 0..m_max
-    mean_energy: np.ndarray         # mean ||R^m f||^2 per iteration
+    mean_energy: np.ndarray         # mean ||R^m f||^2 for m = 0..m_max
     trial_energy: np.ndarray        # trials x (m_max + 1)
 
 
 def convergence_curve(signal_factory, dictionary: Dictionary, grid,
                       config: PursuitConfig, trials: int, m_max: int = 12,
                       master_seed: int = 0) -> CurveResult:
-    """Mean residual energy after each of m_max pursuit iterations."""
+    """||R^m f||^2, m = 0..m_max, per trial (one `signal_factory` signal
+    seeded off `master_seed`) and averaged; early stops keep their energy."""
     if trials < 1 or m_max < 0:
         raise ValueError(f"need trials >= 1 and m_max >= 0, got {trials} and {m_max}")
     rows = []
@@ -168,8 +166,7 @@ def convergence_curve(signal_factory, dictionary: Dictionary, grid,
             energies = np.concatenate([energies, pad])
         rows.append(energies)
     trial_energy = np.array(rows)
-    return CurveResult(iterations=np.arange(m_max + 1),
-                       mean_energy=trial_energy.mean(axis=0),
+    return CurveResult(mean_energy=trial_energy.mean(axis=0),
                        trial_energy=trial_energy)
 
 

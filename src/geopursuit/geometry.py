@@ -31,7 +31,6 @@ class DegenerateMetricError(ValueError):
 class MetricTensor:
     """Pullback metric at a parameter point, with its inverse."""
 
-    lam: ParamPoint
     matrix: np.ndarray
     inverse: np.ndarray
 
@@ -59,7 +58,7 @@ def _gram(lam: ParamPoint, parts: np.ndarray) -> MetricTensor:
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _METRIC_COND_LIMIT:
         raise DegenerateMetricError(
             f"metric at {lam} is numerically singular (eigenvalues {eigvals})")
-    return MetricTensor(lam=lam, matrix=G, inverse=np.linalg.inv(G))
+    return MetricTensor(matrix=G, inverse=np.linalg.inv(G))
 
 
 def christoffel(dictionary: Dictionary, lam: ParamPoint) -> np.ndarray:

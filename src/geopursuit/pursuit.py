@@ -107,7 +107,6 @@ class Decomposition:
 
     steps: list[DecompositionStep] = field(default_factory=list)
     initial_energy: float = 0.0
-    mode: str = "dmp"
     final_residual: SignalBuffer | None = None
 
     def __len__(self):
@@ -563,13 +562,14 @@ def run(signal: SignalBuffer, dictionary: Dictionary, grid,
     refinement in gmp), then a residual update orthogonal to the chosen
     atom. Stops at `max_iterations`, when the residual energy falls below
     `energy_floor_rel` times the initial energy, or when the best score is
-    exactly zero.
+    exactly zero. A signal of another shape than the dictionary's raises.
     """
+    dictionary.check_shape(signal.shape)
     config = config or PursuitConfig()
     residual = signal
     initial_energy = signal.energy()
     energy = initial_energy
-    decomposition = Decomposition(initial_energy=initial_energy, mode=config.mode)
+    decomposition = Decomposition(initial_energy=initial_energy)
     for m in range(config.max_iterations):
         if energy <= config.energy_floor_rel * initial_energy:
             break

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geopursuit as gp
-from geopursuit.cli import main
+from geopursuit.cli import build_parser, main
 from conftest import run_cli
 
 
@@ -65,6 +65,43 @@ def test_manifest_written_and_reproducible(tmp_path, grid_file):
     first = sig.read_bytes()
     main(["gen-signal", "--n", "512", "--seed", "3", "--out", str(sig)])
     assert sig.read_bytes() == first
+
+
+def test_manifest_config_is_every_parsed_option(tmp_path, grid_file):
+    # config is vars() of the parsed argv, less the attributes with their own
+    # key; beside it sit only what parsing cannot know
+    grid2 = tmp_path / "grid2.json"
+    grid2.write_text(gp.Grid2DSpec(8, 8, 2, 2).to_json())
+    sig, steps = str(tmp_path / "s.bin"), str(tmp_path / "steps.jsonl")
+    grid, out = str(grid_file), str(tmp_path / "out")
+    runs = [
+        (["gen-signal", "--n", "512", "--bursts", "5", "--seed", "2", "--out", sig], set()),
+        (["decompose", "--grid", grid, "--in", sig, "--out", steps, "--max-iters", "2",
+          "--mode", "gmp", "--chi", "0.2"], {"grid_spec"}),
+        (["reconstruct", "--grid", grid, "--steps", steps, "--out", out], {"grid_spec", "atoms"}),
+        (["geometry", "--grid", str(grid2), "--samples", "2", "--probes", "3", "--segments", "2",
+          "--beta-corpus", "1", "--out", out], {"grid_spec"}),
+        (["curve", "--grid", grid, "--trials", "1", "--m-max", "1", "--bursts", "3",
+          "--chi", "0.3", "--out", out], {"grid_spec"}),
+        (["nae", "--grid", grid, "--trials", "1", "--bursts", "3", "--kappa", "2",
+          "--out", out], {"grid_spec"}),
+        (["image", "--nx", "8", "--ny", "9", "--j", "1", "--k", "1", "--atoms", "1",
+          "--modes", "dmp", "--out", out], {"grid_spec", "timings_s"}),
+    ]
+    base = {"command", "argv", "config", "seed", "version", "inputs", "outputs", "wall_time_s"}
+    for argv, extras in runs:
+        manifest_path = tmp_path / f"{argv[0]}.manifest.json"
+        argv = argv + ["--manifest", str(manifest_path)]
+        assert main(argv) == 0
+        manifest = json.loads(manifest_path.read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        for key in ("func", "command", "manifest", "seed"):
+            parsed.pop(key, None)
+        assert manifest["config"] == parsed
+        assert set(manifest) == base | extras
+        assert manifest["command"] == argv[0] and manifest["argv"] == argv
+    assert manifest["grid_spec"] == {"Nx": 8, "Ny": 9, "J": 1, "K": 1}
+    assert len(manifest["timings_s"]) == 1
 
 
 def test_curve_and_nae_csv(tmp_path, grid_file):
@@ -151,15 +188,35 @@ def test_negative_iteration_counts_are_runtime_errors(tmp_path, grid_file, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["decompose", "geometry"])
-@pytest.mark.parametrize("spec, key", [('{"b0": 2}', "'a0'"), ('{"Nx": 8, "Ny": 8}', "'J'")],
-                         ids=["tau-adic", "2-d"])
-def test_grid_spec_missing_key_is_runtime_error(tmp_path, command, spec, key):
+_TAU = {"b0": 2, "a0": 1, "tau": 2, "jmin": 0, "jmax": 2, "N": 64}
+_2D = {"Nx": 8, "Ny": 8, "J": 2, "K": 2}
+_GRID_SPEC_ERRORS = {
+    "tau-adic": ('{"b0": 2}', "no 'a0' key"),
+    "2-d": ('{"Nx": 8, "Ny": 8}', "no 'J' key"),
+    "not-object": ("3", "must be a JSON object"),
+    "b0-string": (json.dumps({**_TAU, "b0": "x"}), "'b0' must be a number"),
+    "b0-null": (json.dumps({**_TAU, "b0": None}), "'b0' must be a number"),
+    "jmin-fraction": (json.dumps({**_TAU, "jmin": 1.5}), "'jmin' must be an integer"),
+    "N-fraction": (json.dumps({**_TAU, "N": 64.7}), "'N' must be an integer"),
+    "tau-infinite": (json.dumps({**_TAU, "tau": float("inf")}), "tau must be finite"),
+    "Nx-fraction": (json.dumps({**_2D, "Nx": 8.5}), "'Nx' must be an integer"),
+    "Ny-string": (json.dumps({**_2D, "Ny": "8"}), "'Ny' must be an integer"),
+    "min-scale-bool": (json.dumps({**_2D, "min_scale": True}), "'min_scale' must be a number"),
+}
+
+
+# both commands load grids through one loader: the wrong-type cases run once
+@pytest.mark.parametrize("command, spec, message", [
+    pytest.param(command, *_GRID_SPEC_ERRORS[case], id=f"{case}-{command}")
+    for case in _GRID_SPEC_ERRORS
+    for command in (("decompose", "geometry") if case in ("tau-adic", "2-d") else ("decompose",))])
+def test_grid_spec_missing_key_is_runtime_error(tmp_path, command, spec, message):
+    # a missing key, or a value of the wrong type, is an error line, not a traceback
     (tmp_path / "grid.json").write_text(spec)
     args = ["--in", "s.bin", "--out", "steps.jsonl"] if command == "decompose" else []
     out = run_cli([command, "--grid", "grid.json", *args], cwd=tmp_path)
     assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and f"no {key} key" in out.stderr
+    assert out.stderr.startswith("error: ") and message in out.stderr
     assert "Traceback" not in out.stderr
 
 

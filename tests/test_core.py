@@ -94,20 +94,20 @@ def test_residual_update_bookkeeping(rng):
 
 
 def test_psnr_exact_match_is_capped():
-    a = gp.SignalBuffer(np.full((8, 8), 10.0))
-    assert gp.psnr(a, a, peak=255.0) == gp.PSNR_CAP
+    a = gp.SignalBuffer(np.full((8, 8), 10.0), peak_hint=255.0)
+    assert gp.psnr(a, a) == gp.PSNR_CAP
 
 
 def test_psnr_one_grey_level():
-    ref = gp.SignalBuffer(np.full((16, 16), 255.0))
+    ref = gp.SignalBuffer(np.full((16, 16), 255.0), peak_hint=255.0)
     approx = gp.SignalBuffer(np.full((16, 16), 254.0))
-    assert gp.psnr(ref, approx, peak=255.0) == pytest.approx(48.1308036086791, abs=1e-10)
+    assert gp.psnr(ref, approx) == pytest.approx(48.1308036086791, abs=1e-10)
 
 
 def test_psnr_zero_db_when_mse_equals_peak_squared():
-    ref = gp.SignalBuffer(np.zeros(32))
+    ref = gp.SignalBuffer(np.zeros(32), peak_hint=7.0)
     approx = gp.SignalBuffer(np.full(32, 7.0))
-    assert gp.psnr(ref, approx, peak=7.0) == pytest.approx(0.0, abs=1e-12)
+    assert gp.psnr(ref, approx) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psnr_peak_defaults():

@@ -18,7 +18,7 @@ def test_burst_signal_deterministic():
 
 
 def test_single_rectangular_burst_is_indicator():
-    spec = gp.BurstSignalSpec(n=2048, n_bursts=1, kind="rectangular", signed=False)
+    spec = gp.BurstSignalSpec(n=2048, n_bursts=1, kind="rectangular")
     for seed in range(5):
         x = spec.sample(seed).data
         support = np.flatnonzero(x)
@@ -54,7 +54,6 @@ def test_nae_on_grid_atom_class_is_one():
 
     r = gp.nae(factory, d, grid, gp.PursuitConfig(mode="dmp"), trials=3)
     assert r.mean == pytest.approx(1.0, abs=1e-10)
-    assert r.trials == 3
 
 
 def test_nae_gmp_never_below_dmp_per_trial():
@@ -78,7 +77,6 @@ def test_nae_later_iteration_uses_reference_pipeline():
     first = gp.nae(spec.sample, d, grid, cfg, trials=2, at_iteration=1, master_seed=1)
     later = gp.nae(spec.sample, d, grid, cfg, trials=2, at_iteration=4, master_seed=1)
     assert 0.0 <= later.mean <= 1.0
-    assert later.at_iteration == 4
     assert later.mean != first.mean  # warm-start residuals differ from the raw class
 
 

@@ -154,6 +154,11 @@ def test_search_plans_do_not_cross_talk(rng):
                  lambda: gp.grid_scores(gp.Affine1DDictionary(128), u128, grids[0]),
                  lambda: gp.run(u, gp.Affine1DDictionary(128), grids[0]),
                  lambda: gp.run(u128, dicts["gaussian"], grids[0]),
+                 # runs that stop before their first search still check
+                 lambda: gp.run(gp.SignalBuffer.zeros((128,)), gp.Affine1DDictionary(256),
+                                grids[0]),
+                 lambda: gp.run(u128, dicts["gaussian"], grids[0],
+                                gp.PursuitConfig(max_iterations=0)),
                  lambda: dicts["gaussian"].synthesize(lam, (128,)),
                  lambda: gp.reconstruct(gp.Decomposition(), dicts["gaussian"], (128,))):
         with pytest.raises(ValueError, match="does not match"):
