@@ -30,10 +30,14 @@ _GRID_TOL = 1e-9
 @dataclass(frozen=True)
 class MotherFunction:
     """Unit-norm mother profile: `jet(s, order)` returns [g], [g, g'] or
-    [g, g', g''] sampled at `s`, all from one exponential."""
+    [g, g', g''] sampled at `s`, all from one exponential. `envelope(s)` is
+    at least |g(s)| everywhere and non-increasing in |s|: the grid search
+    bounds scores with it to skip atoms that cannot win, so a looser
+    envelope costs time and one below |g| breaks the search."""
 
     name: str
     jet: callable
+    envelope: callable
 
 
 _MH_C = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
@@ -49,6 +53,16 @@ def _mh_jet(s, order):
     return out
 
 
+# |g| at the Mexican Hat's side lobes s = +-sqrt(3), the largest value of |g|
+# beyond its zeros at s = +-1
+_MH_LOBE = 2.0 * _MH_C * math.exp(-1.5)
+
+
+def _mh_envelope(s):
+    g = np.abs(_mh_jet(s, 0)[0])
+    return np.where(np.abs(s) <= math.sqrt(3.0), np.maximum(g, _MH_LOBE), g)
+
+
 _GS_C = math.pi ** -0.25
 
 
@@ -62,8 +76,12 @@ def _gauss_jet(s, order):
     return out
 
 
-MEXICAN_HAT = MotherFunction("mexican_hat", _mh_jet)
-GAUSSIAN = MotherFunction("gaussian", _gauss_jet)
+def _gauss_envelope(s):
+    return _gauss_jet(s, 0)[0]
+
+
+MEXICAN_HAT = MotherFunction("mexican_hat", _mh_jet, _mh_envelope)
+GAUSSIAN = MotherFunction("gaussian", _gauss_jet, _gauss_envelope)
 MOTHERS = {m.name: m for m in (MEXICAN_HAT, GAUSSIAN)}
 
 

@@ -54,6 +54,9 @@ def _dictionary_for(grid):
     return Aniso2DDictionary((grid.nx, grid.ny))
 
 
+# side of the generated test image when `image` is given no --image file
+TEST_IMAGE_SIZE = 64
+
 # not options, or keys of their own; cmd_* return what parsing cannot know
 _NOT_CONFIG = ("func", "command", "manifest", "seed")
 
@@ -256,7 +259,7 @@ def cmd_nae(args) -> tuple[dict, list, list]:
 
 def cmd_image(args) -> tuple[dict, list, list]:
     inputs = []
-    if args.image:
+    if args.image is not None:
         image = load_signal(args.image)
         inputs.append(args.image)
     else:
@@ -356,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("image", help="image PSNR harness")
     p.add_argument("--image", default=None, help="grayscale input (PGM or raw)")
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ny", type=int, default=64)
+    p.add_argument("--nx", type=int, default=None,
+                   help=f"test image size (default {TEST_IMAGE_SIZE}); not with --image")
+    p.add_argument("--ny", type=int, default=None,
+                   help=f"test image size (default {TEST_IMAGE_SIZE}); not with --image")
     p.add_argument("--j", type=int, default=3)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--atoms", type=int, default=100)
@@ -373,7 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "image":
+        if args.image is None:
+            args.nx, args.ny = (TEST_IMAGE_SIZE if v is None else v for v in (args.nx, args.ny))
+        elif (args.nx, args.ny) != (None, None):
+            parser.error("image: --nx and --ny size the generated test image; "
+                         "an --image file has its own size")
     start = time.perf_counter()
     try:
         extras, inputs, outputs = args.func(args)

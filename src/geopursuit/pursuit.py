@@ -1,12 +1,15 @@
 """Pursuit engines: greedy decomposition over a discrete parameter grid,
 with optional manifold gradient-ascent refinement of the selected atom.
 
-Each iteration scores the residual against the whole grid (FFT
-cross-correlation along translation axes where the translations sit on the
-integer sample lattice, windowed direct evaluation otherwise, both from a
-search plan built once per dictionary and grid), subtracts the best atom,
-and records the step. In `gmp` mode the best grid atom
-seeds a gradient ascent on the parameter manifold before subtraction.
+Each iteration finds the best atom of the whole grid, subtracts it, and
+records the step. The search works from a plan built once per dictionary
+and grid: FFT cross-correlation along translation axes where the
+translations sit on the integer sample lattice, windowed direct evaluation
+otherwise. It is an exact branch and bound: the FFT levels give the
+incumbent, and a direct level builds kernel rows only for the translations
+whose upper bound (from one FFT of the squared residual and the mother's
+envelope) can still reach it. In `gmp` mode the best grid atom seeds a
+gradient ascent on the parameter manifold before subtraction.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,10 +128,10 @@ class Decomposition:
                 fh.write(json.dumps(step.to_record()) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path, initial_energy: float | None = None) -> "Decomposition":
+    def from_jsonl(cls, path) -> "Decomposition":
         """Read steps written by `to_jsonl`.
 
-        Without `initial_energy`, it is recovered from the first step as
+        The initial energy is recovered from the first step as
         residual_energy + coeff**2 (the energy the step removed from the
         signal); an empty file gives 0.0.
         """
@@ -138,9 +141,7 @@ class Decomposition:
                 line = line.strip()
                 if line:
                     steps.append(DecompositionStep.from_record(json.loads(line)))
-        if initial_energy is None:
-            initial_energy = (steps[0].residual_energy + steps[0].coeff ** 2
-                              if steps else 0.0)
+        initial_energy = steps[0].residual_energy + steps[0].coeff ** 2 if steps else 0.0
         return cls(steps=steps, initial_energy=initial_energy)
 
     def to_csv(self, path) -> None:
@@ -244,43 +245,40 @@ def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamP
 # ---------------------------------------------------------------------------
 
 def full_search(dictionary: Dictionary, residual: SignalBuffer, grid):
-    """Exhaustive argmax of the score over the grid.
+    """Exact argmax of the score over the grid.
 
     Equivalent to scoring every grid atom; ties break toward the smallest
     enumeration index. Returns (best point, best score).
     """
-    best = None  # (score, to_point, index)
-    for scores, to_point in _score_blocks(dictionary, residual, grid):
+    plan = _search_plan(dictionary, residual, grid)
+    if plan is None:
+        scores, points = _point_scores(dictionary, residual, grid)
         k = int(np.argmax(scores))
-        if best is None or scores[k] > best[0]:
-            best = (float(scores[k]), to_point, k)
-    if best is None:
-        raise ValueError("grid is empty")
-    return best[1](best[2]), best[0]
+        return points[k], float(scores[k])
+    s, i, k = plan.argmax(residual.data)
+    return plan.blocks[i].to_point(dictionary, k), s
 
 
 def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndarray:
     """Scores of every grid atom, in enumeration order.
 
     Diagnostic companion to full_search; uses the same FFT/direct scoring
-    machinery, so it also serves to audit the fast paths atom by atom.
+    machinery but scores every atom, so it also serves to audit the fast
+    paths and the search's pruning atom by atom.
     """
-    blocks = [scores for scores, _ in _score_blocks(dictionary, residual, grid)]
-    if not blocks:
-        raise ValueError("grid is empty")
-    return np.concatenate(blocks)
+    plan = _search_plan(dictionary, residual, grid)
+    if plan is None:
+        return _point_scores(dictionary, residual, grid)[0]
+    return np.concatenate(list(plan.scores(residual.data)))
 
 
-def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
-    """Flat score arrays covering the grid in enumeration order.
+def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
+    """The grid's search plan, built on first use, or None for a grid that
+    is scored atom by atom.
 
-    The only place that branches on grid and dictionary type. Yields
-    (scores, to_point) once per 1-D scale level, once per 2-D slab
-    (positions row-major), or once for any other grid (per-atom scoring),
-    where to_point(k) is the parameter point scored by scores[k]. Level and
-    slab scores are corr**2 / norm2 from the grid's search plan, with 0
-    where the atom has no samples in the buffer. Yields nothing for an
-    empty grid. A residual whose shape is not the dictionary's raises
+    The only place that branches on grid and dictionary type: a tau-adic
+    grid over an affine dictionary and a 2-D grid over an anisotropic one
+    are planned. A residual whose shape is not the dictionary's raises
     ValueError: the FFT path would pad or truncate it.
     """
     dictionary.check_shape(residual.shape)
@@ -289,54 +287,85 @@ def _score_blocks(dictionary: Dictionary, residual: SignalBuffer, grid):
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
         build = _grid2d_plan
     else:
-        points = grid_points(grid)
-        if points:
-            yield (np.array([score(dictionary, residual, lam) for lam in points]),
-                   points.__getitem__)
-        return
+        return None
     plans = _PLANS.setdefault(dictionary, {})
     if grid not in plans:
         plans[grid] = build(dictionary, grid)
-    for corr, norm2, to_point in plans[grid].correlations(residual.data):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scores = np.where(norm2 > 0, corr * corr / norm2, 0.0)
-        yield scores.ravel(), functools.partial(to_point, dictionary)
+    return plans[grid]
+
+
+def _point_scores(dictionary: Dictionary, residual: SignalBuffer, grid):
+    """(scores, points) of an unplanned grid, one `score` per point."""
+    points = grid_points(grid)
+    if not points:
+        raise ValueError("grid is empty")
+    return np.array([score(dictionary, residual, lam) for lam in points]), points
+
+
+def _scores(corr: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    """Flat corr**2 / norm2, with 0 where the atom has no samples in the buffer."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(norm2 > 0, corr * corr / norm2, 0.0).ravel()
 
 
 # Search plans per dictionary, keyed by grid. A plan holds no reference to
 # its dictionary, so it is freed with it.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# Pruning margin relative to the residual energy, which bounds every score:
+# far above the rounding of the FFT-computed bounds and of the scores.
+_BOUND_MARGIN = 1e-9
+
+
+class _Spectrum(NamedTuple):
+    """A centred template's conjugate spectrum wrapped to an FFT shape, and
+    the gather index of its integer positions there."""
+
+    conj: np.ndarray
+    gather: tuple
+
+    def correlate(self, u_hat, fft_shape):
+        return sp_fft.irfftn(u_hat * self.conj, fft_shape)[self.gather]
+
 
 @dataclass(frozen=True)
 class _FFTBlock:
-    """A level or slab on the integer lattice: the conjugate spectrum of its
-    centred template wrapped to the plan's FFT shape, the gather index of its
-    positions there, and the in-buffer squared norms."""
+    """A level or slab on the integer lattice: its template's spectrum at
+    the plan's FFT shape, and the in-buffer squared norms."""
 
-    spectrum: np.ndarray
-    gather: tuple
+    spectrum: _Spectrum
     norm2: np.ndarray
     to_point: object  # (dictionary, k) -> ParamPoint
 
     def correlate(self, u, u_hat, fft_shape):
-        return sp_fft.irfftn(u_hat * self.spectrum, fft_shape)[self.gather]
+        return self.spectrum.correlate(u_hat, fft_shape)
 
 
 @dataclass(frozen=True)
 class _DirectBlock:
-    """An off-lattice 1-D level: the residual window of each translation
-    starts at `starts`; `kernel()` rebuilds the kernel rows over those
-    windows at each search, and `norm2` holds their squared norms."""
+    """An off-lattice 1-D level at translations `bs`. The plan keeps no
+    kernel rows: `kernel(bs)` builds them at each search, for the
+    translations asked for, over residual windows that start at `starts`.
 
-    kernel: object  # () -> kernel rows, one per translation
+    Per translation the plan keeps the row's squared norm and the factor
+    |w|_1 / norm2 that turns the `envelope` correlation with the squared
+    residual into an upper bound on the score (weighted Cauchy-Schwarz,
+    (sum r w)**2 <= sum r**2 |w| * sum |w|). `envelope` is the `_Lattice`
+    of the widened mother envelope at floor(bs), and its `_Spectrum` once
+    the plan is built.
+    """
+
+    kernel: object  # bs -> kernel rows, one per translation
+    bs: np.ndarray
     starts: np.ndarray
     norm2: np.ndarray
+    bound_factor: np.ndarray
+    envelope: object
     to_point: object  # (dictionary, k) -> ParamPoint
 
-    def correlate(self, u, u_hat, fft_shape):
-        kernel = self.kernel()
-        windows = sliding_window_view(u, kernel.shape[1])[self.starts]
+    def correlate(self, u, u_hat, fft_shape, rows=slice(None)):
+        kernel = self.kernel(self.bs[rows])
+        windows = sliding_window_view(u, kernel.shape[1])[self.starts[rows]]
         return np.einsum("nl,nl->n", kernel, windows)
 
 
@@ -344,30 +373,66 @@ class _DirectBlock:
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, and the real-FFT
-    shape the FFT blocks share (empty when there are none)."""
+    shapes shared by the FFT blocks and by the direct blocks' envelopes
+    (each empty when there are none)."""
 
     fft_shape: tuple
+    bound_shape: tuple
     blocks: list
 
-    def correlations(self, u: np.ndarray):
-        """(corr, norm2, to_point) per block, from one FFT of `u`."""
+    def scores(self, u: np.ndarray):
+        """Every atom's score, as one flat array per block, from one FFT of `u`."""
         u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
         for block in self.blocks:
-            yield block.correlate(u, u_hat, self.fft_shape), block.norm2, block.to_point
+            yield _scores(block.correlate(u, u_hat, self.fft_shape), block.norm2)
+
+    def bounds(self, u: np.ndarray) -> dict:
+        """Upper bounds on the scores of every direct block's translations,
+        by block index, from one FFT of u**2."""
+        if not self.bound_shape:
+            return {}
+        r2_hat = sp_fft.rfftn(u * u, self.bound_shape)
+        return {i: block.bound_factor * block.envelope.correlate(r2_hat, self.bound_shape)
+                for i, block in enumerate(self.blocks) if isinstance(block, _DirectBlock)}
+
+    def argmax(self, u: np.ndarray) -> tuple[float, int, int]:
+        """(score, block, k) of the first best atom of `scores`, by branch
+        and bound: FFT blocks give the incumbent, then direct blocks, by
+        descending largest bound, build rows only for the translations whose
+        bound reaches the running best. A skipped atom scores below the
+        best, so the result is the exhaustive one, bit for bit."""
+        bounds = self.bounds(u)
+        u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
+        best = (-math.inf, 0, 0)  # (score, -block, -k): the max is the first best
+        for i, block in enumerate(self.blocks):
+            if i not in bounds:
+                scores = _scores(block.correlate(u, u_hat, self.fft_shape), block.norm2)
+                k = int(np.argmax(scores))
+                best = max(best, (float(scores[k]), -i, -k))
+        margin = _BOUND_MARGIN * float(np.vdot(u, u))
+        for i in sorted(bounds, key=lambda i: -bounds[i].max()):
+            rows = np.flatnonzero(bounds[i] >= best[0] - margin)
+            if not rows.size:
+                break  # the blocks left have lower bounds still
+            block = self.blocks[i]
+            scores = _scores(block.correlate(u, None, None, rows), block.norm2[rows])
+            j = int(np.argmax(scores))
+            best = max(best, (float(scores[j]), -i, -int(rows[j])))
+        return best[0], -best[1], -best[2]
 
     @classmethod
     def build(cls, shape, entries) -> "_SearchPlan":
-        """Plan from `entries` in enumeration order: direct blocks, and
-        `_Lattice` specs turned into FFT blocks one template at a time."""
-        lattices = [e for e in entries if isinstance(e, _Lattice)]
-        fft_shape = ()
-        if lattices:
-            sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices],
-                           axis=0)
-            fft_shape = tuple(sp_fft.next_fast_len(int(s), real=True) for s in sizes)
-        blocks = [_fft_block(e, shape, fft_shape) if isinstance(e, _Lattice) else e
+        """Plan from `entries` in enumeration order: `_Lattice` specs turned
+        into FFT blocks and direct blocks given their envelope spectra, one
+        template at a time."""
+        fft_shape = _fft_shape([e for e in entries if isinstance(e, _Lattice)], shape)
+        bound_shape = _fft_shape([e.envelope for e in entries if isinstance(e, _DirectBlock)],
+                                 shape)
+        blocks = [_fft_block(e, shape, fft_shape) if isinstance(e, _Lattice)
+                  else replace(e, envelope=_spectrum(
+                      e.envelope, e.envelope.template(), shape, bound_shape))
                   for e in entries]
-        return cls(fft_shape, blocks)
+        return cls(fft_shape, bound_shape, blocks)
 
 
 class _Lattice(NamedTuple):
@@ -394,30 +459,67 @@ def _lattice_axes(lattice: _Lattice, shape):
     return out
 
 
-def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
-    w = lattice.template()
+def _fft_shape(lattices, shape) -> tuple:
+    """The real-FFT shape that holds every lattice's correlation (empty for none)."""
+    if not lattices:
+        return ()
+    sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices], axis=0)
+    return tuple(sp_fft.next_fast_len(int(s), real=True) for s in sizes)
+
+
+def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft_shape) -> _Spectrum:
+    """The spectrum of `lattice`'s template `w` at `fft_shape`."""
     # template offsets -keep..keep per axis, stored at offset mod the FFT length
     offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(lattice, shape)]
     wrapped = np.zeros(fft_shape)
     wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
         w[np.ix_(*(o + m for o, m in zip(offsets, lattice.ms)))]
     gather = np.ix_(*(p % size for p, size in zip(lattice.positions, fft_shape)))
-    return _FFTBlock(np.conj(sp_fft.rfftn(wrapped)), gather,
+    return _Spectrum(np.conj(sp_fft.rfftn(wrapped)), gather)
+
+
+def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
+    w = lattice.template()
+    return _FFTBlock(_spectrum(lattice, w, shape, fft_shape),
                      _lattice_norm2(w, lattice.positions, shape), lattice.to_point)
 
 
 def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
     """Squared norms of the in-buffer part of the centred template `w` at
-    the outer product of integer `positions`, from a prefix table of w**2."""
+    the outer product of integer `positions`, from prefix tables of w**2.
+
+    A 1-D position outside the buffer keeps only a tail of its template,
+    which can be smaller than the template's energy by many orders of
+    magnitude. Along each axis where a position's in-buffer part lies wholly
+    past the centre, its sums run from the far end of the template (the
+    template reversed), so the difference of two prefix sums never cancels
+    the energy outside the buffer.
+    """
     ms = [(k - 1) // 2 for k in w.shape]
+    # per axis, the template indices [lo, hi) of the in-buffer part
+    his = [np.minimum(n - 1 - p, m) + m + 1 for p, m, n in zip(positions, ms, shape)]
+    los = [np.maximum(-p, -m) + m for p, m in zip(positions, ms)]
+    norm2 = np.zeros(tuple(len(p) for p in positions))
+    for flips in itertools.product((False, True), repeat=w.ndim):
+        rows = [np.flatnonzero((lo > m) == f) for lo, m, f in zip(los, ms, flips)]
+        if not all(r.size for r in rows):
+            continue
+        # reversed along an axis, [lo, hi) becomes [2m + 1 - hi, 2m + 1 - lo)
+        bounds = [(2 * m + 1 - lo[r], 2 * m + 1 - hi[r]) if f else (hi[r], lo[r])
+                  for lo, hi, m, r, f in zip(los, his, ms, rows, flips)]
+        v = w[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
+        norm2[np.ix_(*rows)] = _prefix_norm2(v, bounds)
+    return norm2
+
+
+def _prefix_norm2(w: np.ndarray, bounds) -> np.ndarray:
+    """Sums of w**2 over the outer product of per-axis index ranges, given
+    as (past the last index, first index) arrays, from a prefix table."""
     w2 = w * w
     for axis in range(w.ndim):
         w2 = np.cumsum(w2, axis=axis)
     prefix = np.zeros(tuple(k + 1 for k in w.shape))
     prefix[(slice(1, None),) * w.ndim] = w2
-    # per axis, the prefix-table bounds (past the last in-buffer offset, first one)
-    bounds = [(np.minimum(n - 1 - p, m) + m + 1, np.maximum(-p, -m) + m)
-              for p, m, n in zip(positions, ms, shape)]
     norm2 = 0.0
     for corner in itertools.product((0, 1), repeat=w.ndim):
         corner = corner[::-1]  # in 2-D: hi,hi - lo,hi - hi,lo + lo,lo
@@ -446,10 +548,26 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
 
 
 def _direct_block(n: int, mother, a: float, bs: np.ndarray, to_point) -> _DirectBlock:
-    kernel = functools.partial(_direct_kernel, n, mother, a, bs)
-    w = kernel()
-    return _DirectBlock(kernel, _direct_starts(n, a, bs)[2], np.einsum("nl,nl->n", w, w),
-                        to_point)
+    kernel = functools.partial(_direct_kernel, n, mother, a)
+    w = kernel(bs)
+    norm2 = np.einsum("nl,nl->n", w, w)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bound_factor = np.where(norm2 > 0, np.abs(w).sum(axis=1) / norm2, 0.0)
+    # every row's support [lo, lo + width) lies within offsets -m..m of floor(b)
+    m = math.ceil(KERNEL_RADIUS * a) + 3
+    envelope = _Lattice((m,), [np.floor(bs).astype(np.int64)],
+                        functools.partial(_envelope_template, mother, a, m), None)
+    return _DirectBlock(kernel, bs, _direct_starts(n, a, bs)[2], norm2, bound_factor,
+                        envelope, to_point)
+
+
+def _envelope_template(mother, a: float, m: int) -> np.ndarray:
+    """The mother's envelope widened by one sample, over offsets o = -m..m
+    from floor(b): a^(-1/2) E(max(o - 1, -o) / a). Every b in
+    [floor(b), floor(b) + 1) lies at least max(o - 1, -o) samples from the
+    sample at offset o, so the template bounds |atom| there."""
+    o = np.arange(-m, m + 1, dtype=np.float64)
+    return mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a)
 
 
 def _level_point(bs: np.ndarray, a: float, dictionary: Affine1DDictionary, k: int):

@@ -161,6 +161,31 @@ def test_image_subcommand(tmp_path):
     assert len(lines) == 4  # comment + header + dmp + gmp
 
 
+def test_image_size_options_are_refused_with_an_image_file(tmp_path):
+    # --nx/--ny size only the generated test image: beside an --image file
+    # they are a usage error, and without them the manifest records no size
+    pgm = tmp_path / "x.pgm"
+    gp.save_signal(gp.make_test_image(12, 10, seed=1), pgm)
+    base = ["image", "--image", str(pgm), "--j", "1", "--k", "1", "--atoms", "1",
+            "--modes", "dmp", "--out", str(tmp_path / "img.csv")]
+    for size in (["--nx", "12"], ["--ny", "10"], ["--nx", "64", "--ny", "64"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + size)
+        assert exc.value.code == 2
+    manifest_path = tmp_path / "img.manifest.json"
+    assert main(base + ["--manifest", str(manifest_path)]) == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert (manifest["config"]["nx"], manifest["config"]["ny"]) == (None, None)
+    assert manifest["grid_spec"] == {"Nx": 12, "Ny": 10, "J": 1, "K": 1}
+    # the generated image's size is recorded, its default resolved
+    assert main(["image", "--ny", "9", "--j", "1", "--k", "1", "--atoms", "1",
+                 "--modes", "dmp", "--out", str(tmp_path / "gen.csv"),
+                 "--manifest", str(manifest_path)]) == 0
+    manifest = json.loads(manifest_path.read_text())
+    assert (manifest["config"]["nx"], manifest["config"]["ny"]) == (64, 9)
+    assert manifest["grid_spec"] == {"Nx": 64, "Ny": 9, "J": 1, "K": 1}
+
+
 def test_usage_error_exit_code(tmp_path):
     out = run_cli(["decompose", "--grid"], cwd=tmp_path)
     assert out.returncode == 2

@@ -100,13 +100,18 @@ def test_full_search_2d_matches_naive_oracle(rng):
 
 
 def test_full_search_zero_residual_tie_break():
+    # every atom ties at 0, on all-FFT levels and on all-direct levels (no
+    # incumbent before the first direct level, every bound 0)
     d = gp.Affine1DDictionary(64)
-    grid = gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64)
     z = gp.SignalBuffer.zeros((64,))
-    best, s = full_search(d, z, grid)
-    assert s == 0.0
-    first = next(grid.points())
-    assert np.array_equal(best.coords, first.coords)
+    for grid, fft_levels in ((gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64), True),
+                             (gp.TauAdicGrid(b0=0.75, a0=1, tau=2.0, j_min=0, j_max=1, n=64),
+                              False)):
+        best, s = full_search(d, z, grid)
+        assert s == 0.0
+        first = next(grid.points())
+        assert np.array_equal(best.coords, first.coords)
+        assert bool(pursuit._search_plan(d, z, grid).fft_shape) == fft_levels
 
 
 def test_full_search_generic_fallback(rng):
@@ -393,7 +398,7 @@ def test_decomposition_jsonl_roundtrip(tmp_path, rng):
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec) == {"m", "lambda", "coeff", "score", "residual_energy",
                         "seed_lambda", "ascent_steps"}
-    back = gp.Decomposition.from_jsonl(path, initial_energy=dec.initial_energy)
+    back = gp.Decomposition.from_jsonl(path)
     assert len(back) == len(dec)
     for a, b in zip(dec.steps, back.steps):
         np.testing.assert_array_equal(a.lam, b.lam)
@@ -413,7 +418,6 @@ def test_decomposition_jsonl_recovers_initial_energy(tmp_path, rng):
     energies = gp.Decomposition.from_jsonl(path).residual_energies()
     assert np.all(np.diff(energies) < 0)
     assert energies[0] == pytest.approx(dec.initial_energy, rel=1e-12)
-    assert gp.Decomposition.from_jsonl(path, initial_energy=2.5).initial_energy == 2.5
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert gp.Decomposition.from_jsonl(empty).initial_energy == 0.0

@@ -1,23 +1,27 @@
 """Randomised equivalence of the grid search's fast paths and the naive oracle.
 
 Over random tau-adic grids (integer and fractional translation lattices,
-boundary atoms included) and random 2-D grids (non-square, up to J = 3 and
-K = 4 as on the benchmark grid, templates clipped at n - 1), `grid_scores`
-must agree atom by atom with per-atom `score`, and `full_search` must pick
-the same atom and score as `conftest.naive_search` and as the argmax of
-`grid_scores`.
+boundary atoms included, both 1-D mothers) and random 2-D grids
+(non-square, up to J = 3 and K = 4 as on the benchmark grid, templates
+clipped at n - 1), `grid_scores` must agree atom by atom with per-atom
+`score`, and `full_search`, which prunes direct translations by an upper
+bound, must pick the same atom and score as `conftest.naive_search` and as
+the argmax of `grid_scores`. The bound itself must be at least every
+translation's score.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geopursuit as gp
 from conftest import naive_search
+from geopursuit import pursuit
 
 SCORE_RTOL = 1e-9  # relative to the residual energy, which bounds every score
 
 seeds = st.integers(0, 2 ** 32 - 1)
+mothers = st.sampled_from(["mexican_hat", "gaussian"])
 
 
 def check_search(dictionary, grid, seed):
@@ -46,10 +50,43 @@ def check_search(dictionary, grid, seed):
        b0=st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0]),
        log2_tau=st.sampled_from([0.25, 0.5, 1.0]),
        a0=st.floats(0.8, 2.0),
+       mother=mothers,
        seed=seeds)
-def test_tau_adic_search_matches_oracle(n, b0, log2_tau, a0, seed):
+# a Gaussian atom far left of the buffer (b = -24, a = 6), whose in-buffer
+# energy is a tail ~1e-8 of the template's
+@example(n=24, b0=0.75, log2_tau=0.25, a0=1.5, mother="gaussian", seed=149)
+def test_tau_adic_search_matches_oracle(n, b0, log2_tau, a0, mother, seed):
     grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
-    check_search(gp.Affine1DDictionary(n), grid, seed)
+    check_search(gp.Affine1DDictionary(n, mother=mother), grid, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(12, 96),
+       b0=st.sampled_from([0.5, 0.75, 1.5, 2.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]),
+       a0=st.floats(0.5, 2.0),
+       mother=mothers,
+       spikes=st.integers(0, 3),
+       seed=seeds)
+def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, seed):
+    # the search skips a direct translation when its bound is below the best
+    # by the pruning margin, so every bound must reach the exact score to
+    # within that margin; a residual of a few spikes (or dense noise, for
+    # spikes = 0) puts all its energy on single samples, where a bound
+    # that is not widened to fractional translations falls short
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(n)
+    if spikes:
+        data[rng.permutation(n)[spikes:]] = 0.0
+    u = gp.SignalBuffer(data)
+    d = gp.Affine1DDictionary(n, mother=mother)
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    plan = pursuit._search_plan(d, u, grid)
+    exact = np.array([gp.score(d, u, lam) for lam in grid.points()])
+    ends = np.cumsum([block.norm2.size for block in plan.blocks])
+    tol = pursuit._BOUND_MARGIN * u.energy()
+    for i, bound in plan.bounds(u.data).items():
+        assert np.all(exact[ends[i] - bound.size:ends[i]] <= bound + tol)
 
 
 @settings(max_examples=25, deadline=None)
