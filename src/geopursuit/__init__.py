@@ -9,8 +9,7 @@ costs.
 """
 
 from .affine1d import (GAUSSIAN, MEXICAN_HAT, Affine1DDictionary, MotherFunction,
-                       TauAdicGrid, TranslationDictionary, mexican_hat_norm_constant,
-                       tau_grid_for_signal)
+                       TauAdicGrid, tau_grid_for_signal)
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import (PSNR_CAP, SignalBuffer, inner_product, load_signal, psnr,
                    save_signal)
@@ -34,12 +33,12 @@ __all__ = [
     "DegenerateMetricError", "Dictionary", "DomainError", "GAUSSIAN",
     "Grid2DSpec", "MEXICAN_HAT", "MetricTensor", "MotherFunction", "NAEResult",
     "PSNR_CAP", "ParamPoint", "PursuitConfig", "SCALE", "ScoreGradient",
-    "SignalBuffer", "TRANSLATION", "TauAdicGrid", "TranslationDictionary",
+    "SignalBuffer", "TRANSLATION", "TauAdicGrid",
     "WeaknessReport", "beta_surrogate", "christoffel", "condition_bound",
     "convergence_curve", "curvature_bracket", "density_radius",
     "experiment_grid", "full_search",
     "gradient", "gradient_ascent", "grid_scores", "image_harness", "inner_product",
-    "load_signal", "make_test_image", "metric", "mexican_hat_norm_constant",
+    "load_signal", "make_test_image", "metric",
     "nae", "path_length", "psnr", "reconstruct", "run", "save_signal", "score",
     "select", "selection_score", "tau_grid_for_signal", "weakness_factors",
 ]

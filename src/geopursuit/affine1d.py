@@ -4,7 +4,7 @@ Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
 renormalization, with a Mexican Hat mother by default. A mother is one
 `jet`: its profile and, up to order 2, its derivatives from a single
 exponential. `affine_jet` calls it once and is the one evaluation of the
-atom formula, with its partials, for both 1-D dictionaries and the grid
+atom formula, with its partials, for the dictionary's atoms and the grid
 search's templates. Grids are tau-adic:
 k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
@@ -85,11 +85,6 @@ GAUSSIAN = MotherFunction("gaussian", _gauss_jet, _gauss_envelope)
 MOTHERS = {m.name: m for m in (MEXICAN_HAT, GAUSSIAN)}
 
 
-def mexican_hat_norm_constant() -> float:
-    """Closed-form unit-norm constant 2/(sqrt(3) pi^(1/4))."""
-    return _MH_C
-
-
 def affine_jet(mother: MotherFunction, b, a: float, t, order: int = 0) -> tuple:
     """The raw atom a^(-1/2) g((t-b)/a) sampled at `t` and, up to `order`,
     its partials in (b, a), stacked along leading axes, from one mother jet.
@@ -149,30 +144,6 @@ class Affine1DDictionary(Dictionary):
         return affine_jet(self.mother, b, a, np.arange(shape[0], dtype=np.float64), order)
 
 
-class TranslationDictionary(Dictionary):
-    """One-parameter dictionary: a fixed-scale mother under translation only."""
-
-    def __init__(self, n: int, scale: float = 1.0,
-                 mother: str | MotherFunction = "gaussian"):
-        self.n = int(n)
-        self.shape = (self.n,)
-        self.kinds = (TRANSLATION,)
-        self.scale = float(scale)
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        self.mother = MOTHERS[mother] if isinstance(mother, str) else mother
-        self.scale_range = (self.scale, self.scale)  # no scale coordinate
-
-    def point(self, b: float) -> ParamPoint:
-        return ParamPoint((b,), self.kinds)
-
-    def _jet(self, coords, shape, order):
-        jet = affine_jet(self.mother, coords[0], self.scale,
-                         np.arange(shape[0], dtype=np.float64), order)
-        # the translation rows only: the scale is fixed
-        return tuple(d[(slice(0, 1),) * k] for k, d in enumerate(jet))
-
-
 @dataclass(frozen=True)
 class TauAdicGrid:
     """Tau-adic discretization of the (translation, scale) plane.
@@ -201,7 +172,7 @@ class TauAdicGrid:
             raise ValueError("signal length must be positive")
 
     def levels(self):
-        """Yield (j, scale, translation step, n_lo, n_hi) per scale level."""
+        """Yield (j, scale, translation step, n_lo <= 0, n_hi >= 0) per scale level."""
         for j in range(self.j_min, self.j_max + 1):
             factor = self.tau ** j
             a = self.a0 * factor
@@ -209,8 +180,6 @@ class TauAdicGrid:
             reach = MASS_RADIUS * a
             n_lo = math.ceil((-reach) / step - _GRID_TOL)
             n_hi = math.floor((self.n - 1 + reach) / step + _GRID_TOL)
-            if n_lo > n_hi:
-                continue
             yield j, a, step, n_lo, n_hi
 
     @property
@@ -223,11 +192,15 @@ class TauAdicGrid:
         for row in self.coords():
             yield ParamPoint(row, kinds)
 
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid as `Grid2DSpec.factors` gives it: no translation columns, all (b, a) rows."""
+        return np.zeros((1, 0)), self.coords()
+
     def coords(self) -> np.ndarray:
         """Grid point coordinates, one (b, a) row per point in enumeration order."""
         rows = [np.column_stack([np.arange(n_lo, n_hi + 1) * step, np.full(n_hi - n_lo + 1, a)])
                 for _, a, step, n_lo, n_hi in self.levels()]
-        return np.concatenate(rows) if rows else np.empty((0, 2))
+        return np.concatenate(rows)
 
     def scale_span(self) -> tuple[float, float]:
         return (self.a0 * self.tau ** self.j_min, self.a0 * self.tau ** self.j_max)

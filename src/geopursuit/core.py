@@ -77,8 +77,8 @@ def inner_product(u: SignalBuffer, v: SignalBuffer) -> float:
 def psnr(reference: SignalBuffer, approx: SignalBuffer) -> float:
     """Peak signal-to-noise ratio in dB, capped at PSNR_CAP.
 
-    The peak is the reference's peak hint (255 for PGM-loaded images) and
-    otherwise max|reference|.
+    The peak is the reference's peak hint (the file's maxval for
+    PGM-loaded images) and otherwise max|reference|.
     """
     if reference.shape != approx.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {approx.shape}")
@@ -230,4 +230,6 @@ def _load_pgm(path: Path) -> SignalBuffer:
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated PGM payload")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return SignalBuffer(arr.astype(np.float64), peak_hint=255.0)
+    if arr.max() > maxval:
+        raise ValueError(f"{path}: pixel value {arr.max()} exceeds maxval {maxval}")
+    return SignalBuffer(arr.astype(np.float64), peak_hint=float(maxval))

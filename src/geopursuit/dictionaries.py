@@ -77,29 +77,6 @@ class ParamPoint:
         return f"ParamPoint({vals})"
 
 
-def grid_points(grid) -> list[ParamPoint]:
-    """The points of a grid: its `points()`, or the grid itself when it is
-    a plain iterable of ParamPoints."""
-    return list(grid.points() if hasattr(grid, "points") else grid)
-
-
-def grid_factors(grid) -> tuple[np.ndarray, np.ndarray]:
-    """The points of a grid as a product of two coordinate blocks: a
-    (positions, others) pair whose point (s, p), in enumeration order s-major,
-    has the coordinates positions[p] followed by others[s]. Translations lead
-    every dictionary's coordinates, so `positions` holds translations only.
-    A grid's own `factors()` is used when it has one; any other grid is the
-    degenerate pair of no translation columns and all coordinates."""
-    if hasattr(grid, "factors"):
-        return grid.factors()
-    if hasattr(grid, "coords"):
-        coords = grid.coords()
-    else:
-        points = grid_points(grid)
-        coords = np.array([p.coords for p in points]).reshape(len(points), -1)
-    return np.zeros((1, 0)), coords
-
-
 def spec_number(spec: dict, key: str, integral: bool = False):
     """`spec[key]` of a parsed grid spec, a JSON number (an int if
     `integral`), else ValueError; the grids check finiteness and range."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import ANGLE, Dictionary, ParamPoint, grid_factors
+from .dictionaries import ANGLE, Dictionary, ParamPoint
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
@@ -131,10 +131,10 @@ def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> f
     representative whose angles lie within pi/2 of the probe's. A lower
     bound on the true sup-inf, since probes sample the domain.
 
-    The grid comes as a product of positions and other coordinates
-    (`grid_factors`), and the proxy is evaluated on that product: one
-    quadratic form per position, one per other-coordinate row and a cross
-    term, so each probe costs O(positions * others) scalars.
+    The grid comes as its `factors()`, a product of positions and other
+    coordinates, and the proxy is evaluated on that product: one quadratic
+    form per position, one per other-coordinate row and a cross term, so
+    each probe costs O(positions * others) scalars.
 
     The max-min is pruned exactly: a probe's candidates are refined nearest
     first by proxy (ties to the lower grid index), and refinement stops once
@@ -144,9 +144,7 @@ def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> f
     change it is never evaluated, so a `DomainError` such a path would raise
     does not abort the estimate. `segments` must be at least 1.
     """
-    positions, others = grid_factors(grid)
-    if not len(positions) * len(others):
-        raise ValueError("grid is empty")
+    positions, others = grid.factors()
     probes = list(probes)
     if not probes:
         raise ValueError("need at least one probe")

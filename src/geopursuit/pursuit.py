@@ -30,7 +30,7 @@ from scipy import fft as sp_fft
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, inner_product
-from .dictionaries import Dictionary, DomainError, ParamPoint, grid_points
+from .dictionaries import Dictionary, DomainError, ParamPoint
 from .geometry import DegenerateMetricError, metric
 
 # Kernel truncation radius in mother widths; values beyond are below 1e-18
@@ -96,12 +96,29 @@ class DecompositionStep:
 
     @classmethod
     def from_record(cls, rec: dict) -> "DecompositionStep":
-        seed = rec.get("seed_lambda")
-        return cls(m=int(rec["m"]), lam=np.array(rec["lambda"], dtype=np.float64),
-                   coeff=float(rec["coeff"]), score=float(rec["score"]),
-                   residual_energy=float(rec["residual_energy"]),
-                   seed=None if seed is None else np.array(seed, dtype=np.float64),
-                   ascent_steps=int(rec.get("ascent_steps", 0)))
+        """The step of a `to_record` dict; a missing or malformed key raises
+        ValueError naming it."""
+        if not isinstance(rec, dict):
+            raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+
+        def value(key, parse):
+            if key not in rec:
+                raise ValueError(f"missing key {key!r}")
+            try:
+                return parse(rec[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"malformed {key!r}: {rec[key]!r}") from None
+
+        def floats(v):
+            if not isinstance(v, list):
+                raise TypeError
+            return np.array([float(x) for x in v])
+
+        return cls(m=value("m", int), lam=value("lambda", floats),
+                   coeff=value("coeff", float), score=value("score", float),
+                   residual_energy=value("residual_energy", float),
+                   seed=value("seed_lambda", lambda v: None if v is None else floats(v)),
+                   ascent_steps=value("ascent_steps", int))
 
 
 @dataclass
@@ -129,7 +146,8 @@ class Decomposition:
 
     @classmethod
     def from_jsonl(cls, path) -> "Decomposition":
-        """Read steps written by `to_jsonl`.
+        """Read steps written by `to_jsonl`; a line that is not such a step
+        raises ValueError naming the file and the line.
 
         The initial energy is recovered from the first step as
         residual_energy + coeff**2 (the energy the step removed from the
@@ -137,10 +155,13 @@ class Decomposition:
         """
         steps = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    steps.append(DecompositionStep.from_record(json.loads(line)))
+                    try:
+                        steps.append(DecompositionStep.from_record(json.loads(line)))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}, line {number}: {exc}") from None
         initial_energy = steps[0].residual_energy + steps[0].coeff ** 2 if steps else 0.0
         return cls(steps=steps, initial_energy=initial_energy)
 
@@ -251,10 +272,6 @@ def full_search(dictionary: Dictionary, residual: SignalBuffer, grid):
     enumeration index. Returns (best point, best score).
     """
     plan = _search_plan(dictionary, residual, grid)
-    if plan is None:
-        scores, points = _point_scores(dictionary, residual, grid)
-        k = int(np.argmax(scores))
-        return points[k], float(scores[k])
     s, i, k = plan.argmax(residual.data)
     return plan.blocks[i].to_point(dictionary, k), s
 
@@ -267,19 +284,17 @@ def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndar
     paths and the search's pruning atom by atom.
     """
     plan = _search_plan(dictionary, residual, grid)
-    if plan is None:
-        return _point_scores(dictionary, residual, grid)[0]
     return np.concatenate(list(plan.scores(residual.data)))
 
 
 def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
-    """The grid's search plan, built on first use, or None for a grid that
-    is scored atom by atom.
+    """The grid's search plan, built on first use.
 
     The only place that branches on grid and dictionary type: a tau-adic
     grid over an affine dictionary and a 2-D grid over an anisotropic one
-    are planned. A residual whose shape is not the dictionary's raises
-    ValueError: the FFT path would pad or truncate it.
+    are planned, and any other pair raises TypeError. A residual whose
+    shape is not the dictionary's raises ValueError first: the FFT path
+    would pad or truncate it.
     """
     dictionary.check_shape(residual.shape)
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
@@ -287,19 +302,12 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
         build = _grid2d_plan
     else:
-        return None
+        raise TypeError(f"no grid search plan for a {type(grid).__name__} grid with "
+                        f"a {type(dictionary).__name__}")
     plans = _PLANS.setdefault(dictionary, {})
     if grid not in plans:
         plans[grid] = build(dictionary, grid)
     return plans[grid]
-
-
-def _point_scores(dictionary: Dictionary, residual: SignalBuffer, grid):
-    """(scores, points) of an unplanned grid, one `score` per point."""
-    points = grid_points(grid)
-    if not points:
-        raise ValueError("grid is empty")
-    return np.array([score(dictionary, residual, lam) for lam in points]), points
 
 
 def _scores(corr: np.ndarray, norm2: np.ndarray) -> np.ndarray:
@@ -680,9 +688,10 @@ def run(signal: SignalBuffer, dictionary: Dictionary, grid,
     refinement in gmp), then a residual update orthogonal to the chosen
     atom. Stops at `max_iterations`, when the residual energy falls below
     `energy_floor_rel` times the initial energy, or when the best score is
-    exactly zero. A signal of another shape than the dictionary's raises.
+    exactly zero. A signal of another shape than the dictionary's, or a grid
+    and dictionary pair that the search does not plan, raises before any step.
     """
-    dictionary.check_shape(signal.shape)
+    _search_plan(dictionary, signal, grid)
     config = config or PursuitConfig()
     residual = signal
     initial_energy = signal.energy()

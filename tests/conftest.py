@@ -11,10 +11,33 @@ import pytest
 
 import geopursuit as gp
 from geopursuit import geometry
-from geopursuit.dictionaries import grid_factors
+from geopursuit.affine1d import MOTHERS, affine_jet
 
 # The directory holding the geopursuit package this session imported.
 PACKAGE_ROOT = Path(gp.__file__).resolve().parents[1]
+
+
+class TranslationDictionary(gp.Dictionary):
+    """One-parameter dictionary: a fixed-scale mother under translation
+    only, a flat manifold for closed-form geometry checks. No grid search
+    takes it."""
+
+    def __init__(self, n, scale=1.0, mother="gaussian"):
+        self.n = int(n)
+        self.shape = (self.n,)
+        self.kinds = (gp.TRANSLATION,)
+        self.scale = float(scale)
+        self.mother = MOTHERS[mother]
+        self.scale_range = (self.scale, self.scale)  # no scale coordinate
+
+    def point(self, b):
+        return gp.ParamPoint((b,), self.kinds)
+
+    def _jet(self, coords, shape, order):
+        jet = affine_jet(self.mother, coords[0], self.scale,
+                         np.arange(shape[0], dtype=np.float64), order)
+        # the translation rows only: the scale is fixed
+        return tuple(d[(slice(0, 1),) * k] for k, d in enumerate(jet))
 
 
 def naive_search(dictionary, residual, grid):
@@ -136,7 +159,7 @@ def exhaustive_density_radius(dictionary, grid, probes, segments=4):
     """Density-radius oracle without pruning: for every probe, refine every
     one of its `_PATH_CANDIDATES` proxy-nearest grid points by a path
     length, in grid order, and return the max over probes of the min."""
-    positions, others = grid_factors(grid)
+    positions, others = grid.factors()
     t = positions.shape[1]
     angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
     n_cand = min(geometry._PATH_CANDIDATES, len(positions) * len(others))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import geopursuit as gp
-from conftest import fd_partials, interior_affine_points
+from conftest import TranslationDictionary, fd_partials, interior_affine_points
 
 # Continuum norms of the Mexican Hat mother's derivative: ||g'||^2 = 5/2
 # (Gaussian-moment quadrature), and the metric constant W = diag(5/2, 5/2).
@@ -126,12 +126,12 @@ def test_metric_is_constant_diagonal_after_scaling(rng):
 
 
 def test_mexican_hat_constant_against_quadrature():
-    # closed form 2/(sqrt(3) pi^(1/4)) cross-checked by integrating g^2
+    # g(0) is the closed form 2/(sqrt(3) pi^(1/4)), cross-checked by integrating g^2
     s = np.arange(-30, 30, 1e-4)
-    c = gp.mexican_hat_norm_constant()
-    g = c * (1 - s * s) * np.exp(-0.5 * s * s)
+    g = gp.MEXICAN_HAT.jet(s, 0)[0]
     assert np.sum(g * g) * 1e-4 == pytest.approx(1.0, abs=1e-9)
-    assert c == pytest.approx(2.0 / (math.sqrt(3.0) * math.pi ** 0.25), abs=1e-15)
+    c = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
+    assert gp.MEXICAN_HAT.jet(np.zeros(1), 0)[0][0] == pytest.approx(c, abs=1e-15)
 
 
 def test_mother_envelopes_bound_and_do_not_increase():
@@ -156,7 +156,7 @@ def test_gaussian_mother_available():
 
 
 def test_translation_dictionary_contract():
-    td = gp.TranslationDictionary(256, scale=3.0, mother="mexican_hat")
+    td = TranslationDictionary(256, scale=3.0, mother="mexican_hat")
     g = td.synthesize(td.point(128.0))
     assert abs(g.norm() - 1.0) < 1e-12
     (p,) = td.partials(td.point(100.5))

@@ -198,6 +198,32 @@ def test_runtime_error_exit_code(tmp_path):
     assert "error:" in out.stderr
 
 
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize("malform, message", [
+    (_without("coeff"), "missing key 'coeff'"),
+    (_without("seed_lambda"), "missing key 'seed_lambda'"),
+    (_without("ascent_steps"), "missing key 'ascent_steps'"),
+    (lambda rec: {**rec, "coeff": None}, "malformed 'coeff'"),
+    (lambda rec: {**rec, "lambda": [[100.0], 8.0]}, "malformed 'lambda'"),
+    (lambda rec: {**rec, "seed_lambda": "12"}, "malformed 'seed_lambda'"),
+    (lambda rec: [1, 2], "expected a JSON object"),
+], ids=["no-coeff", "no-seed", "no-ascent-steps", "null-coeff", "ragged-lambda", "string-seed",
+        "list"])
+def test_reconstruct_reports_malformed_steps(tmp_path, grid_file, capsys, malform, message):
+    # a bad line is a runtime error naming the file, the line and the key
+    rec = gp.DecompositionStep(m=0, lam=np.array([100.0, 8.0]), coeff=0.5, score=0.25,
+                               residual_energy=0.75).to_record()
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps(rec) + "\n" + json.dumps(malform(rec)) + "\n")
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(tmp_path / "r.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {steps}, line 2: {message}")
+
+
 @pytest.mark.parametrize("command", ["decompose", "image"])
 def test_negative_iteration_counts_are_runtime_errors(tmp_path, grid_file, capsys, command):
     if command == "decompose":

@@ -218,6 +218,18 @@ def test_pgm_rejects_1d_and_bad_headers(tmp_path):
         gp.load_signal(path)
 
 
+def test_pgm_peak_is_the_files_maxval(tmp_path):
+    # a 4-bit image's PSNR is measured against its own range, 15, not 255
+    path = tmp_path / "four_bit.pgm"
+    path.write_bytes(b"P5 2 2 15\n\x00\x05\x0a\x0f")
+    img = gp.load_signal(path)
+    assert img.peak_hint == 15.0
+    assert gp.psnr(img, gp.SignalBuffer(img.data + 1.0)) == pytest.approx(20 * math.log10(15))
+    path.write_bytes(b"P5 2 2 15\n\x00\x05\x0a\x10")
+    with pytest.raises(ValueError, match="exceeds maxval"):
+        gp.load_signal(path)
+
+
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x09")

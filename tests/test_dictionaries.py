@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import geopursuit as gp
 from geopursuit.dictionaries import INTERIOR_MARGIN, ParamPoint
-from conftest import fd_partials, fd_second_partials, interior_affine_points
+from conftest import (TranslationDictionary, fd_partials, fd_second_partials,
+                      interior_affine_points)
 
 
 def test_param_point_validation():
@@ -37,7 +38,7 @@ def test_synthesize_unit_norm_boundary_truncated():
 def test_synthesize_peak_value():
     d = gp.Affine1DDictionary(512)
     g = d.synthesize(d.point(256.0, 8.0))
-    c = gp.mexican_hat_norm_constant()
+    c = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
     assert g.data[256] == pytest.approx(c / math.sqrt(8.0), abs=1e-6)
 
 
@@ -157,7 +158,7 @@ def _contract_case(family, fx, fy, theta, f1, f2):
     """A small dictionary of `family` and an interior point anywhere in its
     buffer (edge-truncated atoms included)."""
     if family == "translation":
-        d = gp.TranslationDictionary(40, scale=3.0, mother="mexican_hat")
+        d = TranslationDictionary(40, scale=3.0, mother="mexican_hat")
         return d, d.point(fx * 39)
     d = gp.Affine1DDictionary(40) if family == "affine" else gp.Aniso2DDictionary((12, 15))
     lo, hi = d.scale_range

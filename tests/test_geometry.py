@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import geopursuit as gp
 from geopursuit import geometry
-from geopursuit.dictionaries import Dictionary, ParamPoint, grid_factors
-from conftest import (central_differences, dense_proxy, exhaustive_density_radius,
-                      interior_affine_points)
+from geopursuit.dictionaries import ParamPoint
+from conftest import (TranslationDictionary, central_differences, dense_proxy,
+                      exhaustive_density_radius, interior_affine_points)
 
 SQRT3 = 1.7320508075688772  # ||g''|| / ||g'||^2 for a unit Gaussian, any scale
 
@@ -84,7 +84,7 @@ def test_christoffel_matches_metric_derivative_formula():
 
 def test_christoffel_translation_only_vanishes():
     # translation invariance makes <d_bb g, d_b g> = d_b ||d_b g||^2 / 2 = 0
-    td = gp.TranslationDictionary(512, scale=3.0, mother="mexican_hat")
+    td = TranslationDictionary(512, scale=3.0, mother="mexican_hat")
     gamma = gp.christoffel(td, td.point(250.0))
     assert abs(gamma[0, 0, 0]) < 1e-8
 
@@ -107,7 +107,7 @@ def test_condition_bound_scale_invariant_for_affine(rng):
 
 
 def test_condition_bound_gaussian_translation_quadrature():
-    td = gp.TranslationDictionary(512, scale=2.0, mother="gaussian")
+    td = TranslationDictionary(512, scale=2.0, mother="gaussian")
     k = gp.condition_bound(td, [td.point(256.0), td.point(133.7)])
     assert k == pytest.approx(SQRT3, abs=1e-4)
 
@@ -169,8 +169,6 @@ def test_density_radius_decreases_with_translation_refinement(rng):
 
 def test_density_radius_requires_grid_and_probes():
     d = gp.Affine1DDictionary(64)
-    with pytest.raises(ValueError):
-        gp.density_radius(d, [], [d.point(10.0, 2.0)])
     grid = gp.TauAdicGrid(b0=2, a0=2, tau=2.0, j_min=0, j_max=1, n=64)
     with pytest.raises(ValueError):
         gp.density_radius(d, grid, [])
@@ -231,7 +229,7 @@ def check_block_proxy(dictionary, grid, probe, seed):
     A = rng.standard_normal((dictionary.P, dictionary.P))
     G = A @ A.T + 0.1 * np.eye(dictionary.P)
     angles = [i for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
-    positions, others = grid_factors(grid)
+    positions, others = grid.factors()
     t = positions.shape[1]
     block, _ = geometry._block_proxy(G, positions, others, probe.coords,
                                      [i - t for i in angles])

@@ -9,7 +9,7 @@ import pytest
 import geopursuit as gp
 from geopursuit import pursuit
 from geopursuit.pursuit import full_search, gradient_ascent
-from conftest import naive_search
+from conftest import TranslationDictionary, naive_search
 
 
 def unit(v):
@@ -114,16 +114,28 @@ def test_full_search_zero_residual_tie_break():
         assert bool(pursuit._search_plan(d, z, grid).fft_shape) == fft_levels
 
 
-def test_full_search_generic_fallback(rng):
-    td = gp.TranslationDictionary(128, scale=4.0, mother="gaussian")
-    pts = [td.point(float(b)) for b in range(10, 120, 7)]
-    u = gp.SignalBuffer(rng.standard_normal(128))
-    best, s = full_search(td, u, pts)
-    ref, s_ref = naive_search(td, u, type("G", (), {"points": staticmethod(lambda: iter(pts))}))
-    assert np.array_equal(best.coords, ref.coords) and s == pytest.approx(s_ref)
-    for search in (full_search, gp.grid_scores):
-        with pytest.raises(ValueError, match="grid is empty"):
-            search(td, u, [])
+def test_unplanned_grids_are_refused(rng):
+    # the search plans a tau-adic grid over an affine dictionary and a 2-D
+    # grid over an anisotropic one; every other pair is refused by name,
+    # also by a run that would stop before its first search
+    td = TranslationDictionary(128, scale=4.0, mother="gaussian")
+    d1 = gp.Affine1DDictionary(128)
+    d2 = gp.Aniso2DDictionary((8, 16))
+    tau = gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=128)
+    grid2 = gp.Grid2DSpec(8, 16, 2, 2)
+    u1 = gp.SignalBuffer(rng.standard_normal(128))
+    u2 = gp.SignalBuffer(rng.standard_normal((8, 16)))
+    cases = [(td, u1, [td.point(float(b)) for b in range(10, 120, 7)]), (td, u1, tau),
+             (d1, u1, list(tau.points())), (d1, u1, grid2), (d2, u2, tau),
+             (d2, u2, list(grid2.points()))]
+    calls = (gp.full_search, gp.grid_scores,
+             lambda d, u, g: gp.run(u, d, g),
+             lambda d, u, g: gp.run(u, d, g, gp.PursuitConfig(max_iterations=0)))
+    for d, u, grid in cases:
+        for call in calls:
+            with pytest.raises(TypeError, match=f"{type(grid).__name__} grid with a "
+                                                f"{type(d).__name__}"):
+                call(d, u, grid)
 
 
 def test_full_search_grid_scale_domain_check():
@@ -155,7 +167,7 @@ def test_search_plans_do_not_cross_talk(rng):
     u128 = gp.SignalBuffer(rng.standard_normal(128))
     lam = dicts["gaussian"].point(100.0, 8.0)
     for call in (lambda: gp.grid_scores(dicts["gaussian"], u128, grids[0]),
-                 lambda: gp.full_search(dicts["gaussian"], u128, list(grids[1].points())),
+                 lambda: gp.full_search(dicts["gaussian"], u128, grids[1]),
                  lambda: gp.grid_scores(gp.Affine1DDictionary(128), u128, grids[0]),
                  lambda: gp.run(u, gp.Affine1DDictionary(128), grids[0]),
                  lambda: gp.run(u128, dicts["gaussian"], grids[0]),
@@ -437,13 +449,6 @@ def test_select_is_the_run_selection_rule(rng):
     assert gp.selection_score(d, f, grid, cfg) == s
     step = gp.run(f, d, grid, cfg).steps[0]
     assert np.array_equal(step.lam, lam.coords) and step.ascent_steps == steps
-    # a plain list of points is a grid as well
-    small = gp.TauAdicGrid(b0=16, a0=4, tau=2.0, j_min=0, j_max=1, n=256)
-    cfg = gp.PursuitConfig(mode="gmp", kappa=2)
-    lam, s, seed, steps = gp.select(d, f, small, cfg)
-    lam_l, s_l, seed_l, steps_l = gp.select(d, f, list(small.points()), cfg)
-    assert np.array_equal(lam.coords, lam_l.coords) and (s, steps) == (s_l, steps_l)
-    assert np.array_equal(seed.coords, seed_l.coords)
 
 
 def test_decomposition_csv_output(tmp_path, rng):
