@@ -128,7 +128,7 @@ class Affine1DDictionary(Dictionary):
         self.scale_range = (float(lo), float(hi))
 
     def point(self, b: float, a: float) -> ParamPoint:
-        return ParamPoint((b, a), self.kinds)
+        return ParamPoint((b, a))
 
     def clamp_coords(self, coords) -> ParamPoint:
         """As `Dictionary.clamp_coords`, except that b clamps to
@@ -188,9 +188,8 @@ class TauAdicGrid:
 
     def points(self):
         """Deterministically ordered grid points."""
-        kinds = (TRANSLATION, SCALE)
         for row in self.coords():
-            yield ParamPoint(row, kinds)
+            yield ParamPoint(row)
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid as `Grid2DSpec.factors` gives it: no translation columns, all (b, a) rows."""

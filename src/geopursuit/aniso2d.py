@@ -45,7 +45,7 @@ class Aniso2DDictionary(Dictionary):
         self.scale_range = (float(lo), float(hi))
 
     def point(self, b1: float, b2: float, theta: float, a1: float, a2: float) -> ParamPoint:
-        return ParamPoint((b1, b2, theta % math.pi, a1, a2), self.kinds)
+        return ParamPoint((b1, b2, theta % math.pi, a1, a2))
 
     def _jet(self, coords, shape, order):
         """The atom s * G(u, v), s = (a1*a2)^(-1/2), and its partials by the
@@ -156,9 +156,8 @@ class Grid2DSpec:
                     yield float(theta), float(a1), float(a2)
 
     def points(self):
-        kinds = (TRANSLATION, TRANSLATION, ANGLE, SCALE, SCALE)
         for row in self.coords():
-            yield ParamPoint(row, kinds)
+            yield ParamPoint(row)
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid as a product: (positions, slabs), one (b1, b2) row per

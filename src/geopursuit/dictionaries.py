@@ -10,12 +10,15 @@ discrete inner product. Derivatives are therefore derivatives of the
 and its first and second partials in closed form in one function, its
 `_jet`, which builds the sample frame once and stacks the partials along
 leading axes. `Dictionary.jet`, of which `synthesize`, `partials` and
-`second_partials` are views, is the one place that checks the domain and
-renormalizes: one quotient rule gives the first partials, (P, *shape), and
-the second, (P, P, *shape), from them; the geometry contracts the stacks.
+`second_partials` are views, is the one place that checks a point against
+the domain (its length and its scales) and renormalizes: one quotient rule
+gives the first partials, (P, *shape), and the second, (P, P, *shape),
+from them; the geometry contracts the stacks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,28 +46,20 @@ class DomainError(ValueError):
 
 
 class ParamPoint:
-    """A point in the continuous parameter space of a dictionary."""
+    """A point in the continuous parameter space of a dictionary: its
+    coordinates, a flat, finite, read-only vector. What each coordinate
+    means, and where the domain ends, is for the dictionary to say."""
 
-    __slots__ = ("coords", "kinds")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords, kinds):
+    def __init__(self, coords):
         arr = np.array(coords, dtype=np.float64, copy=True)
         if arr.ndim != 1:
             raise ValueError("coords must be a flat vector")
-        kinds = tuple(kinds)
-        if len(kinds) != arr.size:
-            raise ValueError(f"{arr.size} coords but {len(kinds)} kinds")
-        for k in kinds:
-            if k not in (TRANSLATION, SCALE, ANGLE):
-                raise ValueError(f"unknown coordinate kind {k!r}")
         if not np.isfinite(arr).all():
             raise DomainError("non-finite parameter coordinates")
-        for x, k in zip(arr, kinds):
-            if k == SCALE and not x > 0:
-                raise DomainError(f"scale coordinate must be positive, got {x}")
         arr.setflags(write=False)
         self.coords = arr
-        self.kinds = kinds
 
     def __len__(self):
         return self.coords.size
@@ -77,14 +72,16 @@ class ParamPoint:
         return f"ParamPoint({vals})"
 
 
-def spec_number(spec: dict, key: str, integral: bool = False):
-    """`spec[key]` of a parsed grid spec, a JSON number (an int if
-    `integral`), else ValueError; the grids check finiteness and range."""
+def spec_number(spec, key, integral: bool = False, finite: bool = False):
+    """`spec[key]` of parsed JSON (an object or an array) if it is a JSON
+    number: an integral one, returned as an int, if `integral`, and a finite
+    one if `finite`; else ValueError naming the key. Callers check range."""
     x = spec[key]
     if (isinstance(x, bool) or not isinstance(x, (int, float))
-            or integral and isinstance(x, float) and not x.is_integer()):
-        kind = "an integer" if integral else "a number"
-        raise ValueError(f"grid spec {key!r} must be {kind}, got {x!r}")
+            or integral and isinstance(x, float) and not x.is_integer()
+            or finite and isinstance(x, float) and not math.isfinite(x)):
+        kind = "an integer" if integral else "a finite number" if finite else "a number"
+        raise ValueError(f"{key!r} must be {kind}, got {x!r}")
     return int(x) if integral else x
 
 
@@ -106,7 +103,7 @@ class Dictionary:
 
     # -- to be overridden ------------------------------------------------
     def point(self, *coords) -> ParamPoint:
-        return ParamPoint(coords, self.kinds)
+        return ParamPoint(coords)
 
     def _jet(self, coords: np.ndarray, shape, order: int) -> tuple:
         """(raw,), (raw, d1) or (raw, d1, d2) for order 0, 1 or 2: the raw
@@ -123,25 +120,31 @@ class Dictionary:
                              f"sample grid {self.shape}")
 
     # -- domain handling --------------------------------------------------
-    def _check_scales(self, lam: ParamPoint, margin: float, problem: str) -> None:
+    def check_scales(self, scales, margin: float = 0.0, problem: str = "outside") -> None:
         """Reject scales outside the scale range shrunk by `margin`
-        (relative) at each end, allowing _DOMAIN_TOL relative fuzz."""
+        (relative) at each end, allowing _DOMAIN_TOL relative fuzz: the one
+        rule for the scales of points and of grids."""
         lo, hi = self.scale_range
         lo_in, hi_in = lo * (1 + margin - _DOMAIN_TOL), hi * (1 - margin + _DOMAIN_TOL)
-        for x, k in zip(lam.coords, lam.kinds):
-            if k == SCALE and not (lo_in <= x <= hi_in):
+        for x in scales:
+            if not (lo_in <= x <= hi_in):
                 raise DomainError(f"scale {x} {problem} [{lo}, {hi}]")
 
+    def _scales(self, lam: ParamPoint) -> list:
+        return [x for x, k in zip(lam.coords, self.kinds) if k == SCALE]
+
     def _check_domain(self, lam: ParamPoint) -> None:
-        self._check_scales(lam, 0.0, "outside")
+        """Reject a point of another length than P (ValueError) or with a
+        scale outside the scale range (DomainError)."""
+        if len(lam) != self.P:
+            raise ValueError(f"a point of {len(lam)} coordinates given to a dictionary "
+                             f"of {self.P} parameters")
+        self.check_scales(self._scales(lam))
 
     def require_interior(self, lam: ParamPoint) -> None:
         """Reject points too close to the scale bounds for derivatives."""
-        self._check_scales(lam, INTERIOR_MARGIN,
-                           f"for derivatives is not {INTERIOR_MARGIN:g} (relative) inside")
-
-    def clamp(self, lam: ParamPoint) -> ParamPoint:
-        return self.clamp_coords(lam.coords)
+        self.check_scales(self._scales(lam), INTERIOR_MARGIN,
+                          f"for derivatives is not {INTERIOR_MARGIN:g} (relative) inside")
 
     def clamp_coords(self, coords) -> ParamPoint:
         """Pull raw coordinates into the interior of the domain.
@@ -161,7 +164,7 @@ class Dictionary:
                 coords[i] = coords[i] % np.pi
             else:
                 coords[i] = min(max(coords[i], 0.0), float(self.shape[i] - 1))
-        return ParamPoint(coords, self.kinds)
+        return ParamPoint(coords)
 
     # -- synthesis & derivatives -------------------------------------------
     def jet(self, lam: ParamPoint, order: int = 0) -> tuple:

@@ -109,6 +109,9 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     """
     if segments < 1:
         raise ValueError("segment count must be at least 1")
+    if not len(lam_a) == len(lam_b) == dictionary.P:
+        raise ValueError(f"a path between points of {len(lam_a)} and {len(lam_b)} "
+                         f"coordinates on a dictionary of {dictionary.P} parameters")
     start = np.asarray(lam_a.coords, dtype=np.float64)
     delta = (np.asarray(lam_b.coords, dtype=np.float64) - start) / segments
     if not np.any(delta):
@@ -116,7 +119,7 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     total = 0.0
     for k in range(segments):
         mid = start + (k + 0.5) * delta
-        g = metric(dictionary, ParamPoint(mid, lam_a.kinds))
+        g = metric(dictionary, ParamPoint(mid))
         total += g.norm(delta)
     return total
 
@@ -167,8 +170,7 @@ def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> f
                 best = 0.0
                 break
             target = np.concatenate([positions[p], wrapped[s]])
-            best = min(best, path_length(dictionary, probe,
-                                         ParamPoint(target, dictionary.kinds), segments))
+            best = min(best, path_length(dictionary, probe, ParamPoint(target), segments))
             if best <= worst:  # this probe can no longer raise the max
                 break
         worst = max(worst, best)

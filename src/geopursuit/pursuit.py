@@ -30,7 +30,7 @@ from scipy import fft as sp_fft
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, inner_product
-from .dictionaries import Dictionary, DomainError, ParamPoint
+from .dictionaries import Dictionary, DomainError, ParamPoint, spec_number
 from .geometry import DegenerateMetricError, metric
 
 # Kernel truncation radius in mother widths; values beyond are below 1e-18
@@ -63,12 +63,12 @@ class PursuitConfig:
     def __post_init__(self):
         if self.mode not in ("dmp", "gmp"):
             raise ValueError(f"mode must be 'dmp' or 'gmp', got {self.mode!r}")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+        for name in ("kappa", "max_iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        if not 0 < self.chi < math.inf:
+            raise ValueError(f"chi must be positive and finite, got {self.chi!r}")
 
 
 @dataclass
@@ -97,7 +97,9 @@ class DecompositionStep:
     @classmethod
     def from_record(cls, rec: dict) -> "DecompositionStep":
         """The step of a `to_record` dict; a missing or malformed key raises
-        ValueError naming it."""
+        ValueError naming it. Values are JSON numbers as `spec_number` reads
+        them: `m` and `ascent_steps` integral, the rest (and every entry of
+        `lambda` and `seed_lambda`) finite."""
         if not isinstance(rec, dict):
             raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
 
@@ -109,16 +111,22 @@ class DecompositionStep:
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"malformed {key!r}: {rec[key]!r}") from None
 
-        def floats(v):
+        def count(v):
+            return spec_number([v], 0, integral=True)
+
+        def real(v):
+            return float(spec_number([v], 0, finite=True))
+
+        def reals(v):
             if not isinstance(v, list):
                 raise TypeError
-            return np.array([float(x) for x in v])
+            return np.array([real(x) for x in v])
 
-        return cls(m=value("m", int), lam=value("lambda", floats),
-                   coeff=value("coeff", float), score=value("score", float),
-                   residual_energy=value("residual_energy", float),
-                   seed=value("seed_lambda", lambda v: None if v is None else floats(v)),
-                   ascent_steps=value("ascent_steps", int))
+        return cls(m=value("m", count), lam=value("lambda", reals),
+                   coeff=value("coeff", real), score=value("score", real),
+                   residual_energy=value("residual_energy", real),
+                   seed=value("seed_lambda", lambda v: None if v is None else reals(v)),
+                   ascent_steps=value("ascent_steps", count))
 
 
 @dataclass
@@ -226,7 +234,7 @@ def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamP
     """
     s0 = score(dictionary, residual, lam0)
     best_lam, best_s = lam0, s0
-    lam = dictionary.clamp(lam0)
+    lam = dictionary.clamp_coords(lam0.coords)
     s = score(dictionary, residual, lam)
     if s > best_s:
         best_lam, best_s = lam, s
@@ -593,7 +601,7 @@ def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> _SearchPl
     if dictionary.shape != (grid.n,):
         raise ValueError(f"grid N={grid.n} does not match the dictionary's "
                          f"sample grid {dictionary.shape}")
-    _check_grid_scales(dictionary, *grid.scale_span())
+    dictionary.check_scales(grid.scale_span(), problem="of the grid outside")
     n = grid.n
     mother = dictionary.mother
     entries = []
@@ -639,7 +647,7 @@ def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> _SearchPlan
         raise ValueError(f"grid ({grid.nx}, {grid.ny}) does not match the dictionary's "
                          f"sample grid {dictionary.shape}")
     scales = grid.scales()
-    _check_grid_scales(dictionary, float(scales[0]), float(scales[-1]))
+    dictionary.check_scales((scales[0], scales[-1]), problem="of the grid outside")
     positions = [np.arange(grid.nx), np.arange(grid.ny)]
     entries = []
     for slab in grid.slabs():
@@ -648,13 +656,6 @@ def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> _SearchPlan
             ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms),
             functools.partial(_slab_point, grid.ny, slab)))
     return _SearchPlan.build(dictionary.shape, entries)
-
-
-def _check_grid_scales(dictionary: Dictionary, lo: float, hi: float) -> None:
-    d_lo, d_hi = dictionary.scale_range
-    if lo < d_lo - 1e-12 or hi > d_hi + 1e-12:
-        raise DomainError(f"grid scales [{lo}, {hi}] exceed dictionary domain "
-                          f"[{d_lo}, {d_hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +728,6 @@ def reconstruct(decomposition: Decomposition, dictionary: Dictionary,
         dictionary.check_shape(shape)
     acc = np.zeros(dictionary.shape)
     for step in decomposition.steps:
-        lam = ParamPoint(step.lam, dictionary.kinds)
+        lam = ParamPoint(step.lam)
         acc += step.coeff * dictionary.synthesize(lam).data
     return SignalBuffer(acc)

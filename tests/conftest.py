@@ -30,9 +30,6 @@ class TranslationDictionary(gp.Dictionary):
         self.mother = MOTHERS[mother]
         self.scale_range = (self.scale, self.scale)  # no scale coordinate
 
-    def point(self, b):
-        return gp.ParamPoint((b,), self.kinds)
-
     def _jet(self, coords, shape, order):
         jet = affine_jet(self.mother, coords[0], self.scale,
                          np.arange(shape[0], dtype=np.float64), order)
@@ -114,8 +111,7 @@ def central_differences(fn, coords, steps):
 
 def _synthesized(dictionary):
     """The renormalized atom as a function of raw coordinates."""
-    return lambda coords: dictionary.synthesize(
-        gp.ParamPoint(coords, dictionary.kinds)).data
+    return lambda coords: dictionary.synthesize(gp.ParamPoint(coords)).data
 
 
 def fd_partials(dictionary, lam):
@@ -175,8 +171,7 @@ def exhaustive_density_radius(dictionary, grid, probes, segments=4):
             if proxy[s, p] == 0.0:
                 best = 0.0
                 break
-            target = gp.ParamPoint(np.concatenate([positions[p], wrapped[s]]),
-                                   dictionary.kinds)
+            target = gp.ParamPoint(np.concatenate([positions[p], wrapped[s]]))
             best = min(best, gp.path_length(dictionary, probe, target, segments))
         worst = max(worst, best)
     return worst

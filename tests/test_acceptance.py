@@ -187,7 +187,7 @@ def test_criterion_07_ascent_monotonicity(rng):
             equalities += 1
             # equality only at numerically critical / line-search-exhausted points
             try:
-                info = gp.gradient(d, residual, d.clamp(lam0))
+                info = gp.gradient(d, residual, d.clamp_coords(lam0.coords))
                 ok &= (info.grad_norm <= 1e-3 * max(info.score, 1e-300)
                        or res.reason == "halvings")
             except (gp.DomainError, gp.DegenerateMetricError):

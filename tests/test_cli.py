@@ -210,8 +210,17 @@ def _without(key):
     (lambda rec: {**rec, "lambda": [[100.0], 8.0]}, "malformed 'lambda'"),
     (lambda rec: {**rec, "seed_lambda": "12"}, "malformed 'seed_lambda'"),
     (lambda rec: [1, 2], "expected a JSON object"),
+    (lambda rec: {**rec, "m": 1.5}, "malformed 'm'"),
+    (lambda rec: {**rec, "m": True}, "malformed 'm'"),
+    (lambda rec: {**rec, "ascent_steps": "3"}, "malformed 'ascent_steps'"),
+    (lambda rec: {**rec, "coeff": "0.5"}, "malformed 'coeff'"),
+    (lambda rec: {**rec, "coeff": float("nan")}, "malformed 'coeff'"),
+    (lambda rec: {**rec, "residual_energy": float("inf")}, "malformed 'residual_energy'"),
+    (lambda rec: {**rec, "lambda": [True, 2]}, "malformed 'lambda'"),
+    (lambda rec: {**rec, "seed_lambda": [100.0, float("nan")]}, "malformed 'seed_lambda'"),
 ], ids=["no-coeff", "no-seed", "no-ascent-steps", "null-coeff", "ragged-lambda", "string-seed",
-        "list"])
+        "list", "fractional-m", "bool-m", "string-ascent-steps", "string-coeff", "nan-coeff",
+        "infinite-energy", "bool-lambda", "nan-seed"])
 def test_reconstruct_reports_malformed_steps(tmp_path, grid_file, capsys, malform, message):
     # a bad line is a runtime error naming the file, the line and the key
     rec = gp.DecompositionStep(m=0, lam=np.array([100.0, 8.0]), coeff=0.5, score=0.25,
@@ -222,6 +231,29 @@ def test_reconstruct_reports_malformed_steps(tmp_path, grid_file, capsys, malfor
                  "--out", str(tmp_path / "r.bin")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {steps}, line 2: {message}")
+
+
+def test_reconstruct_of_2d_steps_on_a_tau_adic_grid_is_runtime_error(tmp_path, grid_file,
+                                                                     capsys):
+    # the dictionary checks each point's length against its own parameters
+    rec = gp.DecompositionStep(m=0, lam=np.array([4.0, 4.0, 0.5, 2.0, 2.0]), coeff=0.5,
+                               score=0.25, residual_energy=0.75).to_record()
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps(rec) + "\n")
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(tmp_path / "r.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "5 coordinates" in err and "2 parameters" in err
+
+
+def test_decompose_refuses_an_infinite_chi(tmp_path, grid_file):
+    sig = tmp_path / "s.bin"
+    assert main(["gen-signal", "--n", "512", "--bursts", "3", "--out", str(sig)]) == 0
+    out = run_cli(["decompose", "--grid", str(grid_file), "--in", str(sig), "--mode", "gmp",
+                   "--chi", "inf", "--out", "steps.jsonl"], cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "chi" in out.stderr
+    assert not (tmp_path / "steps.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", ["decompose", "image"])

@@ -12,14 +12,49 @@ from conftest import (TranslationDictionary, fd_partials, fd_second_partials,
 
 
 def test_param_point_validation():
-    p = gp.ParamPoint((3.0, 2.0), (gp.TRANSLATION, gp.SCALE))
+    # a point is its coordinates, finite and read-only; the dictionary that
+    # evaluates it checks its scales
+    p = gp.ParamPoint((3.0, 2.0))
     assert len(p) == 2
-    with pytest.raises(gp.DomainError):
-        gp.ParamPoint((3.0, -1.0), (gp.TRANSLATION, gp.SCALE))
     with pytest.raises(ValueError):
-        gp.ParamPoint((3.0,), (gp.TRANSLATION, gp.SCALE))
+        p.coords[0] = 1.0
     with pytest.raises(ValueError):
-        gp.ParamPoint((3.0,), ("wobble",))
+        gp.ParamPoint([[3.0, 2.0]])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(gp.DomainError, match="non-finite"):
+            gp.ParamPoint((3.0, bad))
+    negative = gp.ParamPoint((3.0, -1.0))
+    with pytest.raises(gp.DomainError, match="scale -1.0 outside"):
+        gp.Affine1DDictionary(64).synthesize(negative)
+
+
+_WRONG_LENGTH_CALLS = {
+    "synthesize": lambda d, u, good, bad: d.synthesize(bad),
+    "partials": lambda d, u, good, bad: d.partials(bad),
+    "metric": lambda d, u, good, bad: gp.metric(d, bad),
+    "gradient": lambda d, u, good, bad: gp.gradient(d, u, bad),
+    "path_length-to": lambda d, u, good, bad: gp.path_length(d, good, bad),
+    "path_length-both": lambda d, u, good, bad: gp.path_length(d, bad, bad),
+}
+
+
+@pytest.mark.parametrize("call", _WRONG_LENGTH_CALLS.values(), ids=_WRONG_LENGTH_CALLS.keys())
+@pytest.mark.parametrize("family", ["affine", "aniso"])
+def test_point_of_the_wrong_length_names_both_counts(call, family):
+    # the dictionary owns its parameter count: a point of another length is
+    # a ValueError naming both counts, not a domain error or an unpacking one
+    if family == "affine":
+        d = gp.Affine1DDictionary(64)
+        good, bad = d.point(30.0, 4.0), gp.ParamPoint((30.0, 30.0, 0.5, 4.0, 4.0))
+    else:
+        d = gp.Aniso2DDictionary((16, 16))
+        good, bad = d.point(8.0, 8.0, 0.5, 2.0, 2.0), gp.ParamPoint((8.0, 2.0))
+    u = gp.SignalBuffer(np.ones(d.shape))
+    with pytest.raises(ValueError) as info:
+        call(d, u, good, bad)
+    assert not isinstance(info.value, gp.DomainError)
+    message = str(info.value)
+    assert f"{len(bad)} coordinates" in message and f"{d.P} parameters" in message
 
 
 def test_synthesize_unit_norm_interior():
@@ -230,8 +265,8 @@ def test_score_directional_derivative(rng):
         v[1] *= lam.coords[1]  # comparable step in the scale direction
         v /= np.linalg.norm(v)
         h = 1e-3
-        sp = gp.score(d, u, ParamPoint(lam.coords + h * v, lam.kinds))
-        sm = gp.score(d, u, ParamPoint(lam.coords - h * v, lam.kinds))
+        sp = gp.score(d, u, ParamPoint(lam.coords + h * v))
+        sm = gp.score(d, u, ParamPoint(lam.coords - h * v))
         fd = (sp - sm) / (2 * h)
         exact = float(v @ info.partial)
         assert fd == pytest.approx(exact, rel=1e-4, abs=1e-9)
@@ -259,7 +294,7 @@ def test_angle_canonicalization():
     d = gp.Aniso2DDictionary((16, 16))
     p = d.point(8.0, 8.0, math.pi + 0.25, 2.0, 2.0)
     assert p.coords[2] == pytest.approx(0.25, abs=1e-12)
-    assert 0.0 <= d.clamp(p).coords[2] < math.pi
+    assert 0.0 <= d.clamp_coords(p.coords).coords[2] < math.pi
 
 
 class ConstantMother(gp.Dictionary):

@@ -68,8 +68,8 @@ def test_christoffel_matches_metric_derivative_formula():
         h = 1e-4 * (lam.coords[l] if d.kinds[l] == gp.SCALE else 1.0)
         cp = np.array(lam.coords); cp[l] += h
         cm = np.array(lam.coords); cm[l] -= h
-        dG[l] = (gp.metric(d, ParamPoint(cp, lam.kinds)).matrix
-                 - gp.metric(d, ParamPoint(cm, lam.kinds)).matrix) / (2 * h)
+        dG[l] = (gp.metric(d, ParamPoint(cp)).matrix
+                 - gp.metric(d, ParamPoint(cm)).matrix) / (2 * h)
     want = np.zeros((P, P, P))
     for k in range(P):
         for i in range(P):
@@ -145,7 +145,7 @@ def test_path_length_refinement_monotone():
 def test_path_length_domain_exit():
     d = gp.Affine1DDictionary(256, scale_range=(1.0, 32.0))
     with pytest.raises(gp.DomainError):
-        gp.path_length(d, d.point(100.0, 2.0), gp.ParamPoint((100.0, 0.5), d.kinds),
+        gp.path_length(d, d.point(100.0, 2.0), gp.ParamPoint((100.0, 0.5)),
                        segments=8)
 
 
@@ -258,7 +258,7 @@ def test_block_proxy_matches_dense_oracle_on_2d_grids(nx, ny, j_scales, k_orient
     d = gp.Aniso2DDictionary((nx, ny))
     lo, hi = d.scale_range
     a1, a2 = (lo * (hi / lo) ** f for f in u[2:])
-    probe = ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta, a1, a2), d.kinds)
+    probe = ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta, a1, a2))
     check_block_proxy(d, grid, probe, seed)
 
 
@@ -294,7 +294,7 @@ def test_density_radius_matches_exhaustive_oracle_on_2d_grids(nx, ny, j_scales, 
     d = gp.Aniso2DDictionary((nx, ny), scale_range=(0.5, 2.0 * max(nx, ny)))
     lo, hi = float(grid.scales()[0]), float(grid.scales()[-1])
     points = [ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta,
-                          *(lo * (hi / lo) ** f for f in u[2:])), d.kinds)
+                          *(lo * (hi / lo) ** f for f in u[2:])))
               for u, theta in probes]
     check_density_radius(d, grid, points)
 

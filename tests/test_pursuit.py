@@ -229,8 +229,8 @@ def test_gradient_directional_derivative(rng):
     v /= np.linalg.norm(v)
     h = 1e-4
     from geopursuit.dictionaries import ParamPoint
-    sp = gp.score(d, u, ParamPoint(lam.coords + h * v, lam.kinds))
-    sm = gp.score(d, u, ParamPoint(lam.coords - h * v, lam.kinds))
+    sp = gp.score(d, u, ParamPoint(lam.coords + h * v))
+    sm = gp.score(d, u, ParamPoint(lam.coords - h * v))
     assert (sp - sm) / (2 * h) == pytest.approx(float(v @ info.partial), rel=1e-3)
 
 
@@ -475,3 +475,16 @@ def test_pursuit_config_validation():
     with pytest.raises(ValueError, match="max_iterations"):
         gp.PursuitConfig(max_iterations=-1)
     assert gp.PursuitConfig(max_iterations=0).max_iterations == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chi", math.inf), ("chi", math.nan), ("chi", -math.inf),
+    ("kappa", 2.5), ("kappa", True), ("kappa", 3.0),
+    ("max_iterations", 2.5), ("max_iterations", False), ("max_iterations", "4"),
+])
+def test_pursuit_config_refuses_values_the_pursuit_cannot_use(field, value):
+    # an infinite chi ends the ascent at its first step on non-finite
+    # coordinates, a fractional kappa rounds its step count up and a
+    # fractional max_iterations fails inside `range`
+    with pytest.raises(ValueError, match=field):
+        gp.PursuitConfig(**{field: value})
