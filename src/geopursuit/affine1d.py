@@ -183,6 +183,11 @@ class TauAdicGrid:
             yield j, a, step, n_lo, n_hi
 
     @property
+    def shape(self) -> tuple[int]:
+        """The sample shape of the signals the grid is searched over."""
+        return (self.n,)
+
+    @property
     def count(self) -> int:
         return sum(hi - lo + 1 for _, _, _, lo, hi in self.levels())
 
@@ -202,6 +207,7 @@ class TauAdicGrid:
         return np.concatenate(rows)
 
     def scale_span(self) -> tuple[float, float]:
+        """The smallest and the largest scale of the grid."""
         return (self.a0 * self.tau ** self.j_min, self.a0 * self.tau ** self.j_max)
 
     def to_json(self) -> str:

@@ -139,8 +139,18 @@ class Grid2DSpec:
         exponents = np.arange(self.j_scales) / (self.j_scales - 1)
         return lo * (hi / lo) ** exponents
 
+    def scale_span(self) -> tuple[float, float]:
+        """The smallest and the largest scale of the grid."""
+        scales = self.scales()
+        return (float(scales[0]), float(scales[-1]))
+
     def thetas(self) -> np.ndarray:
         return np.arange(self.k_orients) * (math.pi / self.k_orients)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The sample shape of the images the grid is searched over."""
+        return (self.nx, self.ny)
 
     @property
     def count(self) -> int:

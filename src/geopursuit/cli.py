@@ -10,6 +10,7 @@ manifest). Numeric CSV output uses 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .affine1d import Affine1DDictionary, TauAdicGrid
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
-from .core import SignalBuffer, load_signal, save_signal
+from .core import load_signal, save_signal
 from .experiments import (BurstSignalSpec, beta_surrogate, convergence_curve,
                           image_harness, make_test_image, nae)
 from .geometry import (christoffel, condition_bound, density_radius, metric,
@@ -34,24 +35,22 @@ def _fmt(x: float) -> str:
 
 
 def _load_grid(path):
+    """(grid, dictionary) of a grid spec file: the dictionary of the grid's
+    family, on the grid's sample shape."""
     text = Path(path).read_text()
     spec = json.loads(text)
     if not isinstance(spec, dict):
         raise ValueError(f"{path}: grid spec must be a JSON object")
     try:
         if "b0" in spec:
-            return TauAdicGrid.from_json(text)
+            grid = TauAdicGrid.from_json(text)
+            return grid, Affine1DDictionary(grid.n)
         if "Nx" in spec:
-            return Grid2DSpec.from_json(text)
+            grid = Grid2DSpec.from_json(text)
+            return grid, Aniso2DDictionary(grid.shape)
     except KeyError as exc:
         raise ValueError(f"{path}: grid spec has no {exc.args[0]!r} key") from None
     raise ValueError(f"{path}: unrecognized grid spec (expected tau-adic or 2-D keys)")
-
-
-def _dictionary_for(grid):
-    if isinstance(grid, TauAdicGrid):
-        return Affine1DDictionary(grid.n)
-    return Aniso2DDictionary((grid.nx, grid.ny))
 
 
 # side of the generated test image when `image` is given no --image file
@@ -106,8 +105,7 @@ def cmd_gen_signal(args) -> tuple[dict, list, list]:
 
 
 def cmd_decompose(args) -> tuple[dict, list, list]:
-    grid = _load_grid(args.grid)
-    dictionary = _dictionary_for(grid)
+    grid, dictionary = _load_grid(args.grid)
     signal = load_signal(args.infile)
     config = _pursuit_config(args, max_iterations=args.max_iters)
     decomposition = run(signal, dictionary, grid, config)
@@ -123,13 +121,12 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 
 
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
-    grid = _load_grid(args.grid)
-    dictionary = _dictionary_for(grid)
+    grid, dictionary = _load_grid(args.grid)
     decomposition = Decomposition.from_jsonl(args.steps)
     approx = reconstruct(decomposition, dictionary)
     save_signal(approx, args.out)
     inputs = [args.grid, args.steps]
-    if args.infile and args.residual:
+    if args.infile is not None:
         original = load_signal(args.infile)
         residual = load_signal(args.residual)
         gap = original.data - approx.data - residual.data
@@ -140,36 +137,32 @@ def cmd_reconstruct(args) -> tuple[dict, list, list]:
 
 
 def cmd_geometry(args) -> tuple[dict, list, list]:
-    grid = _load_grid(args.grid)
-    dictionary = _dictionary_for(grid)
+    grid, dictionary = _load_grid(args.grid)
     rng = np.random.default_rng(args.seed)
+    a_lo, a_hi = grid.scale_span()
+    a_mid = math.sqrt(a_lo * a_hi)
+    shape = grid.shape
+
+    def _scale():
+        return math.exp(rng.uniform(math.log(a_lo * 1.05), math.log(a_hi * 0.95)))
+
     if isinstance(grid, TauAdicGrid):
-        a_lo, a_hi = grid.scale_span()
-        n = grid.n
-        center = (n / 2, math.sqrt(a_lo * a_hi))
-        samples = [dictionary.point(rng.uniform(0.3 * n, 0.7 * n),
-                                    math.exp(rng.uniform(math.log(a_lo * 1.05),
-                                                         math.log(a_hi * 0.95))))
+        (n,) = shape
+        center = (n / 2, a_mid)
+        samples = [dictionary.point(rng.uniform(0.3 * n, 0.7 * n), _scale())
                    for _ in range(args.samples)]
-        probes = [dictionary.point(rng.uniform(0, n - 1),
-                                   math.exp(rng.uniform(math.log(a_lo * 1.05),
-                                                        math.log(a_hi * 0.95))))
-                  for _ in range(args.probes)]
+        probes = [dictionary.point(rng.uniform(0, n - 1), _scale()) for _ in range(args.probes)]
 
         def _beta_input(s):
             return BurstSignalSpec(n=n, kind="gaussian", envelope=min(256.0, n / 4)).sample(s)
     else:
-        nx, ny = grid.nx, grid.ny
-        scales = grid.scales()
-        a_lo, a_hi = float(scales[0]), float(scales[-1])
-        center = (nx / 2, ny / 2, 0.0, math.sqrt(a_lo * a_hi), math.sqrt(a_lo * a_hi))
+        nx, ny = shape
+        center = (nx / 2, ny / 2, 0.0, a_mid, a_mid)
 
         def _rand_point():
             return dictionary.point(
                 rng.uniform(0.3 * nx, 0.7 * nx), rng.uniform(0.3 * ny, 0.7 * ny),
-                rng.uniform(0, math.pi),
-                math.exp(rng.uniform(math.log(a_lo * 1.05), math.log(a_hi * 0.95))),
-                math.exp(rng.uniform(math.log(a_lo * 1.05), math.log(a_hi * 0.95))))
+                rng.uniform(0, math.pi), _scale(), _scale())
 
         samples = [_rand_point() for _ in range(args.samples)]
         probes = [_rand_point() for _ in range(args.probes)]
@@ -200,15 +193,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
         "christoffel": gamma.tolist(),
         "condition_bound": k_hat,
         "density_radius": rho,
-        "weakness": {
-            "alpha": report.alpha,
-            "beta": report.beta,
-            "curvature": report.curvature,
-            "rho_d": report.rho_d,
-            "alpha_prime": report.alpha_prime,
-            "alpha_dprime": report.alpha_dprime,
-            "density_ok": report.density_ok,
-        },
+        "weakness": dataclasses.asdict(report),
     }
     text = json.dumps(payload, indent=2) + "\n"
     outputs = []
@@ -221,10 +206,9 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
 
 
 def cmd_curve(args) -> tuple[dict, list, list]:
-    grid = _load_grid(args.grid)
+    grid, dictionary = _load_grid(args.grid)
     if not isinstance(grid, TauAdicGrid):
         raise ValueError("curve runs on 1-D tau-adic grids")
-    dictionary = _dictionary_for(grid)
     spec = BurstSignalSpec(n=grid.n, n_bursts=args.bursts, kind=args.signal_class)
     config = _pursuit_config(args)
     result = convergence_curve(spec.sample, dictionary, grid, config,
@@ -240,10 +224,9 @@ def cmd_curve(args) -> tuple[dict, list, list]:
 
 
 def cmd_nae(args) -> tuple[dict, list, list]:
-    grid = _load_grid(args.grid)
+    grid, dictionary = _load_grid(args.grid)
     if not isinstance(grid, TauAdicGrid):
         raise ValueError("nae runs on 1-D tau-adic grids")
-    dictionary = _dictionary_for(grid)
     spec = BurstSignalSpec(n=grid.n, n_bursts=args.bursts, kind=args.signal_class)
     config = _pursuit_config(args)
     result = nae(spec.sample, dictionary, grid, config, trials=args.trials,
@@ -386,6 +369,9 @@ def main(argv=None) -> int:
         elif (args.nx, args.ny) != (None, None):
             parser.error("image: --nx and --ny size the generated test image; "
                          "an --image file has its own size")
+    if args.command == "reconstruct" and (args.infile is None) != (args.residual is None):
+        parser.error("reconstruct: --in and --residual are given together, "
+                     "for the consistency check")
     start = time.perf_counter()
     try:
         extras, inputs, outputs = args.func(args)

@@ -69,6 +69,9 @@ class PursuitConfig:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if not 0 < self.chi < math.inf:
             raise ValueError(f"chi must be positive and finite, got {self.chi!r}")
+        if not 0 <= self.energy_floor_rel < math.inf:
+            raise ValueError("energy_floor_rel must be finite and nonnegative, "
+                             f"got {self.energy_floor_rel!r}")
 
 
 @dataclass
@@ -99,7 +102,8 @@ class DecompositionStep:
         """The step of a `to_record` dict; a missing or malformed key raises
         ValueError naming it. Values are JSON numbers as `spec_number` reads
         them: `m` and `ascent_steps` integral, the rest (and every entry of
-        `lambda` and `seed_lambda`) finite."""
+        `lambda` and `seed_lambda`) finite; all but `coeff` and the points
+        nonnegative."""
         if not isinstance(rec, dict):
             raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
 
@@ -111,11 +115,19 @@ class DecompositionStep:
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"malformed {key!r}: {rec[key]!r}") from None
 
+        def nonnegative(x):
+            if x < 0:
+                raise ValueError
+            return x
+
         def count(v):
-            return spec_number([v], 0, integral=True)
+            return nonnegative(spec_number([v], 0, integral=True))
 
         def real(v):
             return float(spec_number([v], 0, finite=True))
+
+        def energy(v):
+            return nonnegative(real(v))
 
         def reals(v):
             if not isinstance(v, list):
@@ -123,8 +135,8 @@ class DecompositionStep:
             return np.array([real(x) for x in v])
 
         return cls(m=value("m", count), lam=value("lambda", reals),
-                   coeff=value("coeff", real), score=value("score", real),
-                   residual_energy=value("residual_energy", real),
+                   coeff=value("coeff", real), score=value("score", energy),
+                   residual_energy=value("residual_energy", energy),
                    seed=value("seed_lambda", lambda v: None if v is None else reals(v)),
                    ascent_steps=value("ascent_steps", count))
 
@@ -280,8 +292,10 @@ def full_search(dictionary: Dictionary, residual: SignalBuffer, grid):
     enumeration index. Returns (best point, best score).
     """
     plan = _search_plan(dictionary, residual, grid)
-    s, i, k = plan.argmax(residual.data)
-    return plan.blocks[i].to_point(dictionary, k), s
+    best, index = plan.argmax(residual.data)
+    positions, others = plan.factors
+    s, p = divmod(index, len(positions))
+    return ParamPoint(np.concatenate([positions[p], others[s]])), best
 
 
 def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndarray:
@@ -302,19 +316,24 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     grid over an affine dictionary and a 2-D grid over an anisotropic one
     are planned, and any other pair raises TypeError. A residual whose
     shape is not the dictionary's raises ValueError first: the FFT path
-    would pad or truncate it.
+    would pad or truncate it. A new plan checks the grid once: its shape
+    against the dictionary's (ValueError), its scale span against the
+    scale range (DomainError).
     """
     dictionary.check_shape(residual.shape)
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        build = _affine_plan
+        entries = _affine_plan
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        build = _grid2d_plan
+        entries = _grid2d_plan
     else:
         raise TypeError(f"no grid search plan for a {type(grid).__name__} grid with "
                         f"a {type(dictionary).__name__}")
     plans = _PLANS.setdefault(dictionary, {})
     if grid not in plans:
-        plans[grid] = build(dictionary, grid)
+        dictionary.check_shape(grid.shape)
+        dictionary.check_scales(grid.scale_span(), problem="of the grid outside")
+        plans[grid] = _SearchPlan.build(dictionary.shape, entries(dictionary, grid),
+                                        grid.factors())
     return plans[grid]
 
 
@@ -351,7 +370,6 @@ class _FFTBlock:
 
     spectrum: _Spectrum
     norm2: np.ndarray
-    to_point: object  # (dictionary, k) -> ParamPoint
 
     def correlate(self, u, u_hat, fft_shape):
         return self.spectrum.correlate(u_hat, fft_shape)
@@ -377,7 +395,6 @@ class _DirectBlock:
     norm2: np.ndarray
     bound_factor: np.ndarray
     envelope: object
-    to_point: object  # (dictionary, k) -> ParamPoint
 
     def correlate(self, u, u_hat, fft_shape, rows=slice(None)):
         kernel = self.kernel(self.bs[rows])
@@ -388,13 +405,16 @@ class _DirectBlock:
 @dataclass(frozen=True)
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
-    one block per level or slab, in enumeration order, and the real-FFT
-    shapes shared by the FFT blocks and by the direct blocks' envelopes
-    (each empty when there are none)."""
+    one block per level or slab, in enumeration order, with the enumeration
+    index of each block's first atom; the real-FFT shapes shared by the FFT
+    blocks and by the direct blocks' envelopes (each empty when there are
+    none); and the grid's `factors()`, which map an index to its point."""
 
     fft_shape: tuple
     bound_shape: tuple
     blocks: list
+    offsets: list
+    factors: tuple
 
     def scores(self, u: np.ndarray):
         """Every atom's score, as one flat array per block, from one FFT of `u`."""
@@ -411,20 +431,20 @@ class _SearchPlan:
         return {i: block.bound_factor * block.envelope.correlate(r2_hat, self.bound_shape)
                 for i, block in enumerate(self.blocks) if isinstance(block, _DirectBlock)}
 
-    def argmax(self, u: np.ndarray) -> tuple[float, int, int]:
-        """(score, block, k) of the first best atom of `scores`, by branch
-        and bound: FFT blocks give the incumbent, then direct blocks, by
-        descending largest bound, build rows only for the translations whose
-        bound reaches the running best. A skipped atom scores below the
-        best, so the result is the exhaustive one, bit for bit."""
+    def argmax(self, u: np.ndarray) -> tuple[float, int]:
+        """(score, enumeration index) of the first best atom of `scores`, by
+        branch and bound: FFT blocks give the incumbent, then direct blocks,
+        by descending largest bound, build rows only for the translations
+        whose bound reaches the running best. A skipped atom scores below
+        the best, so the result is the exhaustive one, bit for bit."""
         bounds = self.bounds(u)
         u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
-        best = (-math.inf, 0, 0)  # (score, -block, -k): the max is the first best
+        best = (-math.inf, 0)  # (score, -index): the max is the first best
         for i, block in enumerate(self.blocks):
             if i not in bounds:
                 scores = _scores(block.correlate(u, u_hat, self.fft_shape), block.norm2)
                 k = int(np.argmax(scores))
-                best = max(best, (float(scores[k]), -i, -k))
+                best = max(best, (float(scores[k]), -self.offsets[i] - k))
         margin = _BOUND_MARGIN * float(np.vdot(u, u))
         for i in sorted(bounds, key=lambda i: -bounds[i].max()):
             rows = np.flatnonzero(bounds[i] >= best[0] - margin)
@@ -433,11 +453,11 @@ class _SearchPlan:
             block = self.blocks[i]
             scores = _scores(block.correlate(u, None, None, rows), block.norm2[rows])
             j = int(np.argmax(scores))
-            best = max(best, (float(scores[j]), -i, -int(rows[j])))
-        return best[0], -best[1], -best[2]
+            best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
+        return best[0], -best[1]
 
     @classmethod
-    def build(cls, shape, entries) -> "_SearchPlan":
+    def build(cls, shape, entries, factors) -> "_SearchPlan":
         """Plan from `entries` in enumeration order: `_Lattice` specs turned
         into FFT blocks and direct blocks given their envelope spectra, one
         template at a time."""
@@ -448,7 +468,8 @@ class _SearchPlan:
                   else replace(e, envelope=_spectrum(
                       e.envelope, e.envelope.template(), shape, bound_shape))
                   for e in entries]
-        return cls(fft_shape, bound_shape, blocks)
+        offsets = list(itertools.accumulate((b.norm2.size for b in blocks[:-1]), initial=0))
+        return cls(fft_shape, bound_shape, blocks, offsets, factors)
 
 
 class _Lattice(NamedTuple):
@@ -459,7 +480,6 @@ class _Lattice(NamedTuple):
     ms: tuple
     positions: list
     template: object
-    to_point: object
 
 
 def _lattice_axes(lattice: _Lattice, shape):
@@ -497,7 +517,7 @@ def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft_shape) -> _Spectrum:
 def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
     w = lattice.template()
     return _FFTBlock(_spectrum(lattice, w, shape, fft_shape),
-                     _lattice_norm2(w, lattice.positions, shape), lattice.to_point)
+                     _lattice_norm2(w, lattice.positions, shape))
 
 
 def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
@@ -563,7 +583,7 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _direct_block(n: int, mother, a: float, bs: np.ndarray, to_point) -> _DirectBlock:
+def _direct_block(n: int, mother, a: float, bs: np.ndarray) -> _DirectBlock:
     kernel = functools.partial(_direct_kernel, n, mother, a)
     w = kernel(bs)
     norm2 = np.einsum("nl,nl->n", w, w)
@@ -572,9 +592,9 @@ def _direct_block(n: int, mother, a: float, bs: np.ndarray, to_point) -> _Direct
     # every row's support [lo, lo + width) lies within offsets -m..m of floor(b)
     m = math.ceil(KERNEL_RADIUS * a) + 3
     envelope = _Lattice((m,), [np.floor(bs).astype(np.int64)],
-                        functools.partial(_envelope_template, mother, a, m), None)
+                        functools.partial(_envelope_template, mother, a, m))
     return _DirectBlock(kernel, bs, _direct_starts(n, a, bs)[2], norm2, bound_factor,
-                        envelope, to_point)
+                        envelope)
 
 
 def _envelope_template(mother, a: float, m: int) -> np.ndarray:
@@ -586,38 +606,29 @@ def _envelope_template(mother, a: float, m: int) -> np.ndarray:
     return mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a)
 
 
-def _level_point(bs: np.ndarray, a: float, dictionary: Affine1DDictionary, k: int):
-    return dictionary.point(float(bs[k]), float(a))
-
-
 def _level_template(mother, a: float, m: int) -> np.ndarray:
     """The atom at b = 0 over offsets -m..m."""
     return affine_jet(mother, 0.0, a, np.arange(-m, m + 1, dtype=np.float64))[0]
 
 
-def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> _SearchPlan:
-    """One block per level: an FFT block where the level's translations sit
-    on the integer sample lattice, a direct block otherwise."""
-    if dictionary.shape != (grid.n,):
-        raise ValueError(f"grid N={grid.n} does not match the dictionary's "
-                         f"sample grid {dictionary.shape}")
-    dictionary.check_scales(grid.scale_span(), problem="of the grid outside")
+def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
+    """The plan's entries, one per level: an FFT lattice where the level's
+    translations sit on the integer sample lattice, a direct block otherwise."""
     n = grid.n
     mother = dictionary.mother
     entries = []
     for _, a, step, n_lo, n_hi in grid.levels():
         bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
         b_round = np.rint(bs)
-        to_point = functools.partial(_level_point, bs, a)
         if (abs(step - round(step)) < _LATTICE_TOL
                 and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
             # the template reaches every translation the grid keeps
             m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
             entries.append(_Lattice((m,), [b_round.astype(np.int64)],
-                                    functools.partial(_level_template, mother, a, m), to_point))
+                                    functools.partial(_level_template, mother, a, m)))
         else:
-            entries.append(_direct_block(n, mother, a, bs, to_point))
-    return _SearchPlan.build(dictionary.shape, entries)
+            entries.append(_direct_block(n, mother, a, bs))
+    return entries
 
 
 def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
@@ -637,25 +648,15 @@ def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: f
     return dictionary._jet(coords, (2 * m1 + 1, 2 * m2 + 1), 0)[0]
 
 
-def _slab_point(ny: int, slab, dictionary: Aniso2DDictionary, k: int):
-    return dictionary.point(*(float(b) for b in divmod(k, ny)), *slab)
-
-
-def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> _SearchPlan:
-    """One FFT block per slab over all pixel positions."""
-    if dictionary.shape != (grid.nx, grid.ny):
-        raise ValueError(f"grid ({grid.nx}, {grid.ny}) does not match the dictionary's "
-                         f"sample grid {dictionary.shape}")
-    scales = grid.scales()
-    dictionary.check_scales((scales[0], scales[-1]), problem="of the grid outside")
-    positions = [np.arange(grid.nx), np.arange(grid.ny)]
+def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> list:
+    """The plan's entries: one FFT lattice per slab over all pixel positions."""
+    positions = [np.arange(k) for k in grid.shape]
     entries = []
     for slab in grid.slabs():
         ms = _slab_halfwidths(dictionary, *slab)
         entries.append(_Lattice(
-            ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms),
-            functools.partial(_slab_point, grid.ny, slab)))
-    return _SearchPlan.build(dictionary.shape, entries)
+            ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms)))
+    return entries
 
 
 # ---------------------------------------------------------------------------

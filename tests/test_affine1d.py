@@ -88,6 +88,13 @@ def test_grid_json_roundtrip():
     assert keys == {"b0", "a0", "tau", "jmin", "jmax", "N"}
 
 
+def test_grid_states_its_shape_and_scale_span():
+    grid = gp.TauAdicGrid(b0=2, a0=1.5, tau=2.0, j_min=1, j_max=3, n=100)
+    assert grid.shape == (100,)
+    assert grid.scale_span() == (3.0, 12.0)
+    assert gp.Affine1DDictionary(100).shape == grid.shape
+
+
 def test_grid_covers_requested_scale_band():
     grid = gp.tau_grid_for_signal(4096, b0=1, log2_tau=0.25)
     lo, hi = grid.scale_span()

@@ -99,6 +99,18 @@ def test_grid_scales_logarithmic():
     assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
 
+def test_grid_states_its_shape_and_scale_span():
+    spec = gp.Grid2DSpec(nx=6, ny=9, j_scales=3, k_orients=2, min_scale=1.5, max_scale=6.0)
+    assert spec.shape == (6, 9) == gp.Aniso2DDictionary((6, 9)).shape
+    lo, hi = spec.scale_span()
+    assert (lo, hi) == (float(spec.scales()[0]), float(spec.scales()[-1]))
+    assert type(lo) is type(hi) is float
+    assert (lo, hi) == pytest.approx((1.5, 6.0), rel=1e-15)
+    # one scale level: the span is that one scale
+    assert gp.Grid2DSpec(nx=4, ny=5, j_scales=1, k_orients=3).scale_span() == (0.7, 0.7)
+    assert gp.Grid2DSpec(nx=4, ny=5, j_scales=1, k_orients=3).shape == (4, 5)
+
+
 def test_grid_orientations_evenly_spaced():
     spec = gp.Grid2DSpec(nx=8, ny=8, j_scales=1, k_orients=4)
     assert np.allclose(spec.thetas(), [0, math.pi / 4, math.pi / 2, 3 * math.pi / 4])

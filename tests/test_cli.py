@@ -186,6 +186,20 @@ def test_image_size_options_are_refused_with_an_image_file(tmp_path):
     assert manifest["grid_spec"] == {"Nx": 64, "Ny": 9, "J": 1, "K": 1}
 
 
+@pytest.mark.parametrize("given", [["--in", "s.bin"], ["--residual", "r.bin"]])
+def test_reconstruct_check_inputs_come_together(tmp_path, grid_file, capsys, given):
+    # one of the two alone would skip the consistency check without a word
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+              "--out", str(tmp_path / "r.bin"), *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--in" in err and "--residual" in err
+    assert not (tmp_path / "r.bin").exists()
+
+
 def test_usage_error_exit_code(tmp_path):
     out = run_cli(["decompose", "--grid"], cwd=tmp_path)
     assert out.returncode == 2
@@ -218,9 +232,14 @@ def _without(key):
     (lambda rec: {**rec, "residual_energy": float("inf")}, "malformed 'residual_energy'"),
     (lambda rec: {**rec, "lambda": [True, 2]}, "malformed 'lambda'"),
     (lambda rec: {**rec, "seed_lambda": [100.0, float("nan")]}, "malformed 'seed_lambda'"),
+    (lambda rec: {**rec, "m": -3}, "malformed 'm'"),
+    (lambda rec: {**rec, "ascent_steps": -2}, "malformed 'ascent_steps'"),
+    (lambda rec: {**rec, "residual_energy": -1.0}, "malformed 'residual_energy'"),
+    (lambda rec: {**rec, "score": -4.0}, "malformed 'score'"),
 ], ids=["no-coeff", "no-seed", "no-ascent-steps", "null-coeff", "ragged-lambda", "string-seed",
         "list", "fractional-m", "bool-m", "string-ascent-steps", "string-coeff", "nan-coeff",
-        "infinite-energy", "bool-lambda", "nan-seed"])
+        "infinite-energy", "bool-lambda", "nan-seed", "negative-m", "negative-ascent-steps",
+        "negative-energy", "negative-score"])
 def test_reconstruct_reports_malformed_steps(tmp_path, grid_file, capsys, malform, message):
     # a bad line is a runtime error naming the file, the line and the key
     rec = gp.DecompositionStep(m=0, lam=np.array([100.0, 8.0]), coeff=0.5, score=0.25,

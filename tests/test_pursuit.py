@@ -139,10 +139,27 @@ def test_unplanned_grids_are_refused(rng):
 
 
 def test_full_search_grid_scale_domain_check():
-    d = gp.Affine1DDictionary(256, scale_range=(1.0, 16.0))
-    grid = gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=5, n=256)  # tops at 64
-    with pytest.raises(gp.DomainError):
-        full_search(d, gp.SignalBuffer.zeros((256,)), grid)
+    # a grid whose scale span leaves the dictionary's scale range is refused
+    # when its plan is built, on either grid type; `run` refuses it before
+    # its first step, so also on a zero signal, where it would take none
+    cases = [(gp.Affine1DDictionary(256, scale_range=(1.0, 16.0)),
+              gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=5, n=256)),  # tops at 64
+             (gp.Aniso2DDictionary((8, 8), scale_range=(1.0, 8.0)),
+              gp.Grid2DSpec(8, 8, 2, 2)),  # starts at 0.7
+             (gp.Aniso2DDictionary((8, 8), scale_range=(1.0, 8.0)),
+              gp.Grid2DSpec(8, 8, 2, 2, min_scale=1.0, max_scale=9.0))]
+    for d, grid in cases:
+        zero = gp.SignalBuffer.zeros(d.shape)
+        for call in (lambda: full_search(d, zero, grid),
+                     lambda: gp.run(zero, d, grid),
+                     lambda: gp.run(zero, d, grid, gp.PursuitConfig(max_iterations=0))):
+            with pytest.raises(gp.DomainError, match="of the grid outside"):
+                call()
+    # a 2-D grid within the range plans and searches
+    d = cases[1][0]
+    image = gp.SignalBuffer(np.random.default_rng(5).standard_normal((8, 8)))
+    lam, s = full_search(d, image, gp.Grid2DSpec(8, 8, 2, 2, min_scale=1.0))
+    assert s > 0 and lam.coords[3] >= 1.0
 
 
 def test_search_plans_do_not_cross_talk(rng):
@@ -481,10 +498,12 @@ def test_pursuit_config_validation():
     ("chi", math.inf), ("chi", math.nan), ("chi", -math.inf),
     ("kappa", 2.5), ("kappa", True), ("kappa", 3.0),
     ("max_iterations", 2.5), ("max_iterations", False), ("max_iterations", "4"),
+    ("energy_floor_rel", math.nan), ("energy_floor_rel", -1.0), ("energy_floor_rel", math.inf),
 ])
 def test_pursuit_config_refuses_values_the_pursuit_cannot_use(field, value):
     # an infinite chi ends the ascent at its first step on non-finite
-    # coordinates, a fractional kappa rounds its step count up and a
-    # fractional max_iterations fails inside `range`
+    # coordinates, a fractional kappa rounds its step count up, a
+    # fractional max_iterations fails inside `range`, and with a NaN or
+    # negative energy_floor_rel the energy-floor stop can never fire
     with pytest.raises(ValueError, match=field):
         gp.PursuitConfig(**{field: value})

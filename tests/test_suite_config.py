@@ -1,6 +1,7 @@
-"""The Tier-1 suite's own pytest configuration, and the benchmark's tracer
-as the suite sees it."""
+"""The Tier-1 suite's own pytest configuration, the benchmark's tracer as
+the suite sees it, and the package's imports."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "geopursuit"
 
 # per-layer metrics that the benchmark reads from a span label: the name
 # less this suffix
@@ -57,3 +59,47 @@ def test_every_traced_benchmark_metric_has_its_span_label(monkeypatch):
         tracer.uninstall()
     assert wanted
     assert not wanted - labels, f"no span carries {sorted(wanted - labels)}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names an import binds in the module at `path` that the module never
+    reads and its `__all__` does not list: the check of a linter's F401,
+    which an import marked `# noqa: F401` on its name's line opts out of."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_the_package_imports_only_what_it_uses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_the_unused_import_check_sees_an_unused_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import math\n"
+                     "import os.path\n"
+                     "from json import dumps, loads  # noqa: F401\n"
+                     "from sys import (argv,\n"
+                     "                 path as sys_path)\n"
+                     "__all__ = ['argv']\n"
+                     "x = os.path.sep\n")
+    assert _unused_imports(probe) == ["probe.py:2: math", "probe.py:6: sys_path"]
