@@ -4,9 +4,9 @@ Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
 renormalization, with a Mexican Hat mother by default. A mother is one
 `jet`: its profile and, up to order 2, its derivatives from a single
 exponential. `affine_jet` calls it once and is the one evaluation of the
-atom formula, with its partials, for the dictionary's atoms and the grid
-search's templates. Grids are tau-adic:
-k_(j,n) = (n*b0*tau^j, a0*tau^j).
+atom formula, with its partials, for the dictionary's atoms (the grid
+search's templates among them) and the search's off-lattice kernel rows.
+Grids are tau-adic: k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import SCALE, TRANSLATION, Dictionary, ParamPoint, spec_number
+from .dictionaries import SCALE, TRANSLATION, Dictionary, ParamPoint, check_spec_keys, spec_number
 
 # Atom mass within 4 standard widths is treated as "intersecting" the
 # signal: grid translations near the boundary, the search template's reach
@@ -127,9 +127,6 @@ class Affine1DDictionary(Dictionary):
             raise ValueError(f"bad scale range {scale_range}")
         self.scale_range = (float(lo), float(hi))
 
-    def point(self, b: float, a: float) -> ParamPoint:
-        return ParamPoint((b, a))
-
     def clamp_coords(self, coords) -> ParamPoint:
         """As `Dictionary.clamp_coords`, except that b clamps to
         [-MASS_RADIUS*a, n-1 + MASS_RADIUS*a] at the clamped scale a, the
@@ -192,19 +189,15 @@ class TauAdicGrid:
         return sum(hi - lo + 1 for _, _, _, lo, hi in self.levels())
 
     def points(self):
-        """Deterministically ordered grid points."""
-        for row in self.coords():
+        """Deterministically ordered grid points: the (b, a) rows of `factors()`."""
+        for row in self.factors()[1]:
             yield ParamPoint(row)
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid as `Grid2DSpec.factors` gives it: no translation columns, all (b, a) rows."""
-        return np.zeros((1, 0)), self.coords()
-
-    def coords(self) -> np.ndarray:
-        """Grid point coordinates, one (b, a) row per point in enumeration order."""
         rows = [np.column_stack([np.arange(n_lo, n_hi + 1) * step, np.full(n_hi - n_lo + 1, a)])
                 for _, a, step, n_lo, n_hi in self.levels()]
-        return np.concatenate(rows)
+        return np.zeros((1, 0)), np.concatenate(rows)
 
     def scale_span(self) -> tuple[float, float]:
         """The smallest and the largest scale of the grid."""
@@ -217,6 +210,7 @@ class TauAdicGrid:
     @classmethod
     def from_json(cls, text: str) -> "TauAdicGrid":
         d = json.loads(text)
+        check_spec_keys(d, ("b0", "a0", "tau", "jmin", "jmax", "N"))
         return cls(b0=spec_number(d, "b0"), a0=spec_number(d, "a0"),
                    tau=spec_number(d, "tau"), j_min=spec_number(d, "jmin", True),
                    j_max=spec_number(d, "jmax", True), n=spec_number(d, "N", True))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import ANGLE, SCALE, TRANSLATION, Dictionary, ParamPoint, spec_number
+from .dictionaries import (ANGLE, SCALE, TRANSLATION, Dictionary, ParamPoint, check_spec_keys,
+                           spec_number)
 
 DEFAULT_MIN_SCALE = 0.7
 
@@ -166,7 +167,11 @@ class Grid2DSpec:
                     yield float(theta), float(a1), float(a2)
 
     def points(self):
-        for row in self.coords():
+        """Grid points in enumeration order: the rows of the `factors()` product."""
+        positions, slabs = self.factors()
+        rows = np.hstack([np.tile(positions, (len(slabs), 1)),
+                          np.repeat(slabs, len(positions), axis=0)])
+        for row in rows:
             yield ParamPoint(row)
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -176,15 +181,6 @@ class Grid2DSpec:
         b1, b2 = np.divmod(np.arange(self.nx * self.ny), self.ny)
         positions = np.column_stack([b1, b2]).astype(np.float64)
         return positions, np.array(list(self.slabs())).reshape(-1, 3)
-
-    def coords(self) -> np.ndarray:
-        """Grid point coordinates, one (b1, b2, theta, a1, a2) row per point
-        in enumeration order."""
-        positions, slabs = self.factors()
-        out = np.empty((len(slabs), len(positions), 5))
-        out[:, :, :2] = positions
-        out[:, :, 2:] = slabs[:, None, :]
-        return out.reshape(-1, 5)
 
     def to_json(self) -> str:
         """JSON spec; the scale bounds are written only where they differ
@@ -199,6 +195,7 @@ class Grid2DSpec:
     @classmethod
     def from_json(cls, text: str) -> "Grid2DSpec":
         d = {"min_scale": DEFAULT_MIN_SCALE, **json.loads(text)}
+        check_spec_keys(d, ("Nx", "Ny", "J", "K", "min_scale", "max_scale"))
         return cls(nx=spec_number(d, "Nx", True), ny=spec_number(d, "Ny", True),
                    j_scales=spec_number(d, "J", True), k_orients=spec_number(d, "K", True),
                    min_scale=float(spec_number(d, "min_scale")),

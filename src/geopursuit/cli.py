@@ -53,6 +53,17 @@ def _load_grid(path):
     raise ValueError(f"{path}: unrecognized grid spec (expected tau-adic or 2-D keys)")
 
 
+def _load_signal(path, dictionary):
+    """The signal in `path`, refused unless its shape is the dictionary's:
+    a signal of another shape belongs to another grid."""
+    signal = load_signal(path)
+    try:
+        dictionary.check_shape(signal.shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: signal {exc}") from None
+    return signal
+
+
 # side of the generated test image when `image` is given no --image file
 TEST_IMAGE_SIZE = 64
 
@@ -106,7 +117,7 @@ def cmd_gen_signal(args) -> tuple[dict, list, list]:
 
 def cmd_decompose(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
-    signal = load_signal(args.infile)
+    signal = _load_signal(args.infile, dictionary)
     config = _pursuit_config(args, max_iterations=args.max_iters)
     decomposition = run(signal, dictionary, grid, config)
     decomposition.to_jsonl(args.out)
@@ -123,16 +134,17 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
     decomposition = Decomposition.from_jsonl(args.steps)
-    approx = reconstruct(decomposition, dictionary)
-    save_signal(approx, args.out)
     inputs = [args.grid, args.steps]
     if args.infile is not None:
-        original = load_signal(args.infile)
-        residual = load_signal(args.residual)
+        original = _load_signal(args.infile, dictionary)
+        residual = _load_signal(args.residual, dictionary)
+        inputs += [args.infile, args.residual]
+    approx = reconstruct(decomposition, dictionary)
+    save_signal(approx, args.out)
+    if args.infile is not None:
         gap = original.data - approx.data - residual.data
         rel = float(np.linalg.norm(gap)) / max(original.norm(), 1e-300)
         print(f"reconstruction_gap_rel={_fmt(rel)}")
-        inputs += [args.infile, args.residual]
     return {**_grid_spec(grid), "atoms": len(decomposition)}, inputs, [args.out]
 
 
@@ -351,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, default=100)
     p.add_argument("--kappa", type=int, default=10)
     p.add_argument("--modes", default="dmp,gmp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="test image seed (default 0); not with --image")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_image)
@@ -366,9 +379,13 @@ def main(argv=None) -> int:
     if args.command == "image":
         if args.image is None:
             args.nx, args.ny = (TEST_IMAGE_SIZE if v is None else v for v in (args.nx, args.ny))
+            args.seed = 0 if args.seed is None else args.seed
         elif (args.nx, args.ny) != (None, None):
             parser.error("image: --nx and --ny size the generated test image; "
                          "an --image file has its own size")
+        elif args.seed is not None:
+            parser.error("image: --seed draws the generated test image; "
+                         "an --image file is not drawn")
     if args.command == "reconstruct" and (args.infile is None) != (args.residual is None):
         parser.error("reconstruct: --in and --residual are given together, "
                      "for the consistency check")

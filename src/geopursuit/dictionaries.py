@@ -85,6 +85,14 @@ def spec_number(spec, key, integral: bool = False, finite: bool = False):
     return int(x) if integral else x
 
 
+def check_spec_keys(spec: dict, keys) -> None:
+    """Refuse a key of a parsed spec object that is not one of `keys`, the
+    keys its reader reads, naming it: a misspelt key is not a default."""
+    unread = [key for key in spec if key not in keys]
+    if unread:
+        raise ValueError(f"unknown key {unread[0]!r} (a spec takes only {', '.join(keys)})")
+
+
 class Dictionary:
     """Base class for parametric dictionaries.
 

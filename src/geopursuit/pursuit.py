@@ -606,16 +606,18 @@ def _envelope_template(mother, a: float, m: int) -> np.ndarray:
     return mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a)
 
 
-def _level_template(mother, a: float, m: int) -> np.ndarray:
-    """The atom at b = 0 over offsets -m..m."""
-    return affine_jet(mother, 0.0, a, np.arange(-m, m + 1, dtype=np.float64))[0]
+def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
+    """The dictionary's own raw atom at the non-translation coordinates
+    `others`, centred on a canvas of 2m + 1 samples per axis for the
+    half-widths `ms`: every FFT-lattice template, level or slab."""
+    coords = np.array([*ms, *others], dtype=np.float64)
+    return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0)[0]
 
 
 def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
     """The plan's entries, one per level: an FFT lattice where the level's
     translations sit on the integer sample lattice, a direct block otherwise."""
     n = grid.n
-    mother = dictionary.mother
     entries = []
     for _, a, step, n_lo, n_hi in grid.levels():
         bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
@@ -625,9 +627,9 @@ def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
             # the template reaches every translation the grid keeps
             m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
             entries.append(_Lattice((m,), [b_round.astype(np.int64)],
-                                    functools.partial(_level_template, mother, a, m)))
+                                    functools.partial(_template, dictionary, (a,), (m,))))
         else:
-            entries.append(_direct_block(n, mother, a, bs))
+            entries.append(_direct_block(n, dictionary.mother, a, bs))
     return entries
 
 
@@ -640,22 +642,13 @@ def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2:
     return int(min(math.ceil(h1), nx - 1)), int(min(math.ceil(h2), ny - 1))
 
 
-def _slab_template(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float,
-                   m1: int, m2: int):
-    """Atom template on integer pixel offsets within the half-widths: the
-    atom centred at (m1, m2) on a (2*m1 + 1) x (2*m2 + 1) image."""
-    coords = np.array([m1, m2, theta, a1, a2], dtype=np.float64)
-    return dictionary._jet(coords, (2 * m1 + 1, 2 * m2 + 1), 0)[0]
-
-
 def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> list:
     """The plan's entries: one FFT lattice per slab over all pixel positions."""
     positions = [np.arange(k) for k in grid.shape]
     entries = []
     for slab in grid.slabs():
         ms = _slab_halfwidths(dictionary, *slab)
-        entries.append(_Lattice(
-            ms, positions, functools.partial(_slab_template, dictionary, *slab, *ms)))
+        entries.append(_Lattice(ms, positions, functools.partial(_template, dictionary, slab, ms)))
     return entries
 
 

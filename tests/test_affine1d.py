@@ -49,11 +49,16 @@ def test_enumeration_order_deterministic():
         assert bs == sorted(bs)  # ascending n within a level
 
 
-def test_grid_coords_match_points():
+def test_grid_points_are_the_factors_product():
+    # point s * len(positions) + p is positions[p] followed by others[s]; a
+    # tau-adic grid has no translation columns, so its points are the rows
     for grid in (gp.TauAdicGrid(b0=2, a0=2, tau=2.0, j_min=0, j_max=3, n=64),
                  gp.tau_grid_for_signal(300, b0=1.5, log2_tau=0.5, a0=1.3)):
-        want = np.array([p.coords for p in grid.points()])
-        assert np.array_equal(grid.coords(), want)
+        positions, others = grid.factors()
+        assert positions.shape == (1, 0) and others.shape == (grid.count, 2)
+        want = np.array([np.concatenate([positions[p], others[s]])
+                         for s in range(len(others)) for p in range(len(positions))])
+        assert np.array_equal(np.array([p.coords for p in grid.points()]), want)
 
 
 def test_joint_dilation_relates_grids():

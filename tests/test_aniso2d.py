@@ -129,17 +129,22 @@ def test_grid_enumeration_order():
     assert a1_sequence == sorted(a1_sequence)
 
 
-def test_grid_coords_match_points():
+def test_grid_points_are_the_factors_product():
     for spec in (gp.Grid2DSpec(nx=5, ny=7, j_scales=3, k_orients=4),
                  gp.Grid2DSpec(nx=6, ny=4, j_scales=1, k_orients=1, min_scale=1.5,
                                max_scale=3.0)):
+        got = np.array([p.coords for p in spec.points()])
+        # point s * len(positions) + p is positions[p] followed by slabs[s]
+        positions, slabs = spec.factors()
+        want = np.array([np.concatenate([positions[p], slabs[s]])
+                         for s in range(len(slabs)) for p in range(len(positions))])
+        assert np.array_equal(got, want)
         # the documented enumeration: scale j, scale j', orientation, then
         # positions row-major
         want = np.array([(b1, b2, theta, a1, a2) for a1 in spec.scales() for a2 in spec.scales()
                          for theta in spec.thetas()
                          for b1 in range(spec.nx) for b2 in range(spec.ny)])
-        assert np.array_equal(spec.coords(), want)
-        assert np.array_equal(np.array([p.coords for p in spec.points()]), want)
+        assert np.array_equal(got, want)
 
 
 def test_grid_validation_and_json():

@@ -186,6 +186,24 @@ def test_image_size_options_are_refused_with_an_image_file(tmp_path):
     assert manifest["grid_spec"] == {"Nx": 64, "Ny": 9, "J": 1, "K": 1}
 
 
+def test_image_seed_is_refused_with_an_image_file(tmp_path):
+    # --seed draws only the generated test image: beside an --image file it
+    # is a usage error, and the manifest records no seed for such a run
+    pgm = tmp_path / "x.pgm"
+    gp.save_signal(gp.make_test_image(8, 8, seed=1), pgm)
+    manifest_path = tmp_path / "img.manifest.json"
+    base = ["image", "--j", "1", "--k", "1", "--atoms", "1", "--modes", "dmp",
+            "--out", str(tmp_path / "img.csv"), "--manifest", str(manifest_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--image", str(pgm), "--seed", "5"])
+    assert exc.value.code == 2
+    assert main(base + ["--image", str(pgm)]) == 0
+    assert json.loads(manifest_path.read_text())["seed"] is None
+    # the generated image's seed defaults to 0, and is recorded
+    assert main(base + ["--nx", "8", "--ny", "8"]) == 0
+    assert json.loads(manifest_path.read_text())["seed"] == 0
+
+
 @pytest.mark.parametrize("given", [["--in", "s.bin"], ["--residual", "r.bin"]])
 def test_reconstruct_check_inputs_come_together(tmp_path, grid_file, capsys, given):
     # one of the two alone would skip the consistency check without a word
@@ -304,6 +322,9 @@ _GRID_SPEC_ERRORS = {
     "Nx-fraction": (json.dumps({**_2D, "Nx": 8.5}), "'Nx' must be an integer"),
     "Ny-string": (json.dumps({**_2D, "Ny": "8"}), "'Ny' must be an integer"),
     "min-scale-bool": (json.dumps({**_2D, "min_scale": True}), "'min_scale' must be a number"),
+    # a key the grid family does not read is refused, not ignored
+    "tau-adic-with-2-d-keys": (json.dumps({**_TAU, **_2D}), "unknown key 'Nx'"),
+    "max-scale-misspelt": (json.dumps({**_2D, "max_scal": 3.0}), "unknown key 'max_scal'"),
 }
 
 
@@ -320,6 +341,33 @@ def test_grid_spec_missing_key_is_runtime_error(tmp_path, command, spec, message
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, option, n", [("decompose", "--in", 32),
+                                               ("reconstruct", "--in", 32),
+                                               ("reconstruct", "--residual", 1)])
+def test_signal_of_another_shape_than_the_grid_is_runtime_error(tmp_path, capsys,
+                                                                 command, option, n):
+    # a signal belongs to the grid's sample shape: any other is refused, with
+    # the file and both shapes named, before an output is written
+    (tmp_path / "grid.json").write_text(json.dumps(_TAU))
+    gp.save_signal(gp.SignalBuffer(np.ones(64)), tmp_path / "good.bin")
+    bad = tmp_path / "bad.bin"
+    gp.save_signal(gp.SignalBuffer(np.ones(n)), bad)
+    (tmp_path / "steps.jsonl").write_text("")
+    signals = {"--in": str(tmp_path / "good.bin"), "--residual": str(tmp_path / "good.bin"),
+               option: str(bad)}
+    out = tmp_path / "out.bin"
+    if command == "decompose":
+        args = ["--in", signals["--in"], "--out", str(out)]
+    else:
+        args = ["--steps", str(tmp_path / "steps.jsonl"), "--out", str(out),
+                "--in", signals["--in"], "--residual", signals["--residual"]]
+    assert main([command, "--grid", str(tmp_path / "grid.json"), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert f"({n},)" in err and "(64,)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", [gp.tau_grid_for_signal(64, b0=2, log2_tau=0.5),

@@ -8,6 +8,7 @@ import pytest
 
 import geopursuit as gp
 from geopursuit import pursuit
+from geopursuit.affine1d import affine_jet
 from geopursuit.pursuit import full_search, gradient_ascent
 from conftest import TranslationDictionary, naive_search
 
@@ -226,6 +227,17 @@ def test_search_plan_is_freed_with_its_dictionary(rng):
     gc.collect()
     assert dictionary() is None
     assert plans[0]() is None
+
+
+@pytest.mark.parametrize("mother", ["mexican_hat", "gaussian"])
+def test_level_template_is_the_dictionary_atom(mother):
+    # an FFT level's template is the dictionary's own raw atom centred on
+    # 2m + 1 samples: bit for bit the atom at b = 0 over offsets -m..m
+    d = gp.Affine1DDictionary(64, mother=mother)
+    for a, m in [(0.5, 5), (1.0, 10), (1.5, 15), (2.0 ** 0.5, 3), (7.25, 73), (40.0, 90)]:
+        want = affine_jet(d.mother, 0.0, a, np.arange(-m, m + 1.0))[0]
+        got = pursuit._template(d, (a,), (m,))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gradient_vanishes_at_own_atom():

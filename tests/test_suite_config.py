@@ -103,3 +103,47 @@ def test_the_unused_import_check_sees_an_unused_name(tmp_path):
                      "__all__ = ['argv']\n"
                      "x = os.path.sep\n")
     assert _unused_imports(probe) == ["probe.py:2: math", "probe.py:6: sys_path"]
+
+
+def _unread_private_names(path: Path) -> list:
+    """Private names (one leading underscore) that a module-level function,
+    class or assignment of the module at `path` defines and the module never
+    loads: a helper left behind when its last caller goes."""
+    tree = ast.parse(path.read_text())
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name)]
+    return [f"{path.name}:{line}: {name}" for name, line in defined
+            if name.startswith("_") and not name.startswith("__") and name not in loaded]
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    unread = [entry for path in modules for entry in _unread_private_names(path)]
+    assert not unread, f"private and never read in its module: {unread}"
+
+
+def test_the_private_name_check_sees_an_unread_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math\n"
+                     "__version__ = '1'\n"
+                     "_USED, _LEFT = 1, 2\n"
+                     "_TYPED: int = 3\n"
+                     "PUBLIC = _USED\n"
+                     "def _helper():\n"
+                     "    return math.pi\n"
+                     "class _Kept:\n"
+                     "    pass\n"
+                     "def public():\n"
+                     "    _local = _Kept()\n"
+                     "    return _local\n")
+    assert _unread_private_names(probe) == ["probe.py:3: _LEFT", "probe.py:4: _TYPED",
+                                            "probe.py:6: _helper"]
