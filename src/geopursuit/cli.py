@@ -256,6 +256,8 @@ def cmd_image(args) -> tuple[dict, list, list]:
     inputs = []
     if args.image is not None:
         image = load_signal(args.image)
+        if image.ndim != 2:
+            raise ValueError(f"{args.image}: --image must be a 2-D image, got shape {image.shape}")
         inputs.append(args.image)
     else:
         image = make_test_image(args.nx, args.ny, seed=args.seed)

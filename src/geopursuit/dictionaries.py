@@ -13,7 +13,8 @@ leading axes. `Dictionary.jet`, of which `synthesize`, `partials` and
 `second_partials` are views, is the one place that checks a point against
 the domain (its length and its scales) and renormalizes: one quotient rule
 gives the first partials, (P, *shape), and the second, (P, P, *shape),
-from them; the geometry contracts the stacks.
+from them; the geometry contracts the stacks. It keeps the last jet it
+evaluated, so asking again at the same point costs nothing.
 """
 
 from __future__ import annotations
@@ -175,15 +176,33 @@ class Dictionary:
         return ParamPoint(coords)
 
     # -- synthesis & derivatives -------------------------------------------
+    # (coordinate bytes, parts) of the last jet evaluated; see `jet`.
+    _last_jet: tuple = (None, ())
+
     def jet(self, lam: ParamPoint, order: int = 0) -> tuple:
         """The renormalized atom at `lam` and, up to `order`, its partials:
         (atom,), (atom, d1) or (atom, d1, d2), with d1 a (P, *shape) stack
         and d2 an exactly symmetric (P, P, *shape) stack, all read-only.
-        Derivatives need `lam` interior to the domain."""
+        Derivatives need `lam` interior to the domain.
+
+        The dictionary keeps a one-entry memo of the last jet it evaluated,
+        keyed on the exact coordinates: a request at the same coordinates
+        and of an order no higher than the entry's is served from it, as
+        the prefix of its parts. Each order's parts are the same floats
+        whatever order computed them, so a served jet equals a fresh one
+        bit for bit; a point that failed a check is never stored. The memo,
+        like the search plans cached per dictionary, relies on a dictionary
+        being immutable once built."""
+        key = lam.coords.tobytes()
+        last_key, parts = self._last_jet
+        if key == last_key and len(parts) > order:
+            return parts[:order + 1]
         self._check_domain(lam)
         if order:
             self.require_interior(lam)
-        return _renormalized(*self._jet(lam.coords, self.shape, order))
+        parts = _renormalized(*self._jet(lam.coords, self.shape, order))
+        self._last_jet = (key, parts)
+        return parts
 
     def synthesize(self, lam: ParamPoint, shape=None) -> SignalBuffer:
         """Unit-norm atom at `lam`, renormalized on the sample grid. A

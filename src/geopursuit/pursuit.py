@@ -217,6 +217,7 @@ class ScoreGradient:
 def gradient(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> ScoreGradient:
     """Score value, coordinate partials, and manifold gradient at `lam`."""
     g = metric(dictionary, lam)
+    # metric() just took the order-1 jet at lam: both calls below read its memo
     atom = dictionary.synthesize(lam)
     parts = dictionary.partials(lam)
     corr = inner_product(atom, residual)

@@ -186,6 +186,20 @@ def test_image_size_options_are_refused_with_an_image_file(tmp_path):
     assert manifest["grid_spec"] == {"Nx": 64, "Ny": 9, "J": 1, "K": 1}
 
 
+def test_image_refuses_a_1d_signal_file(tmp_path, capsys):
+    # a 1-D signal is no image: refused naming the file and its shape,
+    # before any grid is built or output written
+    sig = tmp_path / "s1.bin"
+    assert main(["gen-signal", "--n", "512", "--seed", "1", "--out", str(sig)]) == 0
+    capsys.readouterr()
+    out_csv = tmp_path / "x.csv"
+    assert main(["image", "--image", str(sig), "--j", "1", "--k", "1", "--atoms", "1",
+                 "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sig) in err and "(512,)" in err
+    assert not out_csv.exists()
+
+
 def test_image_seed_is_refused_with_an_image_file(tmp_path):
     # --seed draws only the generated test image: beside an --image file it
     # is a usage error, and the manifest records no seed for such a run

@@ -241,6 +241,16 @@ def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2
     assert np.array_equal(sec, renorm[2][2])
     assert np.array_equal(sec, np.swapaxes(sec, 0, 1))
 
+    # a warm dictionary, its memo holding the order-2 jet, serves each lower
+    # order as the floats a fresh dictionary computes
+    fresh = lambda: _contract_case(family, fx, fy, theta, f1, f2)[0]
+    for order in (0, 1, 2):
+        served = d.jet(lam, order=order)
+        assert all(p is q for p, q in zip(served, renorm[2]))
+        want = fresh().jet(lam, order=order)
+        assert len(served) == len(want) == order + 1
+        assert all(np.array_equal(p, q) for p, q in zip(served, want))
+
     # both 1-D mothers: the same prefix law, and each derivative is the
     # central difference of the order below it
     s = np.linspace(-8.0, 8.0, 97) + fx
@@ -253,6 +263,25 @@ def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2
         for k in (1, 2):
             fd = (mother.jet(s + h, 2)[k - 1] - mother.jet(s - h, 2)[k - 1]) / (2 * h)
             assert np.abs(fd - mjets[2][k]).max() < 1e-8
+
+
+def test_jet_memo_never_skips_a_check():
+    # the memo serves only what the same coordinates already passed: an
+    # atom near the scale bound does not make its derivatives legal, and a
+    # point that raised is not stored, so it raises again
+    d = gp.Affine1DDictionary(64)
+    lo, hi = d.scale_range
+    for a in (lo * (1 + INTERIOR_MARGIN / 2), hi * (1 - INTERIOR_MARGIN / 2)):
+        near_edge = d.point(30.0, a)
+        atom = d.jet(near_edge)[0]
+        for _ in range(2):
+            with pytest.raises(gp.DomainError, match="for derivatives"):
+                d.partials(near_edge)
+        assert d.jet(near_edge)[0] is atom  # the failed request replaced nothing
+    unsupported = d.point(-1000.0, 2.0)
+    for _ in range(2):
+        with pytest.raises(gp.DomainError, match="no effective support"):
+            d.jet(unsupported)
 
 
 def test_score_directional_derivative(rng):

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geopursuit as gp
 from geopursuit import pursuit
@@ -282,6 +284,26 @@ def test_gradient_norm_consistent_with_metric(rng):
     assert info.grad_norm ** 2 == pytest.approx(float(info.grad @ G.matrix @ info.grad), rel=1e-9)
 
 
+def test_gradient_and_ascent_seed_take_one_jet(monkeypatch, rng):
+    # metric's order-1 jet serves gradient's atom and partials, and the
+    # seed's jet serves a clamp that changes nothing
+    orders = []
+    jet = gp.Aniso2DDictionary._jet
+    monkeypatch.setattr(gp.Aniso2DDictionary, "_jet",
+                        lambda self, c, s, order: orders.append(order) or jet(self, c, s, order))
+    d = gp.Aniso2DDictionary((24, 24))
+    u = gp.SignalBuffer(rng.standard_normal((24, 24)))
+    gp.gradient(d, u, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
+    assert orders == [1]
+
+    d = gp.Aniso2DDictionary((24, 24))
+    seed = next(lam for lam in gp.Grid2DSpec(24, 24, 3, 4).points()
+                if np.array_equal(d.clamp_coords(lam.coords).coords, lam.coords))
+    orders.clear()
+    res = gradient_ascent(d, u, seed, kappa=0)
+    assert res.lam is seed and orders == [0]
+
+
 def test_ascent_fixed_point():
     d = gp.Affine1DDictionary(512)
     lam = d.point(250.0, 10.0)
@@ -403,6 +425,26 @@ def test_run_gmp_dominates_grid_choice(rng):
         assert step.score >= s_grid - 1e-12
         atom = d.synthesize(d.point(*step.lam))
         residual = gp.SignalBuffer(residual.data - step.coeff * atom.data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["affine", "aniso2d"]), mode=st.sampled_from(["dmp", "gmp"]),
+       seeds=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)))
+def test_run_on_a_warm_dictionary_matches_fresh_ones(family, mode, seeds):
+    # what a dictionary keeps between runs (its jet memo, its search plans)
+    # leaves no trace in the steps: one dictionary run on two signals in
+    # turn gives, bit for bit, the steps of a fresh dictionary per signal
+    if family == "affine":
+        make, grid = (lambda: gp.Affine1DDictionary(96)), gp.tau_grid_for_signal(96, 1.5, 0.5)
+    else:
+        make, grid = (lambda: gp.Aniso2DDictionary((12, 10))), gp.Grid2DSpec(12, 10, 2, 2)
+    config = gp.PursuitConfig(mode=mode, kappa=4, max_iterations=4)
+    warm = make()
+    for seed in seeds:
+        f = gp.SignalBuffer(np.random.default_rng(seed).standard_normal(warm.shape))
+        got, want = gp.run(f, warm, grid, config), gp.run(f, make(), grid, config)
+        assert [s.to_record() for s in got.steps] == [s.to_record() for s in want.steps]
+        assert np.array_equal(got.final_residual.data, want.final_residual.data)
 
 
 def test_run_zero_signal_stops_cleanly():
