@@ -195,7 +195,8 @@ class TauAdicGrid:
 
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The grid as `Grid2DSpec.factors` gives it: no translation columns, all (b, a) rows."""
-        rows = [np.column_stack([np.arange(n_lo, n_hi + 1) * step, np.full(n_hi - n_lo + 1, a)])
+        rows = [np.column_stack([np.arange(n_lo, n_hi + 1, dtype=np.float64) * step,
+                                 np.full(n_hi - n_lo + 1, a, dtype=np.float64)])
                 for _, a, step, n_lo, n_hi in self.levels()]
         return np.zeros((1, 0)), np.concatenate(rows)
 

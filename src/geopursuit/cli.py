@@ -23,11 +23,12 @@ from . import __version__
 from .affine1d import Affine1DDictionary, TauAdicGrid
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import load_signal, save_signal
+from .dictionaries import ParamPoint
 from .experiments import (BurstSignalSpec, beta_surrogate, convergence_curve,
                           image_harness, make_test_image, nae)
 from .geometry import (christoffel, condition_bound, density_radius, metric,
                        weakness_factors)
-from .pursuit import Decomposition, PursuitConfig, reconstruct, run
+from .pursuit import Decomposition, PursuitConfig, _jsonl_steps, reconstruct, run
 
 
 def _fmt(x: float) -> str:
@@ -36,12 +37,12 @@ def _fmt(x: float) -> str:
 
 def _load_grid(path):
     """(grid, dictionary) of a grid spec file: the dictionary of the grid's
-    family, on the grid's sample shape."""
+    family, on the grid's sample shape. Every refusal names the file."""
     text = Path(path).read_text()
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: grid spec must be a JSON object")
     try:
+        spec = json.loads(text)
+        if not isinstance(spec, dict):
+            raise ValueError("grid spec must be a JSON object")
         if "b0" in spec:
             grid = TauAdicGrid.from_json(text)
             return grid, Affine1DDictionary(grid.n)
@@ -50,6 +51,8 @@ def _load_grid(path):
             return grid, Aniso2DDictionary(grid.shape)
     except KeyError as exc:
         raise ValueError(f"{path}: grid spec has no {exc.args[0]!r} key") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"{path}: unrecognized grid spec (expected tau-adic or 2-D keys)")
 
 
@@ -62,6 +65,18 @@ def _load_signal(path, dictionary):
     except ValueError as exc:
         raise ValueError(f"{path}: signal {exc}") from None
     return signal
+
+
+def _load_steps(path, dictionary) -> Decomposition:
+    """The decomposition in the steps file `path`, refused at a step whose
+    lambda the dictionary refuses (another length, a scale out of range),
+    naming the file and the line."""
+    for number, step in _jsonl_steps(path):
+        try:
+            dictionary.jet(ParamPoint(step.lam), 0)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
+    return Decomposition.from_jsonl(path)
 
 
 # side of the generated test image when `image` is given no --image file
@@ -133,7 +148,7 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
-    decomposition = Decomposition.from_jsonl(args.steps)
+    decomposition = _load_steps(args.steps, dictionary)
     inputs = [args.grid, args.steps]
     if args.infile is not None:
         original = _load_signal(args.infile, dictionary)
@@ -155,8 +170,13 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
     a_mid = math.sqrt(a_lo * a_hi)
     shape = grid.shape
 
+    # scales 5% inside the grid's span, or anywhere in a span too narrow for that
+    log_lo, log_hi = math.log(a_lo * 1.05), math.log(a_hi * 0.95)
+    if log_lo > log_hi:
+        log_lo, log_hi = math.log(a_lo), math.log(a_hi)
+
     def _scale():
-        return math.exp(rng.uniform(math.log(a_lo * 1.05), math.log(a_hi * 0.95)))
+        return math.exp(rng.uniform(log_lo, log_hi))
 
     if isinstance(grid, TauAdicGrid):
         (n,) = shape

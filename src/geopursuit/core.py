@@ -116,14 +116,16 @@ def save_signal(buf: SignalBuffer, path) -> None:
 
 
 def load_signal(path) -> SignalBuffer:
-    """Read a buffer in the format its suffix names, as `save_signal` writes it."""
+    """Read a buffer in the format its suffix names, as `save_signal` writes it.
+    Each format's reader returns (samples, peak hint); every refusal, the
+    reader's or `SignalBuffer`'s, is a ValueError naming the file."""
     path = Path(path)
-    fmt = _infer_format(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "pgm-p5":
-        return _load_pgm(path)
-    return _load_raw(path)
+    load = {"csv": _load_csv, "pgm-p5": _load_pgm}.get(_infer_format(path), _load_raw)
+    samples, peak_hint = load(path)
+    try:
+        return SignalBuffer(samples, peak_hint)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _save_raw(buf: SignalBuffer, path: Path) -> None:
@@ -136,7 +138,7 @@ def _save_raw(buf: SignalBuffer, path: Path) -> None:
         fh.write(buf.data.astype("<f8").tobytes(order="C"))
 
 
-def _load_raw(path: Path) -> SignalBuffer:
+def _load_raw(path: Path) -> tuple:
     blob = Path(path).read_bytes()
     if len(blob) < _RAW_HEADER.size:
         raise ValueError(f"{path}: truncated header")
@@ -150,8 +152,7 @@ def _load_raw(path: Path) -> SignalBuffer:
     payload = blob[_RAW_HEADER.size:]
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: payload size {len(payload)} != 8*{count}")
-    arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    return SignalBuffer(arr)
+    return np.frombuffer(payload, dtype="<f8").reshape(shape), None
 
 
 def _save_csv(buf: SignalBuffer, path: Path) -> None:
@@ -166,7 +167,7 @@ def _save_csv(buf: SignalBuffer, path: Path) -> None:
             fh.write("\n")
 
 
-def _load_csv(path: Path) -> SignalBuffer:
+def _load_csv(path: Path) -> tuple:
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -183,7 +184,7 @@ def _load_csv(path: Path) -> SignalBuffer:
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged CSV rows (widths {sorted(widths)})")
     arr = np.array(rows)
-    return SignalBuffer(arr[0] if len(rows) == 1 else arr)
+    return (arr[0] if len(rows) == 1 else arr), None
 
 
 def _save_pgm(buf: SignalBuffer, path: Path) -> None:
@@ -197,7 +198,7 @@ def _save_pgm(buf: SignalBuffer, path: Path) -> None:
         fh.write(pixels.tobytes(order="C"))
 
 
-def _load_pgm(path: Path) -> SignalBuffer:
+def _load_pgm(path: Path) -> tuple:
     blob = Path(path).read_bytes()
     if blob[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5)")
@@ -232,4 +233,4 @@ def _load_pgm(path: Path) -> SignalBuffer:
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     if arr.max() > maxval:
         raise ValueError(f"{path}: pixel value {arr.max()} exceeds maxval {maxval}")
-    return SignalBuffer(arr.astype(np.float64), peak_hint=float(maxval))
+    return arr.astype(np.float64), float(maxval)

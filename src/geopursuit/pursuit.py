@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -173,15 +173,7 @@ class Decomposition:
         residual_energy + coeff**2 (the energy the step removed from the
         signal); an empty file gives 0.0.
         """
-        steps = []
-        with open(path) as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    try:
-                        steps.append(DecompositionStep.from_record(json.loads(line)))
-                    except ValueError as exc:
-                        raise ValueError(f"{path}, line {number}: {exc}") from None
+        steps = [step for _, step in _jsonl_steps(path)]
         initial_energy = steps[0].residual_energy + steps[0].coeff ** 2 if steps else 0.0
         return cls(steps=steps, initial_energy=initial_energy)
 
@@ -199,6 +191,20 @@ class Decomposition:
                                 + [format(s.coeff, ".17g"), format(s.score, ".17g"),
                                    format(s.residual_energy, ".17g")]
                                 + seed + [s.ascent_steps])
+
+
+def _jsonl_steps(path):
+    """(line number, step) for each non-blank line of a `to_jsonl` file; a
+    line that is not such a step raises ValueError naming the file and the
+    line."""
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                try:
+                    yield number, DecompositionStep.from_record(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {number}: {exc}") from None
 
 
 def score(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> float:
@@ -354,14 +360,15 @@ _BOUND_MARGIN = 1e-9
 
 
 class _Spectrum(NamedTuple):
-    """A centred template's conjugate spectrum wrapped to an FFT shape, and
-    the gather index of its integer positions there."""
+    """A centred template's conjugate spectrum wrapped to the real-FFT shape
+    `fft_shape`, and the gather index of its integer positions there."""
 
     conj: np.ndarray
     gather: tuple
+    fft_shape: tuple
 
-    def correlate(self, u_hat, fft_shape):
-        return sp_fft.irfftn(u_hat * self.conj, fft_shape)[self.gather]
+    def correlate(self, u_hat):
+        return sp_fft.irfftn(u_hat * self.conj, self.fft_shape)[self.gather]
 
 
 @dataclass(frozen=True)
@@ -372,44 +379,43 @@ class _FFTBlock:
     spectrum: _Spectrum
     norm2: np.ndarray
 
-    def correlate(self, u, u_hat, fft_shape):
-        return self.spectrum.correlate(u_hat, fft_shape)
+    def scores(self, u, u_hat):
+        return _scores(self.spectrum.correlate(u_hat), self.norm2)
 
 
 @dataclass(frozen=True)
 class _DirectBlock:
-    """An off-lattice 1-D level at translations `bs`. The plan keeps no
-    kernel rows: `kernel(bs)` builds them at each search, for the
-    translations asked for, over residual windows that start at `starts`.
+    """An off-lattice 1-D level of `mother` at scale `a` and translations
+    `bs`. The plan keeps no kernel rows: each search builds them for the
+    translations asked for.
 
     Per translation the plan keeps the row's squared norm and the factor
     |w|_1 / norm2 that turns the `envelope` correlation with the squared
     residual into an upper bound on the score (weighted Cauchy-Schwarz,
-    (sum r w)**2 <= sum r**2 |w| * sum |w|). `envelope` is the `_Lattice`
-    of the widened mother envelope at floor(bs), and its `_Spectrum` once
-    the plan is built.
+    (sum r w)**2 <= sum r**2 |w| * sum |w|). `envelope` is the spectrum of
+    the widened mother envelope at floor(bs).
     """
 
-    kernel: object  # bs -> kernel rows, one per translation
+    mother: object
+    a: float
     bs: np.ndarray
-    starts: np.ndarray
     norm2: np.ndarray
     bound_factor: np.ndarray
-    envelope: object
+    envelope: _Spectrum
 
-    def correlate(self, u, u_hat, fft_shape, rows=slice(None)):
-        kernel = self.kernel(self.bs[rows])
-        windows = sliding_window_view(u, kernel.shape[1])[self.starts[rows]]
-        return np.einsum("nl,nl->n", kernel, windows)
+    def scores(self, u, u_hat, rows=slice(None)):
+        kernel, starts = _direct_kernel(len(u), self.mother, self.a, self.bs[rows])
+        windows = sliding_window_view(u, kernel.shape[1])[starts]
+        return _scores(np.einsum("nl,nl->n", kernel, windows), self.norm2[rows])
 
 
 @dataclass(frozen=True)
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, with the enumeration
-    index of each block's first atom; the real-FFT shapes shared by the FFT
-    blocks and by the direct blocks' envelopes (each empty when there are
-    none); and the grid's `factors()`, which map an index to its point."""
+    index of each block's first atom; the real-FFT shapes of the FFT blocks
+    and of the direct blocks' envelopes (each empty when there are none);
+    and the grid's `factors()`, which map an index to its point."""
 
     fft_shape: tuple
     bound_shape: tuple
@@ -421,7 +427,7 @@ class _SearchPlan:
         """Every atom's score, as one flat array per block, from one FFT of `u`."""
         u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
         for block in self.blocks:
-            yield _scores(block.correlate(u, u_hat, self.fft_shape), block.norm2)
+            yield block.scores(u, u_hat)
 
     def bounds(self, u: np.ndarray) -> dict:
         """Upper bounds on the scores of every direct block's translations,
@@ -429,7 +435,7 @@ class _SearchPlan:
         if not self.bound_shape:
             return {}
         r2_hat = sp_fft.rfftn(u * u, self.bound_shape)
-        return {i: block.bound_factor * block.envelope.correlate(r2_hat, self.bound_shape)
+        return {i: block.bound_factor * block.envelope.correlate(r2_hat)
                 for i, block in enumerate(self.blocks) if isinstance(block, _DirectBlock)}
 
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
@@ -443,7 +449,7 @@ class _SearchPlan:
         best = (-math.inf, 0)  # (score, -index): the max is the first best
         for i, block in enumerate(self.blocks):
             if i not in bounds:
-                scores = _scores(block.correlate(u, u_hat, self.fft_shape), block.norm2)
+                scores = block.scores(u, u_hat)
                 k = int(np.argmax(scores))
                 best = max(best, (float(scores[k]), -self.offsets[i] - k))
         margin = _BOUND_MARGIN * float(np.vdot(u, u))
@@ -451,24 +457,21 @@ class _SearchPlan:
             rows = np.flatnonzero(bounds[i] >= best[0] - margin)
             if not rows.size:
                 break  # the blocks left have lower bounds still
-            block = self.blocks[i]
-            scores = _scores(block.correlate(u, None, None, rows), block.norm2[rows])
+            scores = self.blocks[i].scores(u, u_hat, rows)
             j = int(np.argmax(scores))
             best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
         return best[0], -best[1]
 
     @classmethod
     def build(cls, shape, entries, factors) -> "_SearchPlan":
-        """Plan from `entries` in enumeration order: `_Lattice` specs turned
-        into FFT blocks and direct blocks given their envelope spectra, one
-        template at a time."""
+        """Plan from `entries` in enumeration order, one template at a time:
+        each `_Lattice` becomes an FFT block, and each off-lattice level
+        (mother, a, bs) a direct block."""
         fft_shape = _fft_shape([e for e in entries if isinstance(e, _Lattice)], shape)
-        bound_shape = _fft_shape([e.envelope for e in entries if isinstance(e, _DirectBlock)],
+        bound_shape = _fft_shape([_envelope(*e) for e in entries if not isinstance(e, _Lattice)],
                                  shape)
         blocks = [_fft_block(e, shape, fft_shape) if isinstance(e, _Lattice)
-                  else replace(e, envelope=_spectrum(
-                      e.envelope, e.envelope.template(), shape, bound_shape))
-                  for e in entries]
+                  else _direct_block(*e, shape, bound_shape) for e in entries]
         offsets = list(itertools.accumulate((b.norm2.size for b in blocks[:-1]), initial=0))
         return cls(fft_shape, bound_shape, blocks, offsets, factors)
 
@@ -512,7 +515,7 @@ def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft_shape) -> _Spectrum:
     wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
         w[np.ix_(*(o + m for o, m in zip(offsets, lattice.ms)))]
     gather = np.ix_(*(p % size for p, size in zip(lattice.positions, fft_shape)))
-    return _Spectrum(np.conj(sp_fft.rfftn(wrapped)), gather)
+    return _Spectrum(np.conj(sp_fft.rfftn(wrapped)), gather, fft_shape)
 
 
 def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
@@ -565,46 +568,41 @@ def _prefix_norm2(w: np.ndarray, bounds) -> np.ndarray:
     return norm2
 
 
-def _direct_starts(n: int, a: float, bs: np.ndarray):
-    """Per off-lattice translation in `bs` at scale `a`: the first sample
-    of the atom's truncated support [lo, lo + width), and the start of its
-    window of min(width, n) in-buffer samples."""
+def _direct_kernel(n: int, mother, a: float, bs: np.ndarray):
+    """Kernel rows for off-lattice translations `bs` at scale `a`, and the
+    starts of their residual windows. Each atom's truncated support is
+    [lo, lo + width); its row covers a window of min(width, n) in-buffer
+    samples and is zero outside the support."""
     lo = np.ceil(bs - KERNEL_RADIUS * a).astype(np.int64)
     width = int(2 * math.ceil(KERNEL_RADIUS * a)) + 2
-    return lo, width, np.clip(lo, 0, n - min(width, n))
-
-
-def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
-    """Kernel rows for off-lattice translations `bs` at scale `a` over their
-    windows, zero outside each atom's truncated support."""
-    lo, width, starts = _direct_starts(n, a, bs)
+    starts = np.clip(lo, 0, n - min(width, n))
     idx = starts[:, None] + np.arange(min(width, n))
     (kernel,) = affine_jet(mother, bs[:, None], a, idx)
     kernel[(idx < lo[:, None]) | (idx >= lo[:, None] + width)] = 0.0
-    return kernel
+    return kernel, starts
 
 
-def _direct_block(n: int, mother, a: float, bs: np.ndarray) -> _DirectBlock:
-    kernel = functools.partial(_direct_kernel, n, mother, a)
-    w = kernel(bs)
+def _direct_block(mother, a: float, bs: np.ndarray, shape, bound_shape) -> _DirectBlock:
+    w, _ = _direct_kernel(shape[0], mother, a, bs)
     norm2 = np.einsum("nl,nl->n", w, w)
     with np.errstate(invalid="ignore", divide="ignore"):
         bound_factor = np.where(norm2 > 0, np.abs(w).sum(axis=1) / norm2, 0.0)
+    envelope = _envelope(mother, a, bs)
+    return _DirectBlock(mother, a, bs, norm2, bound_factor,
+                        _spectrum(envelope, envelope.template(), shape, bound_shape))
+
+
+def _envelope(mother, a: float, bs: np.ndarray) -> _Lattice:
+    """The lattice of the mother's envelope widened by one sample, at
+    floor(bs): over offsets o = -m..m from floor(b), its template is
+    a^(-1/2) E(max(o - 1, -o) / a). Every b in [floor(b), floor(b) + 1) lies
+    at least max(o - 1, -o) samples from the sample at offset o, so the
+    template bounds |atom| there."""
     # every row's support [lo, lo + width) lies within offsets -m..m of floor(b)
     m = math.ceil(KERNEL_RADIUS * a) + 3
-    envelope = _Lattice((m,), [np.floor(bs).astype(np.int64)],
-                        functools.partial(_envelope_template, mother, a, m))
-    return _DirectBlock(kernel, bs, _direct_starts(n, a, bs)[2], norm2, bound_factor,
-                        envelope)
-
-
-def _envelope_template(mother, a: float, m: int) -> np.ndarray:
-    """The mother's envelope widened by one sample, over offsets o = -m..m
-    from floor(b): a^(-1/2) E(max(o - 1, -o) / a). Every b in
-    [floor(b), floor(b) + 1) lies at least max(o - 1, -o) samples from the
-    sample at offset o, so the template bounds |atom| there."""
     o = np.arange(-m, m + 1, dtype=np.float64)
-    return mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a)
+    return _Lattice((m,), [np.floor(bs).astype(np.int64)],
+                    lambda: mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a))
 
 
 def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
@@ -617,7 +615,8 @@ def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
 
 def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
     """The plan's entries, one per level: an FFT lattice where the level's
-    translations sit on the integer sample lattice, a direct block otherwise."""
+    translations sit on the integer sample lattice, the level's data
+    (mother, a, bs) otherwise."""
     n = grid.n
     entries = []
     for _, a, step, n_lo, n_hi in grid.levels():
@@ -630,7 +629,7 @@ def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
             entries.append(_Lattice((m,), [b_round.astype(np.int64)],
                                     functools.partial(_template, dictionary, (a,), (m,))))
         else:
-            entries.append(_direct_block(n, dictionary.mother, a, bs))
+            entries.append((dictionary.mother, a, bs))
     return entries
 
 

@@ -149,7 +149,8 @@ def test_bad_grid_scale_bounds_are_runtime_errors(tmp_path, capsys, bounds):
     path.write_text('{"Nx": 8, "Ny": 8, "J": 2, "K": 2, %s}' % bounds)
     assert main(["decompose", "--grid", str(path), "--in", str(tmp_path / "x.bin"),
                  "--out", str(tmp_path / "steps.jsonl")]) == 1
-    assert "scale bounds must satisfy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "scale bounds must satisfy" in err
 
 
 def test_image_subcommand(tmp_path):
@@ -286,15 +287,34 @@ def test_reconstruct_reports_malformed_steps(tmp_path, grid_file, capsys, malfor
 
 def test_reconstruct_of_2d_steps_on_a_tau_adic_grid_is_runtime_error(tmp_path, grid_file,
                                                                      capsys):
-    # the dictionary checks each point's length against its own parameters
-    rec = gp.DecompositionStep(m=0, lam=np.array([4.0, 4.0, 0.5, 2.0, 2.0]), coeff=0.5,
-                               score=0.25, residual_energy=0.75).to_record()
+    # a lambda of another length than the dictionary's is refused like a
+    # malformed key: naming the file and the line, blank lines counted
+    good = gp.DecompositionStep(m=0, lam=np.array([100.0, 8.0]), coeff=0.5, score=0.25,
+                                residual_energy=0.75).to_record()
+    bad = gp.DecompositionStep(m=1, lam=np.array([4.0, 4.0, 0.5, 2.0, 2.0]), coeff=0.5,
+                               score=0.25, residual_energy=0.5).to_record()
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "r.bin"
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {steps}, line 3: ")
+    assert "5 coordinates" in err and "2 parameters" in err
+    assert not out.exists()
+
+
+def test_reconstruct_of_a_step_outside_the_domain_is_runtime_error(tmp_path, grid_file,
+                                                                   capsys):
+    # a scale outside the dictionary's range is refused naming the line too
+    rec = gp.DecompositionStep(m=0, lam=np.array([100.0, 1000.0]), coeff=0.5, score=0.25,
+                               residual_energy=0.75).to_record()
     steps = tmp_path / "steps.jsonl"
     steps.write_text(json.dumps(rec) + "\n")
     assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
                  "--out", str(tmp_path / "r.bin")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "5 coordinates" in err and "2 parameters" in err
+    assert err.startswith(f"error: {steps}, line 1: scale 1000.0 outside")
 
 
 def test_decompose_refuses_an_infinite_chi(tmp_path, grid_file):
@@ -326,9 +346,11 @@ _TAU = {"b0": 2, "a0": 1, "tau": 2, "jmin": 0, "jmax": 2, "N": 64}
 _2D = {"Nx": 8, "Ny": 8, "J": 2, "K": 2}
 _GRID_SPEC_ERRORS = {
     "tau-adic": ('{"b0": 2}', "no 'a0' key"),
+    "not-json": ('{"b0": 2, a0: 1}', "Expecting property name"),
     "2-d": ('{"Nx": 8, "Ny": 8}', "no 'J' key"),
     "not-object": ("3", "must be a JSON object"),
     "b0-string": (json.dumps({**_TAU, "b0": "x"}), "'b0' must be a number"),
+    "tau-one": (json.dumps({**_TAU, "tau": 1}), "tau must be finite and exceed 1"),
     "b0-null": (json.dumps({**_TAU, "b0": None}), "'b0' must be a number"),
     "jmin-fraction": (json.dumps({**_TAU, "jmin": 1.5}), "'jmin' must be an integer"),
     "N-fraction": (json.dumps({**_TAU, "N": 64.7}), "'N' must be an integer"),
@@ -348,12 +370,14 @@ _GRID_SPEC_ERRORS = {
     for case in _GRID_SPEC_ERRORS
     for command in (("decompose", "geometry") if case in ("tau-adic", "2-d") else ("decompose",))])
 def test_grid_spec_missing_key_is_runtime_error(tmp_path, command, spec, message):
-    # a missing key, or a value of the wrong type, is an error line, not a traceback
+    # a missing key, or a value of the wrong type, is an error line naming
+    # the file, not a traceback
     (tmp_path / "grid.json").write_text(spec)
     args = ["--in", "s.bin", "--out", "steps.jsonl"] if command == "decompose" else []
     out = run_cli([command, "--grid", "grid.json", *args], cwd=tmp_path)
     assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and message in out.stderr
+    assert out.stderr.startswith("error: grid.json: ") and message in out.stderr
+    assert "grid.json" not in out.stderr[len("error: grid.json: "):]
     assert "Traceback" not in out.stderr
 
 
@@ -381,6 +405,24 @@ def test_signal_of_another_shape_than_the_grid_is_runtime_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
     assert f"({n},)" in err and "(64,)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["s.csv", "s.bin"])
+def test_non_finite_signal_file_is_runtime_error(tmp_path, capsys, name):
+    # the file's samples are refused by SignalBuffer, naming the file
+    (tmp_path / "grid.json").write_text(json.dumps(_TAU))
+    signal = tmp_path / name
+    if name.endswith(".csv"):
+        signal.write_text(",".join(["1.0"] * 63 + ["nan"]) + "\n")
+    else:
+        gp.save_signal(gp.SignalBuffer(np.ones(64)), signal)
+        # the raw payload's last sample becomes +inf
+        signal.write_bytes(signal.read_bytes()[:-8] + np.array([np.inf], "<f8").tobytes())
+    out = tmp_path / "steps.jsonl"
+    assert main(["decompose", "--grid", str(tmp_path / "grid.json"), "--in", str(signal),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {signal}: samples must be finite (no NaN/Inf)\n"
     assert not out.exists()
 
 
@@ -415,3 +457,21 @@ def test_geometry_on_small_2d_grid(tmp_path, beta):
     assert np.array(payload["metric"]).shape == (5, 5)
     if beta:
         assert payload["weakness"]["beta"] == 0.5
+
+
+@pytest.mark.parametrize("spec", [_TAU, {**_TAU, "b0": 1.0, "a0": 2.0, "tau": 2.0, "jmax": 0},
+                                  {**_TAU, "b0": 1.0, "a0": 2.0, "tau": 1.05, "jmax": 1},
+                                  {"Nx": 16, "Ny": 16, "J": 1, "K": 2, "min_scale": 2.0}],
+                         ids=["integers", "one-scale", "narrow-span", "2-d-one-scale"])
+def test_geometry_on_integer_and_narrow_grids(tmp_path, spec):
+    # a tau-adic spec written with integers, and a scale span too narrow for
+    # the 5% margin the draws keep inside it, both give a report
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    out_path = tmp_path / "geom.json"
+    assert main(["geometry", "--grid", str(path), "--samples", "2", "--probes", "5",
+                 "--beta", "0.5", "--out", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    P = 5 if "Nx" in spec else 2
+    assert np.array(payload["metric"]).shape == (P, P)
+    assert payload["weakness"]["beta"] == 0.5

@@ -4,10 +4,13 @@ the suite sees it, and the package's imports."""
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -147,3 +150,44 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
                      "    return _local\n")
     assert _unread_private_names(probe) == ["probe.py:3: _LEFT", "probe.py:4: _TYPED",
                                             "probe.py:6: _helper"]
+
+
+def _third_party_imports(package: Path) -> set:
+    """Top-level modules that the modules of `package` import, less the
+    standard library and the package's own relative imports."""
+    names = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def _declared_dependencies(pyproject: Path) -> set:
+    """The distribution names of `[project] dependencies`, as import names."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_the_declared_dependencies_are_the_imported_ones():
+    # a dependency that the package stops importing must leave pyproject.toml
+    # with it, and one it starts importing must be declared there
+    assert _third_party_imports(PACKAGE) == _declared_dependencies(PYPROJECT) != set()
+
+
+def test_the_dependency_check_sees_an_undeclared_import(tmp_path):
+    (tmp_path / "probe.py").write_text("from __future__ import annotations\n"
+                                       "import os.path\n"
+                                       "import numpy as np\n"
+                                       "from yaml import safe_load\n"
+                                       "from . import sibling\n"
+                                       "from .core import x\n")
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text('[project]\nname = "probe"\ndependencies = '
+                         '["numpy>=1.24", "Typing-Extensions; python_version < \'3.11\'"]\n')
+    assert _third_party_imports(tmp_path) == {"numpy", "yaml"}
+    assert _declared_dependencies(pyproject) == {"numpy", "typing_extensions"}
