@@ -29,7 +29,11 @@ _C2D = math.sqrt(4.0 / (3.0 * math.pi))
 
 
 class Aniso2DDictionary(Dictionary):
-    """Five-parameter dictionary (b1, b2, theta, a1, a2) on a pixel grid."""
+    """Five-parameter dictionary (b1, b2, theta, a1, a2) on a pixel grid.
+
+    `_jet` evaluates its atoms in scratch arrays that the dictionary owns,
+    which every evaluation overwrites: a dictionary must not be used from
+    two threads at once."""
 
     def __init__(self, shape: tuple[int, int],
                  scale_range: tuple[float, float] | None = None):
@@ -44,6 +48,7 @@ class Aniso2DDictionary(Dictionary):
         if not 0 < lo < hi:
             raise ValueError(f"bad scale range {scale_range}")
         self.scale_range = (float(lo), float(hi))
+        self._work = np.empty((8, *self.shape))
 
     def point(self, b1: float, b2: float, theta: float, a1: float, a2: float) -> ParamPoint:
         return ParamPoint((b1, b2, theta % math.pi, a1, a2))
@@ -53,27 +58,48 @@ class Aniso2DDictionary(Dictionary):
         chain rule: d_i = s_i G + s G_i and
         d_ij = s_ij G + s_i G_j + s_j G_i + s G_ij, where G_i = G_u u_i + G_v v_i
         and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
-        + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2)."""
+        + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2).
+
+        The frame and the mother's values are built in place, in the
+        dictionary's scratch arrays at its own shape (a template canvas
+        gets its own), and the parts are views of one fresh block."""
         b1, b2, theta, a1, a2 = coords
+        shape = tuple(shape)
+        work = self._work if shape == self.shape else np.empty((8, *shape))
+        u, v, env, uu, G, Gu, Gv, tmp = work
+        block = np.empty(((1, 6, 31)[order], *shape))
+        raw, d1 = block[0], block[1:6]
         dx = np.arange(shape[0], dtype=np.float64)[:, None] - b1
         dy = np.arange(shape[1], dtype=np.float64)[None, :] - b2
         ct, st = math.cos(theta), math.sin(theta)
-        u = (ct * dx + st * dy) / a1
-        v = (-st * dx + ct * dy) / a2
-        env = np.exp(-0.5 * (u * u + v * v))
-        uu = u * u
-        G = _C2D * (1.0 - uu) * env
-        raw = G / math.sqrt(a1 * a2)
+        # u = (ct dx + st dy) / a1, v = (-st dx + ct dy) / a2,
+        # env = exp(-0.5 (u u + v v)), G = _C2D (1 - u u) env, raw = G / sqrt(a1 a2)
+        np.divide(np.add(ct * dx, st * dy, out=u), a1, out=u)
+        np.divide(np.add(-st * dx, ct * dy, out=v), a2, out=v)
+        np.multiply(u, u, out=uu)
+        np.add(uu, np.multiply(v, v, out=env), out=env)
+        np.exp(np.multiply(-0.5, env, out=env), out=env)
+        np.multiply(np.multiply(_C2D, np.subtract(1.0, uu, out=G), out=G), env, out=G)
+        np.divide(G, math.sqrt(a1 * a2), out=raw)
         if order == 0:
             return (raw,)
-        Gu = _C2D * (uu * u - 3.0 * u) * env  # d/du of the mother
-        Gv = -v * G
+        # d/du of the mother, _C2D * (uu * u - 3.0 * u) * env
+        np.subtract(np.multiply(uu, u, out=Gu), np.multiply(3.0, u, out=tmp), out=Gu)
+        np.multiply(np.multiply(_C2D, Gu, out=Gu), env, out=Gu)
+        np.multiply(np.negative(v, out=Gv), G, out=Gv)
         s = 1.0 / math.sqrt(a1 * a2)
-        d1 = np.stack([s * (Gu * (-ct / a1) + Gv * (st / a2)),
-                       s * (Gu * (-st / a1) + Gv * (-ct / a2)),
-                       s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2)),
-                       -(s / a1) * (0.5 * G + u * Gu),
-                       -(s / a2) * (0.5 * G + v * Gv)])
+        # s * (Gu * (-ct / a1) + Gv * (st / a2)), and its b2 twin
+        for row, cu, cv in ((d1[0], -ct / a1, st / a2), (d1[1], -st / a1, -ct / a2)):
+            np.add(np.multiply(Gu, cu, out=row), np.multiply(Gv, cv, out=tmp), out=row)
+            np.multiply(s, row, out=row)
+        # s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2))
+        np.multiply(Gu, np.divide(np.multiply(a2, v, out=tmp), a1, out=tmp), out=d1[2])
+        np.multiply(Gv, np.divide(np.multiply(a1, u, out=tmp), a2, out=tmp), out=tmp)
+        np.multiply(s, np.subtract(d1[2], tmp, out=d1[2]), out=d1[2])
+        # -(s / a1) * (0.5 * G + u * Gu), and its a2 twin
+        for row, a, w, Gw in ((d1[3], a1, u, Gu), (d1[4], a2, v, Gv)):
+            np.add(np.multiply(0.5, G, out=row), np.multiply(w, Gw, out=tmp), out=row)
+            np.multiply(-(s / a), row, out=row)
         if order == 1:
             return raw, d1
         # first derivatives of u, v and s
@@ -93,7 +119,7 @@ class Aniso2DDictionary(Dictionary):
                (4, 4): 2.0 * v / (a2 * a2)}
         dds = {(3, 3): 0.75 * s / (a1 * a1), (3, 4): 0.25 * s / (a1 * a2),
                (4, 4): 0.75 * s / (a2 * a2)}
-        d2 = np.empty((5, 5) + raw.shape)
+        d2 = block[6:].reshape((5, 5, *shape))
         for i in range(5):
             for j in range(i, 5):
                 d2G = (Guu * (du[i] * du[j]) + Guv * (du[i] * dv[j] + du[j] * dv[i])

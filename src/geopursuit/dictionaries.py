@@ -118,8 +118,9 @@ class Dictionary:
         """(raw,), (raw, d1) or (raw, d1, d2) for order 0, 1 or 2: the raw
         atom sampled on `shape`, its first partials stacked as (P, *shape)
         and its second partials as a symmetric (P, P, *shape) stack. The
-        arrays are fresh: the renormalization overwrites the stacks. Atoms
-        use `self.shape`; the search's templates use their own canvas."""
+        arrays are fresh, never scratch the dictionary reuses: the
+        renormalization overwrites the stacks, and the memo keeps them.
+        Atoms use `self.shape`; the search's templates use their own canvas."""
         raise NotImplementedError
 
     def check_shape(self, shape) -> None:
@@ -236,7 +237,8 @@ def _renormalized(raw: np.ndarray, *partials: np.ndarray) -> tuple:
         d1 = partials[0]
         P = len(d1)
         dn = d1.reshape(P, -1) @ atom.ravel()  # d_i n = <d_i raw, atom>
-        d1 -= np.multiply.outer(dn, atom)
+        for i in range(P):
+            d1[i] -= dn[i] * atom
         d1 /= nrm
     if len(partials) == 2:
         d2 = partials[1]

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
@@ -313,7 +312,7 @@ def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndar
     paths and the search's pruning atom by atom.
     """
     plan = _search_plan(dictionary, residual, grid)
-    return np.concatenate(list(plan.scores(residual.data)))
+    return np.concatenate(plan.scores(residual.data))
 
 
 def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
@@ -359,16 +358,58 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _BOUND_MARGIN = 1e-9
 
 
+class _FFT:
+    """Real FFTs at one shape through buffers that a search plan owns: the
+    zero-padded input, its spectrum, the product of two spectra and the
+    inverse's outputs. Every search overwrites them, so a plan serves one
+    search at a time. A 2-D inverse keeps at most `rows` rows."""
+
+    def __init__(self, shape: tuple, rows: int):
+        self.shape = shape
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        self.padded = np.zeros(shape)
+        self.spectrum = np.empty(half, dtype=np.complex128)
+        self.product = np.empty(half, dtype=np.complex128)
+        if len(shape) == 1:
+            self.inverse = np.empty(shape)
+        else:
+            self.kept = np.empty((rows, half[1]), dtype=np.complex128)
+            self.inverse = np.empty((rows, shape[1]))
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        """The spectrum of `u` zero-padded to the FFT shape; the samples past
+        `u` stay zero, as `u` always has the plan's shape."""
+        np.copyto(self.padded[tuple(slice(n) for n in u.shape)], u)
+        return np.fft.rfftn(self.padded, axes=tuple(range(len(self.shape))), out=self.spectrum)
+
+
 class _Spectrum(NamedTuple):
     """A centred template's conjugate spectrum wrapped to the real-FFT shape
-    `fft_shape`, and the gather index of its integer positions there."""
+    of `fft`, and the indices of its integer positions there, per axis."""
 
     conj: np.ndarray
     gather: tuple
-    fft_shape: tuple
+    fft: _FFT
 
-    def correlate(self, u_hat):
-        return sp_fft.irfftn(u_hat * self.conj, self.fft_shape)[self.gather]
+    def correlate(self, u_hat) -> np.ndarray:
+        """The inverse FFT of u_hat * conj at the outer product of the
+        gather indices, as a fresh array."""
+        fft = self.fft
+        product = np.multiply(u_hat, self.conj, out=fft.product)
+        if len(fft.shape) == 1:
+            return np.fft.irfft(product, fft.shape[0], out=fft.inverse)[self.gather[0]]
+        # irfftn's passes in its order, the real one on the kept rows only:
+        # the complex pass along axis 0, then the real pass along axis 1,
+        # both unscaled, then one scaling by 1/(F0*F1), where pocketfft's
+        # 2-D irfftn applies it, so the floats are its floats for any lengths
+        rows, cols = self.gather
+        np.fft.ifft(product, axis=0, norm="forward", out=product)
+        # mode="raise" would gather through a temporary array
+        kept = np.take(product, rows, axis=0, out=fft.kept[:len(rows)], mode="clip")
+        out = np.fft.irfft(kept, fft.shape[1], axis=1, norm="forward",
+                           out=fft.inverse[:len(rows)])[:, cols]
+        out *= 1.0 / (fft.shape[0] * fft.shape[1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -413,28 +454,31 @@ class _DirectBlock:
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, with the enumeration
-    index of each block's first atom; the real-FFT shapes of the FFT blocks
-    and of the direct blocks' envelopes (each empty when there are none);
-    and the grid's `factors()`, which map an index to its point."""
+    index of each block's first atom; the real FFTs of the FFT blocks and
+    of the direct blocks' envelopes (each None when there are none); and
+    the grid's `factors()`, which map an index to its point.
 
-    fft_shape: tuple
-    bound_shape: tuple
+    The FFTs hold the plan's scratch buffers, which every search
+    overwrites: a plan, like the dictionary it is cached on, must not be
+    searched from two threads at once."""
+
+    fft: _FFT | None
+    bound_fft: _FFT | None
     blocks: list
     offsets: list
     factors: tuple
 
-    def scores(self, u: np.ndarray):
+    def scores(self, u: np.ndarray) -> list:
         """Every atom's score, as one flat array per block, from one FFT of `u`."""
-        u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
-        for block in self.blocks:
-            yield block.scores(u, u_hat)
+        u_hat = self.fft.forward(u) if self.fft else None
+        return [block.scores(u, u_hat) for block in self.blocks]
 
     def bounds(self, u: np.ndarray) -> dict:
         """Upper bounds on the scores of every direct block's translations,
         by block index, from one FFT of u**2."""
-        if not self.bound_shape:
+        if not self.bound_fft:
             return {}
-        r2_hat = sp_fft.rfftn(u * u, self.bound_shape)
+        r2_hat = self.bound_fft.forward(u * u)
         return {i: block.bound_factor * block.envelope.correlate(r2_hat)
                 for i, block in enumerate(self.blocks) if isinstance(block, _DirectBlock)}
 
@@ -445,7 +489,7 @@ class _SearchPlan:
         whose bound reaches the running best. A skipped atom scores below
         the best, so the result is the exhaustive one, bit for bit."""
         bounds = self.bounds(u)
-        u_hat = sp_fft.rfftn(u, self.fft_shape) if self.fft_shape else None
+        u_hat = self.fft.forward(u) if self.fft else None
         best = (-math.inf, 0)  # (score, -index): the max is the first best
         for i, block in enumerate(self.blocks):
             if i not in bounds:
@@ -467,13 +511,12 @@ class _SearchPlan:
         """Plan from `entries` in enumeration order, one template at a time:
         each `_Lattice` becomes an FFT block, and each off-lattice level
         (mother, a, bs) a direct block."""
-        fft_shape = _fft_shape([e for e in entries if isinstance(e, _Lattice)], shape)
-        bound_shape = _fft_shape([_envelope(*e) for e in entries if not isinstance(e, _Lattice)],
-                                 shape)
-        blocks = [_fft_block(e, shape, fft_shape) if isinstance(e, _Lattice)
-                  else _direct_block(*e, shape, bound_shape) for e in entries]
+        fft = _fft([e for e in entries if isinstance(e, _Lattice)], shape)
+        bound_fft = _fft([_envelope(*e) for e in entries if not isinstance(e, _Lattice)], shape)
+        blocks = [_fft_block(e, shape, fft) if isinstance(e, _Lattice)
+                  else _direct_block(*e, shape, bound_fft) for e in entries]
         offsets = list(itertools.accumulate((b.norm2.size for b in blocks[:-1]), initial=0))
-        return cls(fft_shape, bound_shape, blocks, offsets, factors)
+        return cls(fft, bound_fft, blocks, offsets, factors)
 
 
 class _Lattice(NamedTuple):
@@ -499,28 +542,46 @@ def _lattice_axes(lattice: _Lattice, shape):
     return out
 
 
-def _fft_shape(lattices, shape) -> tuple:
-    """The real-FFT shape that holds every lattice's correlation (empty for none)."""
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n: the real-FFT lengths that
+    pocketfft transforms fastest."""
+    best = 1 << (n - 1).bit_length()  # the power of two in [n, 2n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft(lattices, shape) -> _FFT | None:
+    """The real FFT whose shape holds every lattice's correlation (None for none)."""
     if not lattices:
-        return ()
+        return None
     sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices], axis=0)
-    return tuple(sp_fft.next_fast_len(int(s), real=True) for s in sizes)
+    return _FFT(tuple(_next_fast_len(int(s)) for s in sizes),
+                max(len(e.positions[0]) for e in lattices))
 
 
-def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft_shape) -> _Spectrum:
-    """The spectrum of `lattice`'s template `w` at `fft_shape`."""
+def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft: _FFT) -> _Spectrum:
+    """The spectrum of `lattice`'s template `w` at the shape of `fft`."""
     # template offsets -keep..keep per axis, stored at offset mod the FFT length
     offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(lattice, shape)]
-    wrapped = np.zeros(fft_shape)
-    wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
+    wrapped = np.zeros(fft.shape)
+    wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft.shape)))] = \
         w[np.ix_(*(o + m for o, m in zip(offsets, lattice.ms)))]
-    gather = np.ix_(*(p % size for p, size in zip(lattice.positions, fft_shape)))
-    return _Spectrum(np.conj(sp_fft.rfftn(wrapped)), gather, fft_shape)
+    gather = tuple(p % size for p, size in zip(lattice.positions, fft.shape))
+    return _Spectrum(np.conj(np.fft.rfftn(wrapped)), gather, fft)
 
 
-def _fft_block(lattice: _Lattice, shape, fft_shape) -> _FFTBlock:
+def _fft_block(lattice: _Lattice, shape, fft: _FFT) -> _FFTBlock:
     w = lattice.template()
-    return _FFTBlock(_spectrum(lattice, w, shape, fft_shape),
+    return _FFTBlock(_spectrum(lattice, w, shape, fft),
                      _lattice_norm2(w, lattice.positions, shape))
 
 
@@ -582,14 +643,14 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray):
     return kernel, starts
 
 
-def _direct_block(mother, a: float, bs: np.ndarray, shape, bound_shape) -> _DirectBlock:
+def _direct_block(mother, a: float, bs: np.ndarray, shape, bound_fft: _FFT) -> _DirectBlock:
     w, _ = _direct_kernel(shape[0], mother, a, bs)
     norm2 = np.einsum("nl,nl->n", w, w)
     with np.errstate(invalid="ignore", divide="ignore"):
         bound_factor = np.where(norm2 > 0, np.abs(w).sum(axis=1) / norm2, 0.0)
     envelope = _envelope(mother, a, bs)
     return _DirectBlock(mother, a, bs, norm2, bound_factor,
-                        _spectrum(envelope, envelope.template(), shape, bound_shape))
+                        _spectrum(envelope, envelope.template(), shape, bound_fft))
 
 
 def _envelope(mother, a: float, bs: np.ndarray) -> _Lattice:

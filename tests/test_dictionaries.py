@@ -265,6 +265,28 @@ def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2
             assert np.abs(fd - mjets[2][k]).max() < 1e-8
 
 
+@pytest.mark.parametrize("family", ["affine", "translation", "aniso2d"])
+def test_jet_parts_outlive_later_evaluations(family):
+    # a dictionary may evaluate its atoms in scratch arrays of its own, but
+    # the parts it returns are fresh: kept parts at a first point, of every
+    # order, raw and renormalized, are untouched by evaluations of every
+    # order at a second point and equal a fresh dictionary's bit for bit
+    point = (0.3, 0.6, 0.4, 0.2, 0.7)
+    d, lam1 = _contract_case(family, *point)
+    _, lam2 = _contract_case(family, 0.8, 0.1, 2.5, 0.6, 0.3)
+    kept = [(d._jet(lam1.coords, d.shape, order), d.jet(lam1, order)) for order in (0, 1, 2)]
+    for order in (0, 1, 2):
+        d._jet(lam2.coords, d.shape, order)
+        d.jet(lam2, order)
+    for order, (raw, renorm) in enumerate(kept):
+        fresh = _contract_case(family, *point)[0]
+        want_raw = fresh._jet(lam1.coords, fresh.shape, order)
+        want = fresh.jet(lam1, order)
+        assert len(raw) == len(renorm) == order + 1
+        assert all(np.array_equal(p, q) for p, q in zip(raw, want_raw))
+        assert all(np.array_equal(p, q) for p, q in zip(renorm, want))
+
+
 def test_jet_memo_never_skips_a_check():
     # the memo serves only what the same coordinates already passed: an
     # atom near the scale bound does not make its derivatives legal, and a

@@ -114,7 +114,7 @@ def test_full_search_zero_residual_tie_break():
         assert s == 0.0
         first = next(grid.points())
         assert np.array_equal(best.coords, first.coords)
-        assert bool(pursuit._search_plan(d, z, grid).fft_shape) == fft_levels
+        assert (pursuit._search_plan(d, z, grid).fft is not None) == fft_levels
 
 
 def test_unplanned_grids_are_refused(rng):
@@ -216,6 +216,41 @@ def test_search_plans_do_not_cross_talk(rng):
     for d in (d2, gp.Aniso2DDictionary((12, 10))):  # residual, then grid, mismatched
         with pytest.raises(ValueError, match="does not match"):
             gp.grid_scores(d, u2t, grids2[0])
+
+
+def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
+    # n = 58 and n = 63 plan FFT lattices and direct levels at the same two
+    # FFT shapes; each plan's buffers are its own, so searching one signal
+    # leaves nothing (say, samples past the shorter signal's end) that the
+    # other's search could read: every search, alternating, scores as the
+    # per-atom oracle does and as a fresh dictionary does, bit for bit
+    sizes = (63, 58)
+    grids = {n: gp.tau_grid_for_signal(n, b0=0.75, log2_tau=0.5) for n in sizes}
+    dicts = {n: gp.Affine1DDictionary(n) for n in sizes}
+    signals = {n: gp.SignalBuffer(rng.standard_normal(n)) for n in sizes}
+    plans = [pursuit._search_plan(dicts[n], signals[n], grids[n]) for n in sizes]
+    assert plans[0].fft.shape == plans[1].fft.shape
+    assert plans[0].bound_fft.shape == plans[1].bound_fft.shape
+    slow = {n: np.array([gp.score(dicts[n], signals[n], lam) for lam in grids[n].points()])
+            for n in sizes}
+    for n in sizes * 3:
+        d, u, grid = dicts[n], signals[n], grids[n]
+        scores = gp.grid_scores(d, u, grid)
+        assert np.abs(scores - slow[n]).max() < 1e-9 * u.energy()
+        assert np.array_equal(scores, gp.grid_scores(gp.Affine1DDictionary(n), u, grid))
+        lam, s = full_search(d, u, grid)
+        want_lam, want_s = full_search(gp.Affine1DDictionary(n), u, grid)
+        assert np.array_equal(lam.coords, want_lam.coords) and s == want_s
+
+
+def test_next_fast_len_is_the_next_5_smooth_length():
+    # the FFT lengths: the smallest 5-smooth integer >= n, by brute force
+    # for every n up to 20,000
+    limit = 20_000
+    smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(16) for j in range(11)
+                    for k in range(8) if 2 ** i * 3 ** j * 5 ** k < 2 * limit)
+    want = np.array(smooth)[np.searchsorted(smooth, np.arange(1, limit + 1))]
+    assert np.array_equal([pursuit._next_fast_len(n) for n in range(1, limit + 1)], want)
 
 
 def test_search_plan_is_freed_with_its_dictionary(rng):

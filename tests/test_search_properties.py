@@ -7,11 +7,12 @@ clipped at n - 1), `grid_scores` must agree atom by atom with per-atom
 `score`, and `full_search`, which prunes direct translations by an upper
 bound, must pick the same atom and score as `conftest.naive_search` and as
 the argmax of `grid_scores`. The bound itself must be at least every
-translation's score.
+translation's score, and the 2-D search's pruned inverse FFT must equal
+the full `irfftn` at the positions it keeps, bit for bit.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import geopursuit as gp
@@ -95,3 +96,38 @@ def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, se
 def test_2d_search_matches_oracle(nx, ny, j_scales, k_orients, seed):
     grid = gp.Grid2DSpec(nx=nx, ny=ny, j_scales=j_scales, k_orients=k_orients)
     check_search(gp.Aniso2DDictionary((nx, ny)), grid, seed)
+
+
+def _is_power_of_two(k):
+    return k & (k - 1) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24),
+       j_scales=st.integers(1, 3), k_orients=st.integers(1, 4), seed=seeds)
+@example(nx=7, ny=5, j_scales=2, k_orients=3, seed=0)    # 15 x 9: both lengths odd
+@example(nx=13, ny=4, j_scales=2, k_orients=2, seed=1)   # 25 x 8
+@example(nx=4, ny=16, j_scales=3, k_orients=2, seed=2)   # 8 x 32: powers of two
+def test_pruned_2d_inverse_is_irfftn(nx, ny, j_scales, k_orients, seed):
+    # each slab's correlation, an inverse FFT of only the rows the grid
+    # keeps, equals the full irfftn at those positions bit for bit: the
+    # complex pass along axis 0 and the real pass along axis 1 unscaled,
+    # then one scaling by 1/(F0*F1); with both lengths powers of two, the
+    # per-pass scaling of numpy's default irfftn gives the same floats
+    assume(nx != ny)
+    d = gp.Aniso2DDictionary((nx, ny))
+    grid = gp.Grid2DSpec(nx=nx, ny=ny, j_scales=j_scales, k_orients=k_orients)
+    u = np.random.default_rng(seed).standard_normal((nx, ny))
+    plan = pursuit._search_plan(d, gp.SignalBuffer(u), grid)
+    shape = plan.fft.shape
+    u_hat = plan.fft.forward(u)
+    assert np.array_equal(u_hat, np.fft.rfftn(u, shape, axes=(0, 1)))
+    for block in plan.blocks:
+        spectrum = block.spectrum
+        want = np.fft.irfftn(u_hat * spectrum.conj, shape, axes=(0, 1), norm="forward")
+        want = want[np.ix_(*spectrum.gather)] * (1.0 / (shape[0] * shape[1]))
+        got = spectrum.correlate(u_hat)
+        assert got.shape == (nx, ny) and np.array_equal(got, want)
+        if all(_is_power_of_two(k) for k in shape):
+            full = np.fft.irfftn(u_hat * spectrum.conj, shape, axes=(0, 1))
+            assert np.array_equal(got, full[np.ix_(*spectrum.gather)])

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PACKAGE_ROOT, child_env
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "geopursuit"
@@ -191,3 +193,16 @@ def test_the_dependency_check_sees_an_undeclared_import(tmp_path):
                          '["numpy>=1.24", "Typing-Extensions; python_version < \'3.11\'"]\n')
     assert _third_party_imports(tmp_path) == {"numpy", "yaml"}
     assert _declared_dependencies(pyproject) == {"numpy", "typing_extensions"}
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy(tmp_path):
+    # the search's FFTs are numpy's: a fresh interpreter that imports the
+    # library and the CLI has no scipy module loaded, whatever is installed
+    probe = ("import sys\n"
+             "import geopursuit, geopursuit.cli\n"
+             "assert geopursuit.__file__.startswith(sys.argv[1]), geopursuit.__file__\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", probe, str(PACKAGE_ROOT)], cwd=tmp_path,
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
