@@ -71,12 +71,14 @@ def _load_steps(path, dictionary) -> Decomposition:
     """The decomposition in the steps file `path`, refused at a step whose
     lambda the dictionary refuses (another length, a scale out of range),
     naming the file and the line."""
+    steps = []
     for number, step in _jsonl_steps(path):
         try:
             dictionary.jet(ParamPoint(step.lam), 0)
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
-    return Decomposition.from_jsonl(path)
+        steps.append(step)
+    return Decomposition.from_steps(steps)
 
 
 # side of the generated test image when `image` is given no --image file

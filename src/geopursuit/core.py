@@ -94,25 +94,11 @@ def psnr(reference: SignalBuffer, approx: SignalBuffer) -> float:
     return min(PSNR_CAP, 10.0 * math.log10(peak * peak / mse))
 
 
-def _infer_format(path: Path) -> str:
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".pgm":
-        return "pgm-p5"
-    return "raw-f64-le"
-
-
 def save_signal(buf: SignalBuffer, path) -> None:
     """Write a buffer as csv (.csv suffix), pgm-p5 (.pgm) or raw-f64-le (any other)."""
     path = Path(path)
-    fmt = _infer_format(path)
-    if fmt == "csv":
-        _save_csv(buf, path)
-    elif fmt == "pgm-p5":
-        _save_pgm(buf, path)
-    else:
-        _save_raw(buf, path)
+    write, _ = _FORMATS.get(path.suffix.lower(), _RAW_F64_LE)
+    write(buf, path)
 
 
 def load_signal(path) -> SignalBuffer:
@@ -120,7 +106,7 @@ def load_signal(path) -> SignalBuffer:
     Each format's reader returns (samples, peak hint); every refusal, the
     reader's or `SignalBuffer`'s, is a ValueError naming the file."""
     path = Path(path)
-    load = {"csv": _load_csv, "pgm-p5": _load_pgm}.get(_infer_format(path), _load_raw)
+    _, load = _FORMATS.get(path.suffix.lower(), _RAW_F64_LE)
     samples, peak_hint = load(path)
     try:
         return SignalBuffer(samples, peak_hint)
@@ -234,3 +220,8 @@ def _load_pgm(path: Path) -> tuple:
     if arr.max() > maxval:
         raise ValueError(f"{path}: pixel value {arr.max()} exceeds maxval {maxval}")
     return arr.astype(np.float64), float(maxval)
+
+
+# lowercased suffix -> (writer, reader); any other suffix is raw-f64-le
+_FORMATS = {".csv": (_save_csv, _load_csv), ".pgm": (_save_pgm, _load_pgm)}
+_RAW_F64_LE = (_save_raw, _load_raw)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .affine1d import tau_grid_for_signal
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
 from .core import SignalBuffer, psnr
 from .dictionaries import Dictionary
@@ -88,8 +89,6 @@ def experiment_grid(n: int, b0: float, log2_tau: float):
     arbitrary; excluding them keeps first-iteration statistics about the
     class, not the grid's top-of-range placement.
     """
-    from .affine1d import tau_grid_for_signal
-
     return tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau,
                                max_scale=min(3.0 * BURST_ENVELOPE, n / 4))
 

@@ -164,17 +164,18 @@ class Decomposition:
                 fh.write(json.dumps(step.to_record()) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path) -> "Decomposition":
-        """Read steps written by `to_jsonl`; a line that is not such a step
-        raises ValueError naming the file and the line.
-
-        The initial energy is recovered from the first step as
-        residual_energy + coeff**2 (the energy the step removed from the
-        signal); an empty file gives 0.0.
-        """
-        steps = [step for _, step in _jsonl_steps(path)]
+    def from_steps(cls, steps: list) -> "Decomposition":
+        """The decomposition of recorded `steps`. The initial energy is
+        recovered from the first step as residual_energy + coeff**2 (the
+        energy the step removed from the signal); no steps give 0.0."""
         initial_energy = steps[0].residual_energy + steps[0].coeff ** 2 if steps else 0.0
         return cls(steps=steps, initial_energy=initial_energy)
+
+    @classmethod
+    def from_jsonl(cls, path) -> "Decomposition":
+        """Read steps written by `to_jsonl`; a line that is not such a step
+        raises ValueError naming the file and the line."""
+        return cls.from_steps([step for _, step in _jsonl_steps(path)])
 
     def to_csv(self, path) -> None:
         P = len(self.steps[0].lam) if self.steps else 0
@@ -361,20 +362,16 @@ _BOUND_MARGIN = 1e-9
 class _FFT:
     """Real FFTs at one shape through buffers that a search plan owns: the
     zero-padded input, its spectrum, the product of two spectra and the
-    inverse's outputs. Every search overwrites them, so a plan serves one
-    search at a time. A 2-D inverse keeps at most `rows` rows."""
+    inverse. Every search overwrites them, so a plan serves one search at
+    a time. They pay for themselves in 2-D speed, not in page faults."""
 
-    def __init__(self, shape: tuple, rows: int):
+    def __init__(self, shape: tuple):
         self.shape = shape
         half = shape[:-1] + (shape[-1] // 2 + 1,)
         self.padded = np.zeros(shape)
         self.spectrum = np.empty(half, dtype=np.complex128)
         self.product = np.empty(half, dtype=np.complex128)
-        if len(shape) == 1:
-            self.inverse = np.empty(shape)
-        else:
-            self.kept = np.empty((rows, half[1]), dtype=np.complex128)
-            self.inverse = np.empty((rows, shape[1]))
+        self.inverse = np.empty(shape)
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         """The spectrum of `u` zero-padded to the FFT shape; the samples past
@@ -385,7 +382,8 @@ class _FFT:
 
 class _Spectrum(NamedTuple):
     """A centred template's conjugate spectrum wrapped to the real-FFT shape
-    of `fft`, and the indices of its integer positions there, per axis."""
+    of `fft`, and the indices of its integer positions there, per axis. A
+    2-D grid scores every pixel row, so its row indices are 0..nx-1."""
 
     conj: np.ndarray
     gather: tuple
@@ -396,19 +394,18 @@ class _Spectrum(NamedTuple):
         gather indices, as a fresh array."""
         fft = self.fft
         product = np.multiply(u_hat, self.conj, out=fft.product)
-        if len(fft.shape) == 1:
-            return np.fft.irfft(product, fft.shape[0], out=fft.inverse)[self.gather[0]]
-        # irfftn's passes in its order, the real one on the kept rows only:
-        # the complex pass along axis 0, then the real pass along axis 1,
-        # both unscaled, then one scaling by 1/(F0*F1), where pocketfft's
-        # 2-D irfftn applies it, so the floats are its floats for any lengths
-        rows, cols = self.gather
-        np.fft.ifft(product, axis=0, norm="forward", out=product)
-        # mode="raise" would gather through a temporary array
-        kept = np.take(product, rows, axis=0, out=fft.kept[:len(rows)], mode="clip")
-        out = np.fft.irfft(kept, fft.shape[1], axis=1, norm="forward",
-                           out=fft.inverse[:len(rows)])[:, cols]
-        out *= 1.0 / (fft.shape[0] * fft.shape[1])
+        inverse = fft.inverse
+        # irfftn's passes in its order, all unscaled, then one scaling by
+        # 1/prod(shape), where pocketfft's irfftn applies it, so the floats
+        # are its floats for any lengths; in 2-D the real pass reads only
+        # the leading rows, the pixel rows the grid scores
+        if product.ndim == 2:
+            np.fft.ifft(product, axis=0, norm="forward", out=product)
+            rows = slice(len(self.gather[0]))
+            product, inverse = product[rows], inverse[rows]
+        np.fft.irfft(product, fft.shape[-1], norm="forward", out=inverse)
+        out = inverse[..., self.gather[-1]]  # a fancy index: a fresh array
+        out *= 1.0 / math.prod(fft.shape)
         return out
 
 
@@ -459,8 +456,9 @@ class _SearchPlan:
     the grid's `factors()`, which map an index to its point.
 
     The FFTs hold the plan's scratch buffers, which every search
-    overwrites: a plan, like the dictionary it is cached on, must not be
-    searched from two threads at once."""
+    overwrites; the scores a search returns are fresh arrays. A plan, like
+    the dictionary it is cached on, must not be searched from two threads
+    at once."""
 
     fft: _FFT | None
     bound_fft: _FFT | None
@@ -564,8 +562,7 @@ def _fft(lattices, shape) -> _FFT | None:
     if not lattices:
         return None
     sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices], axis=0)
-    return _FFT(tuple(_next_fast_len(int(s)) for s in sizes),
-                max(len(e.positions[0]) for e in lattices))
+    return _FFT(tuple(_next_fast_len(int(s)) for s in sizes))
 
 
 def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft: _FFT) -> _Spectrum:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geopursuit as gp
+from geopursuit import cli
 from geopursuit.cli import build_parser, main
 from conftest import run_cli
 
@@ -315,6 +316,27 @@ def test_reconstruct_of_a_step_outside_the_domain_is_runtime_error(tmp_path, gri
                  "--out", str(tmp_path / "r.bin")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {steps}, line 1: scale 1000.0 outside")
+
+
+def test_reconstruct_sums_the_steps_it_checked(tmp_path, grid_file, monkeypatch):
+    # the steps file is read once: a file rewritten after its steps were
+    # checked (here with a scale out of range) is not read again
+    rec = gp.DecompositionStep(m=0, lam=np.array([100.0, 8.0]), coeff=0.5, score=0.25,
+                               residual_energy=0.75).to_record()
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps(rec) + "\n")
+    read = cli._jsonl_steps
+
+    def read_then_rewrite(path):
+        yield from read(path)
+        steps.write_text(json.dumps({**rec, "lambda": [100.0, 1000.0]}) + "\n")
+
+    monkeypatch.setattr(cli, "_jsonl_steps", read_then_rewrite)
+    out = tmp_path / "r.bin"
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(out)]) == 0
+    atom = gp.Affine1DDictionary(512).synthesize(gp.ParamPoint([100.0, 8.0]))
+    assert np.array_equal(gp.load_signal(out).data, 0.5 * atom.data)
 
 
 def test_decompose_refuses_an_infinite_chi(tmp_path, grid_file):

@@ -8,7 +8,8 @@ clipped at n - 1), `grid_scores` must agree atom by atom with per-atom
 bound, must pick the same atom and score as `conftest.naive_search` and as
 the argmax of `grid_scores`. The bound itself must be at least every
 translation's score, and the 2-D search's pruned inverse FFT must equal
-the full `irfftn` at the positions it keeps, bit for bit.
+the full `irfftn` at the positions it keeps, bit for bit, as every 1-D
+correlation must equal numpy's `irfft`.
 """
 
 import numpy as np
@@ -91,6 +92,36 @@ def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, se
 
 
 @settings(max_examples=25, deadline=None)
+@given(n=st.integers(12, 48).map(lambda k: 2 * k + 1),
+       b0=st.sampled_from([0.5, 0.75, 1.5, 2.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]),
+       a0=st.floats(0.8, 2.0),
+       mother=mothers,
+       seed=seeds)
+@example(n=21, b0=2.0, log2_tau=0.25, a0=1.0, mother="gaussian", seed=0)  # FFTs of 75 and 81
+def test_1d_correlation_is_irfft(n, b0, log2_tau, a0, mother, seed):
+    # every 1-D correlation, level or envelope, is numpy's irfft at its
+    # gathered positions bit for bit, and a fresh array: the ones returned
+    # before are unchanged after the later blocks reuse the plan's buffers
+    d = gp.Affine1DDictionary(n, mother=mother)
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    u = np.random.default_rng(seed).standard_normal(n)
+    plan = pursuit._search_plan(d, gp.SignalBuffer(u), grid)
+    fft_blocks = [b for b in plan.blocks if isinstance(b, pursuit._FFTBlock)]
+    assume(fft_blocks and len(fft_blocks) < len(plan.blocks))
+    pairs = [(plan.fft.forward(u).copy(), b.spectrum) for b in fft_blocks]
+    r2_hat = plan.bound_fft.forward(u * u).copy()
+    pairs += [(r2_hat, b.envelope) for b in plan.blocks if isinstance(b, pursuit._DirectBlock)]
+    returned = []
+    for u_hat, spectrum in pairs:
+        got = spectrum.correlate(u_hat)
+        want = np.fft.irfft(u_hat * spectrum.conj, spectrum.fft.shape[0])[spectrum.gather[0]]
+        assert np.array_equal(got, want)
+        returned.append((got, want))
+    assert all(np.array_equal(got, want) for got, want in returned)
+
+
+@settings(max_examples=25, deadline=None)
 @given(nx=st.integers(4, 16), ny=st.integers(4, 16),
        j_scales=st.integers(1, 3), k_orients=st.integers(1, 4), seed=seeds)
 def test_2d_search_matches_oracle(nx, ny, j_scales, k_orients, seed):
@@ -124,6 +155,7 @@ def test_pruned_2d_inverse_is_irfftn(nx, ny, j_scales, k_orients, seed):
     assert np.array_equal(u_hat, np.fft.rfftn(u, shape, axes=(0, 1)))
     for block in plan.blocks:
         spectrum = block.spectrum
+        assert np.array_equal(spectrum.gather[0], np.arange(nx))  # the rows the real pass reads
         want = np.fft.irfftn(u_hat * spectrum.conj, shape, axes=(0, 1), norm="forward")
         want = want[np.ix_(*spectrum.gather)] * (1.0 / (shape[0] * shape[1]))
         got = spectrum.correlate(u_hat)
