@@ -69,12 +69,12 @@ def _load_signal(path, dictionary):
 
 def _load_steps(path, dictionary) -> Decomposition:
     """The decomposition in the steps file `path`, refused at a step whose
-    lambda the dictionary refuses (another length, a scale out of range),
-    naming the file and the line."""
+    lambda the dictionary's domain refuses (another length, a scale out of
+    range), naming the file and the line. No atom is built here."""
     steps = []
     for number, step in _jsonl_steps(path):
         try:
-            dictionary.jet(ParamPoint(step.lam), 0)
+            dictionary._check_domain(ParamPoint(step.lam))
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
         steps.append(step)

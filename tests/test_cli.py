@@ -339,6 +339,41 @@ def test_reconstruct_sums_the_steps_it_checked(tmp_path, grid_file, monkeypatch)
     assert np.array_equal(gp.load_signal(out).data, 0.5 * atom.data)
 
 
+def test_reconstruct_builds_each_atom_once(tmp_path, grid_file, monkeypatch):
+    # the steps are checked against the domain without building their
+    # atoms, so a 30-step file costs 30 atom evaluations, not 60
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text("".join(
+        json.dumps(gp.DecompositionStep(m=m, lam=np.array([10.0 + 16 * m, 8.0]), coeff=0.5,
+                                        score=0.25, residual_energy=0.75).to_record()) + "\n"
+        for m in range(30)))
+    calls = []
+    jet = gp.Affine1DDictionary._jet
+
+    def counted(self, *args):
+        calls.append(args)
+        return jet(self, *args)
+
+    monkeypatch.setattr(gp.Affine1DDictionary, "_jet", counted)
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(tmp_path / "r.bin")]) == 0
+    assert len(calls) == 30
+
+
+def test_reconstruct_of_a_step_without_support_is_runtime_error(tmp_path, grid_file, capsys):
+    # an atom with no samples in the buffer passes the domain check and is
+    # refused when reconstruct builds it, before anything is written
+    rec = gp.DecompositionStep(m=0, lam=np.array([1e6, 8.0]), coeff=0.5, score=0.25,
+                               residual_energy=0.75).to_record()
+    steps = tmp_path / "steps.jsonl"
+    steps.write_text(json.dumps(rec) + "\n")
+    out = tmp_path / "r.bin"
+    assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: atom has no effective support")
+    assert not out.exists()
+
+
 def test_decompose_refuses_an_infinite_chi(tmp_path, grid_file):
     sig = tmp_path / "s.bin"
     assert main(["gen-signal", "--n", "512", "--bursts", "3", "--out", str(sig)]) == 0

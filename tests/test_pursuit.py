@@ -266,6 +266,21 @@ def test_search_plan_is_freed_with_its_dictionary(rng):
     assert plans[0]() is None
 
 
+def test_scores_square_and_divide_in_place():
+    # an atom with no samples in the buffer (norm 0) scores 0, not nan or inf
+    corr = np.array([[2.0, -3.0], [0.5, -1e-300]])
+    out = pursuit._scores(corr, np.array([[0.0, 4.0], [0.25, 0.0]]))
+    assert np.array_equal(out, [0.0, 2.25, 1.0, 0.0]) and np.shares_memory(out, corr)
+
+
+def test_building_a_dictionary_and_grid_plans_nothing():
+    # the benchmark times building its n=8192 dictionary and grid as set-up;
+    # the search plan, and every kernel row in it, waits for the first search
+    d = gp.Affine1DDictionary(8192)
+    gp.experiment_grid(8192, b0=2, log2_tau=0.5)
+    assert d not in pursuit._PLANS
+
+
 @pytest.mark.parametrize("mother", ["mexican_hat", "gaussian"])
 def test_level_template_is_the_dictionary_atom(mother):
     # an FFT level's template is the dictionary's own raw atom centred on

@@ -9,7 +9,8 @@ bound, must pick the same atom and score as `conftest.naive_search` and as
 the argmax of `grid_scores`. The bound itself must be at least every
 translation's score, and the 2-D search's pruned inverse FFT must equal
 the full `irfftn` at the positions it keeps, bit for bit, as every 1-D
-correlation must equal numpy's `irfft`.
+correlation must equal numpy's `irfft`. The kernel rows a direct level
+keeps across searches must be the rows it would build afresh.
 """
 
 import numpy as np
@@ -89,6 +90,50 @@ def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, se
     tol = pursuit._BOUND_MARGIN * u.energy()
     for i, bound in plan.bounds(u.data).items():
         assert np.all(exact[ends[i] - bound.size:ends[i]] <= bound + tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(12, 48).map(lambda k: 2 * k + 1),
+       b0=st.sampled_from([0.5, 0.75, 1.5]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]),
+       a0=st.floats(0.5, 2.0),
+       mother=mothers,
+       searches=st.lists(st.tuples(st.booleans(), seeds), min_size=2, max_size=5))
+def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches):
+    # full searches and full scorings on different residuals, in a random
+    # order, ask the direct levels for different, overlapping rows; every
+    # row a level keeps is the row `_direct_kernel` builds, bit for bit,
+    # and built once; a warm plan scores and searches as a fresh
+    # dictionary's plan does
+    d = gp.Affine1DDictionary(n, mother=mother)
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    residuals = [gp.SignalBuffer(np.random.default_rng(seed).standard_normal(n))
+                 for _, seed in searches]
+    for (full, _), u in zip(searches, residuals):
+        (gp.full_search if full else gp.grid_scores)(d, u, grid)
+    plan = pursuit._search_plan(d, residuals[0], grid)
+    direct = [b for b in plan.blocks if isinstance(b, pursuit._DirectBlock)]
+    assume(direct)
+    for block in direct:
+        assert block.kernel_rows.keys() <= set(range(block.bs.size))
+        for r, (row, start) in block.kernel_rows.items():
+            kernel, starts = pursuit._direct_kernel(n, block.mother, block.a, block.bs[[r]])
+            assert row.tobytes() == kernel[0].tobytes() and start == starts[0]
+    built = [dict(block.kernel_rows) for block in direct]
+
+    points = list(grid.points())
+    tol = SCORE_RTOL * max(u.energy() for u in residuals)
+    for u in residuals:
+        fresh = gp.Affine1DDictionary(n, mother=mother)
+        lam, s = gp.full_search(d, u, grid)
+        want_lam, want_s = gp.full_search(fresh, u, grid)
+        assert np.array_equal(lam.coords, want_lam.coords) and s == want_s
+        scores = gp.grid_scores(d, u, grid)
+        assert np.array_equal(scores, gp.grid_scores(fresh, u, grid))
+        slow = np.array([gp.score(d, u, p) for p in points])
+        assert np.abs(scores - slow).max() <= tol
+    for block, rows in zip(direct, built):
+        assert all(block.kernel_rows[r][0] is row for r, (row, _) in rows.items())
 
 
 @settings(max_examples=25, deadline=None)
