@@ -1,11 +1,12 @@
 """1-D affine (wavelet-like) dictionary: translated and dilated mother atoms.
 
 Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
-renormalization, with a Mexican Hat mother by default. A mother is one
-`jet`: its profile and, up to order 2, its derivatives from a single
-exponential. `affine_jet` calls it once and is the one evaluation of the
-atom formula, with its partials, for the dictionary's atoms (the grid
-search's templates among them) and the search's off-lattice kernel rows.
+renormalization, with a Mexican Hat mother by default. A mother is its
+`jet` alone: its profile and, up to order 2, its derivatives from a single
+exponential; the grid search bounds scores without it. `affine_jet` calls
+it once and is the one evaluation of the atom formula, with its partials,
+for the dictionary's atoms (the grid search's templates among them) and
+the search's off-lattice kernel rows.
 Grids are tau-adic: k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
 
@@ -30,14 +31,10 @@ _GRID_TOL = 1e-9
 @dataclass(frozen=True)
 class MotherFunction:
     """Unit-norm mother profile: `jet(s, order)` returns [g], [g, g'] or
-    [g, g', g''] sampled at `s`, all from one exponential. `envelope(s)` is
-    at least |g(s)| everywhere and non-increasing in |s|: the grid search
-    bounds scores with it to skip atoms that cannot win, so a looser
-    envelope costs time and one below |g| breaks the search."""
+    [g, g', g''] sampled at `s`, all from one exponential."""
 
     name: str
     jet: callable
-    envelope: callable
 
 
 _MH_C = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
@@ -53,16 +50,6 @@ def _mh_jet(s, order):
     return out
 
 
-# |g| at the Mexican Hat's side lobes s = +-sqrt(3), the largest value of |g|
-# beyond its zeros at s = +-1
-_MH_LOBE = 2.0 * _MH_C * math.exp(-1.5)
-
-
-def _mh_envelope(s):
-    g = np.abs(_mh_jet(s, 0)[0])
-    return np.where(np.abs(s) <= math.sqrt(3.0), np.maximum(g, _MH_LOBE), g)
-
-
 _GS_C = math.pi ** -0.25
 
 
@@ -76,12 +63,8 @@ def _gauss_jet(s, order):
     return out
 
 
-def _gauss_envelope(s):
-    return _gauss_jet(s, 0)[0]
-
-
-MEXICAN_HAT = MotherFunction("mexican_hat", _mh_jet, _mh_envelope)
-GAUSSIAN = MotherFunction("gaussian", _gauss_jet, _gauss_envelope)
+MEXICAN_HAT = MotherFunction("mexican_hat", _mh_jet)
+GAUSSIAN = MotherFunction("gaussian", _gauss_jet)
 MOTHERS = {m.name: m for m in (MEXICAN_HAT, GAUSSIAN)}
 
 

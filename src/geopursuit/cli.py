@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .affine1d import Affine1DDictionary, TauAdicGrid
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
-from .core import load_signal, save_signal
+from .core import SignalBuffer, load_signal, save_signal
 from .dictionaries import ParamPoint
 from .experiments import (BurstSignalSpec, beta_surrogate, convergence_curve,
                           image_harness, make_test_image, nae)
 from .geometry import (christoffel, condition_bound, density_radius, metric,
                        weakness_factors)
-from .pursuit import Decomposition, PursuitConfig, _jsonl_steps, reconstruct, run
+from .pursuit import Decomposition, PursuitConfig, _jsonl_steps, run
 
 
 def _fmt(x: float) -> str:
@@ -67,18 +67,19 @@ def _load_signal(path, dictionary):
     return signal
 
 
-def _load_steps(path, dictionary) -> Decomposition:
-    """The decomposition in the steps file `path`, refused at a step whose
-    lambda the dictionary's domain refuses (another length, a scale out of
-    range), naming the file and the line. No atom is built here."""
-    steps = []
+def _reconstruct_steps(path, dictionary) -> tuple[Decomposition, SignalBuffer]:
+    """The decomposition in the steps file `path` and its `reconstruct`, in
+    one pass that builds each atom once. A step the dictionary refuses (a
+    lambda of another length, a scale out of range, an atom with no support
+    in the buffer) is refused naming the file and the line."""
+    steps, acc = [], np.zeros(dictionary.shape)
     for number, step in _jsonl_steps(path):
         try:
-            dictionary._check_domain(ParamPoint(step.lam))
+            acc += step.coeff * dictionary.synthesize(ParamPoint(step.lam)).data
         except ValueError as exc:
             raise ValueError(f"{path}, line {number}: {exc}") from None
         steps.append(step)
-    return Decomposition.from_steps(steps)
+    return Decomposition.from_steps(steps), SignalBuffer(acc)
 
 
 # side of the generated test image when `image` is given no --image file
@@ -150,13 +151,12 @@ def cmd_decompose(args) -> tuple[dict, list, list]:
 
 def cmd_reconstruct(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
-    decomposition = _load_steps(args.steps, dictionary)
+    decomposition, approx = _reconstruct_steps(args.steps, dictionary)
     inputs = [args.grid, args.steps]
     if args.infile is not None:
         original = _load_signal(args.infile, dictionary)
         residual = _load_signal(args.residual, dictionary)
         inputs += [args.infile, args.residual]
-    approx = reconstruct(decomposition, dictionary)
     save_signal(approx, args.out)
     if args.infile is not None:
         gap = original.data - approx.data - residual.data

@@ -7,10 +7,10 @@ and grid: FFT cross-correlation along translation axes where the
 translations sit on the integer sample lattice, windowed direct evaluation
 otherwise. It is an exact branch and bound: the FFT levels give the
 incumbent, and a direct level scores only the translations whose upper
-bound (from one FFT of the squared residual and the mother's envelope) can
-still reach it, building each kernel row once per plan. In `gmp` mode the
-best grid atom seeds a gradient ascent on the parameter manifold before
-subtraction.
+bound, the residual energy in the atom's window (from one prefix sum of
+the squared residual), can still reach it, building each kernel row at
+its first use and once per plan. In `gmp` mode the best grid atom seeds a
+gradient ascent on the parameter manifold before subtraction.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
@@ -360,7 +359,7 @@ def _scores(corr: np.ndarray, norm2: np.ndarray) -> np.ndarray:
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Pruning margin relative to the residual energy, which bounds every score:
-# far above the rounding of the FFT-computed bounds and of the scores.
+# far above the rounding of the prefix-sum bounds and of the scores.
 _BOUND_MARGIN = 1e-9
 
 
@@ -429,59 +428,54 @@ class _FFTBlock:
 @dataclass(frozen=True)
 class _DirectBlock:
     """An off-lattice 1-D level of `mother` at scale `a` and translations
-    `bs`.
+    `bs`, whose residual windows are [starts, starts + length).
 
-    Per translation the plan keeps the row's squared norm and the factor
-    |w|_1 / norm2 that turns the `envelope` correlation with the squared
-    residual into an upper bound on the score (weighted Cauchy-Schwarz,
-    (sum r w)**2 <= sum r**2 |w| * sum |w|). `envelope` is the spectrum of
-    the widened mother envelope at floor(bs).
-
-    `kernel_rows` maps a translation's index to its kernel row and window
-    start, for every row a search has asked for. A row depends only on n,
-    the mother, a and b, so it is built once, at its first use, and later
-    searches read the same floats. The cache only grows; like the plan's
-    FFT buffers it serves one search at a time, and it is freed with the
-    plan. At worst it holds every direct row of the grid, which one
-    `grid_scores` call reaches: 0.91 M samples, 7.2 MB, on the n=8192
-    `experiment_grid(b0=2, log2_tau=0.5)` grid.
+    `kernel_rows` maps a translation's index to its kernel row and the
+    row's squared norm, for every row a search has asked for. A row depends
+    only on n, the mother, a and b, so it is built once, at its first use,
+    and later searches read the same floats; the plan build builds none.
+    The cache only grows; like the plan's FFT buffers it serves one search
+    at a time, and it is freed with the plan. At worst it holds every
+    direct row of the grid, which one `grid_scores` call reaches: 0.91 M
+    samples, 7.2 MB, on the n=8192 `experiment_grid(b0=2, log2_tau=0.5)`
+    grid.
     """
 
     mother: object
     a: float
     bs: np.ndarray
-    norm2: np.ndarray
-    bound_factor: np.ndarray
-    envelope: _Spectrum
+    starts: np.ndarray
+    length: int
     kernel_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def scores(self, u, u_hat, rows=slice(None)):
-        rows = np.arange(self.bs.size)[rows].tolist()
-        new = [r for r in rows if r not in self.kernel_rows]
+        rows = np.arange(self.bs.size)[rows]
+        new = [r for r in rows.tolist() if r not in self.kernel_rows]
         if new:
-            kernel, starts = _direct_kernel(len(u), self.mother, self.a, self.bs[new])
+            kernel = _direct_kernel(len(u), self.mother, self.a, self.bs[new])
             kernel.setflags(write=False)
-            self.kernel_rows.update(zip(new, zip(kernel, starts.tolist())))
-        kernel, starts = zip(*map(self.kernel_rows.__getitem__, rows))
-        windows = sliding_window_view(u, kernel[0].size)[list(starts)]
-        return _scores(np.einsum("nl,nl->n", np.stack(kernel), windows), self.norm2[rows])
+            norm2 = np.einsum("nl,nl->n", kernel, kernel).tolist()
+            self.kernel_rows.update(zip(new, zip(kernel, norm2)))
+        kernel, norm2 = zip(*map(self.kernel_rows.__getitem__, rows.tolist()))
+        corr = [np.einsum("l,l->", w, u[s:s + self.length])
+                for w, s in zip(kernel, self.starts[rows].tolist())]
+        return _scores(np.array(corr), np.array(norm2))
 
 
 @dataclass(frozen=True)
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, with the enumeration
-    index of each block's first atom; the real FFTs of the FFT blocks and
-    of the direct blocks' envelopes (each None when there are none); and
-    the grid's `factors()`, which map an index to its point.
+    index of each block's first atom; the real FFT of the FFT blocks (None
+    when there are none); and the grid's `factors()`, which map an index
+    to its point.
 
-    The FFTs hold the plan's scratch buffers, which every search
+    The FFT holds the plan's scratch buffers, which every search
     overwrites; the scores a search returns are fresh arrays. A plan, like
     the dictionary it is cached on, must not be searched from two threads
     at once."""
 
     fft: _FFT | None
-    bound_fft: _FFT | None
     blocks: list
     offsets: list
     factors: tuple
@@ -493,12 +487,15 @@ class _SearchPlan:
 
     def bounds(self, u: np.ndarray) -> dict:
         """Upper bounds on the scores of every direct block's translations,
-        by block index, from one FFT of u**2."""
-        if not self.bound_fft:
+        by block index: the energy of `u` in each row's window, which bounds
+        (sum u w)**2 / |w|**2 by Cauchy-Schwarz, as the difference of two
+        entries of one prefix sum of u**2 (none without direct blocks)."""
+        direct = {i: b for i, b in enumerate(self.blocks) if isinstance(b, _DirectBlock)}
+        if not direct:
             return {}
-        r2_hat = self.bound_fft.forward(u * u)
-        return {i: block.bound_factor * block.envelope.correlate(r2_hat)
-                for i, block in enumerate(self.blocks) if isinstance(block, _DirectBlock)}
+        prefix = np.zeros(u.size + 1)
+        np.cumsum(u * u, out=prefix[1:])
+        return {i: prefix[b.starts + b.length] - prefix[b.starts] for i, b in direct.items()}
 
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
         """(score, enumeration index) of the first best atom of `scores`, by
@@ -530,11 +527,11 @@ class _SearchPlan:
         each `_Lattice` becomes an FFT block, and each off-lattice level
         (mother, a, bs) a direct block."""
         fft = _fft([e for e in entries if isinstance(e, _Lattice)], shape)
-        bound_fft = _fft([_envelope(*e) for e in entries if not isinstance(e, _Lattice)], shape)
         blocks = [_fft_block(e, shape, fft) if isinstance(e, _Lattice)
-                  else _direct_block(*e, shape, bound_fft) for e in entries]
-        offsets = list(itertools.accumulate((b.norm2.size for b in blocks[:-1]), initial=0))
-        return cls(fft, bound_fft, blocks, offsets, factors)
+                  else _direct_block(*e, shape) for e in entries]
+        sizes = [b.starts.size if isinstance(b, _DirectBlock) else b.norm2.size for b in blocks]
+        offsets = list(itertools.accumulate(sizes[:-1], initial=0))
+        return cls(fft, blocks, offsets, factors)
 
 
 class _Lattice(NamedTuple):
@@ -646,41 +643,30 @@ def _prefix_norm2(w: np.ndarray, bounds) -> np.ndarray:
     return norm2
 
 
-def _direct_kernel(n: int, mother, a: float, bs: np.ndarray):
-    """Kernel rows for off-lattice translations `bs` at scale `a`, and the
-    starts of their residual windows. Each atom's truncated support is
-    [lo, lo + width); its row covers a window of min(width, n) in-buffer
-    samples and is zero outside the support."""
+def _direct_windows(n: int, a: float, bs: np.ndarray):
+    """For off-lattice translations `bs` at scale `a`: each atom's truncated
+    support [lo, lo + width), and its residual window [start, start +
+    length), the min(width, n) in-buffer samples that hold the support's
+    in-buffer part. Returns (lo, width, starts, length)."""
     lo = np.ceil(bs - KERNEL_RADIUS * a).astype(np.int64)
     width = int(2 * math.ceil(KERNEL_RADIUS * a)) + 2
-    starts = np.clip(lo, 0, n - min(width, n))
-    idx = starts[:, None] + np.arange(min(width, n))
+    length = min(width, n)
+    return lo, width, np.clip(lo, 0, n - length), length
+
+
+def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
+    """Kernel rows for off-lattice translations `bs` at scale `a` over their
+    `_direct_windows`, zero outside the support."""
+    lo, width, starts, length = _direct_windows(n, a, bs)
+    idx = starts[:, None] + np.arange(length)
     (kernel,) = affine_jet(mother, bs[:, None], a, idx)
     kernel[(idx < lo[:, None]) | (idx >= lo[:, None] + width)] = 0.0
-    return kernel, starts
+    return kernel
 
 
-def _direct_block(mother, a: float, bs: np.ndarray, shape, bound_fft: _FFT) -> _DirectBlock:
-    w, _ = _direct_kernel(shape[0], mother, a, bs)
-    norm2 = np.einsum("nl,nl->n", w, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        bound_factor = np.where(norm2 > 0, np.abs(w).sum(axis=1) / norm2, 0.0)
-    envelope = _envelope(mother, a, bs)
-    return _DirectBlock(mother, a, bs, norm2, bound_factor,
-                        _spectrum(envelope, envelope.template(), shape, bound_fft))
-
-
-def _envelope(mother, a: float, bs: np.ndarray) -> _Lattice:
-    """The lattice of the mother's envelope widened by one sample, at
-    floor(bs): over offsets o = -m..m from floor(b), its template is
-    a^(-1/2) E(max(o - 1, -o) / a). Every b in [floor(b), floor(b) + 1) lies
-    at least max(o - 1, -o) samples from the sample at offset o, so the
-    template bounds |atom| there."""
-    # every row's support [lo, lo + width) lies within offsets -m..m of floor(b)
-    m = math.ceil(KERNEL_RADIUS * a) + 3
-    o = np.arange(-m, m + 1, dtype=np.float64)
-    return _Lattice((m,), [np.floor(bs).astype(np.int64)],
-                    lambda: mother.envelope(np.maximum(o - 1.0, -o) / a) / math.sqrt(a))
+def _direct_block(mother, a: float, bs: np.ndarray, shape) -> _DirectBlock:
+    _, _, starts, length = _direct_windows(shape[0], a, bs)
+    return _DirectBlock(mother, a, bs, starts, length)
 
 
 def _template(dictionary: Dictionary, others, ms) -> np.ndarray:

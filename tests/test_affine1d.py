@@ -146,20 +146,6 @@ def test_mexican_hat_constant_against_quadrature():
     assert gp.MEXICAN_HAT.jet(np.zeros(1), 0)[0][0] == pytest.approx(c, abs=1e-15)
 
 
-def test_mother_envelopes_bound_and_do_not_increase():
-    # the search prunes with the envelope: it must be at least |g| and
-    # non-increasing in |s|, and it is the tightest such function on this grid
-    s = np.linspace(0.0, 12.0, 48001)
-    for mother in (gp.MEXICAN_HAT, gp.GAUSSIAN):
-        env = mother.envelope(s)
-        assert np.array_equal(mother.envelope(-s), env)
-        assert np.all(env >= np.abs(mother.jet(s, 0)[0]))
-        assert np.all(np.diff(env) <= 0.0)
-        tightest = np.maximum.accumulate(np.abs(mother.jet(s, 0)[0])[::-1])[::-1]
-        assert np.abs(env - tightest).max() < 1e-6
-    assert np.array_equal(gp.GAUSSIAN.envelope(s), gp.GAUSSIAN.jet(s, 0)[0])
-
-
 def test_gaussian_mother_available():
     d = gp.Affine1DDictionary(256, mother="gaussian")
     g = d.synthesize(d.point(128.0, 6.0))

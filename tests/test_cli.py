@@ -340,8 +340,8 @@ def test_reconstruct_sums_the_steps_it_checked(tmp_path, grid_file, monkeypatch)
 
 
 def test_reconstruct_builds_each_atom_once(tmp_path, grid_file, monkeypatch):
-    # the steps are checked against the domain without building their
-    # atoms, so a 30-step file costs 30 atom evaluations, not 60
+    # each step is checked and summed in one pass that builds its atom
+    # once, so a 30-step file costs 30 atom evaluations, not 60
     steps = tmp_path / "steps.jsonl"
     steps.write_text("".join(
         json.dumps(gp.DecompositionStep(m=m, lam=np.array([10.0 + 16 * m, 8.0]), coeff=0.5,
@@ -362,15 +362,18 @@ def test_reconstruct_builds_each_atom_once(tmp_path, grid_file, monkeypatch):
 
 def test_reconstruct_of_a_step_without_support_is_runtime_error(tmp_path, grid_file, capsys):
     # an atom with no samples in the buffer passes the domain check and is
-    # refused when reconstruct builds it, before anything is written
-    rec = gp.DecompositionStep(m=0, lam=np.array([1e6, 8.0]), coeff=0.5, score=0.25,
-                               residual_energy=0.75).to_record()
+    # refused when its atom is built, naming the file and the line like
+    # every other malformed step, before anything is written
+    recs = [gp.DecompositionStep(m=m, lam=np.array([b, 8.0]), coeff=0.5, score=0.25,
+                                 residual_energy=0.75).to_record()
+            for m, b in enumerate((100.0, 1e6))]
     steps = tmp_path / "steps.jsonl"
-    steps.write_text(json.dumps(rec) + "\n")
+    steps.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     out = tmp_path / "r.bin"
     assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: atom has no effective support")
+    assert capsys.readouterr().err.startswith(
+        f"error: {steps}, line 2: atom has no effective support")
     assert not out.exists()
 
 

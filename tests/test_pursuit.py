@@ -219,8 +219,8 @@ def test_search_plans_do_not_cross_talk(rng):
 
 
 def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
-    # n = 58 and n = 63 plan FFT lattices and direct levels at the same two
-    # FFT shapes; each plan's buffers are its own, so searching one signal
+    # n = 58 and n = 63 plan FFT lattices at the same FFT shape, beside
+    # direct levels; each plan's buffers are its own, so searching one signal
     # leaves nothing (say, samples past the shorter signal's end) that the
     # other's search could read: every search, alternating, scores as the
     # per-atom oracle does and as a fresh dictionary does, bit for bit
@@ -230,7 +230,7 @@ def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
     signals = {n: gp.SignalBuffer(rng.standard_normal(n)) for n in sizes}
     plans = [pursuit._search_plan(dicts[n], signals[n], grids[n]) for n in sizes]
     assert plans[0].fft.shape == plans[1].fft.shape
-    assert plans[0].bound_fft.shape == plans[1].bound_fft.shape
+    assert all(any(isinstance(b, pursuit._DirectBlock) for b in plan.blocks) for plan in plans)
     slow = {n: np.array([gp.score(dicts[n], signals[n], lam) for lam in grids[n].points()])
             for n in sizes}
     for n in sizes * 3:
@@ -241,6 +241,32 @@ def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
         lam, s = full_search(d, u, grid)
         want_lam, want_s = full_search(gp.Affine1DDictionary(n), u, grid)
         assert np.array_equal(lam.coords, want_lam.coords) and s == want_s
+
+
+def test_plan_build_builds_no_kernel_row_and_one_fft(monkeypatch):
+    # the direct levels' rows are built when a search first asks for them,
+    # and their bounds need no FFT: building the plan of the n=8192
+    # benchmark grid builds no row and one FFT shape, the FFT levels'
+    built, shapes = [], []
+    kernel, fft = pursuit._direct_kernel, pursuit._FFT
+
+    def counted_kernel(*args):
+        built.append(args)
+        return kernel(*args)
+
+    def counted_fft(shape):
+        shapes.append(shape)
+        return fft(shape)
+
+    monkeypatch.setattr(pursuit, "_direct_kernel", counted_kernel)
+    monkeypatch.setattr(pursuit, "_FFT", counted_fft)
+    n = 8192
+    d = gp.Affine1DDictionary(n)
+    grid = gp.experiment_grid(n, b0=2, log2_tau=0.5)
+    plan = pursuit._search_plan(d, gp.SignalBuffer.zeros((n,)), grid)
+    assert any(isinstance(b, pursuit._DirectBlock) for b in plan.blocks)
+    assert built == []
+    assert shapes == [plan.fft.shape]
 
 
 def test_next_fast_len_is_the_next_5_smooth_length():

@@ -9,8 +9,9 @@ bound, must pick the same atom and score as `conftest.naive_search` and as
 the argmax of `grid_scores`. The bound itself must be at least every
 translation's score, and the 2-D search's pruned inverse FFT must equal
 the full `irfftn` at the positions it keeps, bit for bit, as every 1-D
-correlation must equal numpy's `irfft`. The kernel rows a direct level
-keeps across searches must be the rows it would build afresh.
+level's correlation must equal numpy's `irfft`. The kernel rows a direct
+level keeps across searches, and their squared norms, must be the ones it
+would build afresh.
 """
 
 import numpy as np
@@ -72,11 +73,11 @@ def test_tau_adic_search_matches_oracle(n, b0, log2_tau, a0, mother, seed):
        spikes=st.integers(0, 3),
        seed=seeds)
 def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, seed):
-    # the search skips a direct translation when its bound is below the best
-    # by the pruning margin, so every bound must reach the exact score to
-    # within that margin; a residual of a few spikes (or dense noise, for
-    # spikes = 0) puts all its energy on single samples, where a bound
-    # that is not widened to fractional translations falls short
+    # the search skips a direct translation when its bound, the residual
+    # energy in the row's window, is below the best by the pruning margin,
+    # so every bound must reach the exact score to within that margin; a
+    # residual of a few spikes puts all its energy on single samples, at a
+    # window's edge or inside it, and dense noise (spikes = 0) spreads it
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(n)
     if spikes:
@@ -86,10 +87,10 @@ def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, se
     grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
     plan = pursuit._search_plan(d, u, grid)
     exact = np.array([gp.score(d, u, lam) for lam in grid.points()])
-    ends = np.cumsum([block.norm2.size for block in plan.blocks])
     tol = pursuit._BOUND_MARGIN * u.energy()
     for i, bound in plan.bounds(u.data).items():
-        assert np.all(exact[ends[i] - bound.size:ends[i]] <= bound + tol)
+        start = plan.offsets[i]
+        assert np.all(exact[start:start + bound.size] <= bound + tol)
 
 
 @settings(max_examples=25, deadline=None)
@@ -102,9 +103,9 @@ def test_direct_bounds_cover_every_score(n, b0, log2_tau, a0, mother, spikes, se
 def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches):
     # full searches and full scorings on different residuals, in a random
     # order, ask the direct levels for different, overlapping rows; every
-    # row a level keeps is the row `_direct_kernel` builds, bit for bit,
-    # and built once; a warm plan scores and searches as a fresh
-    # dictionary's plan does
+    # row a level keeps, and its squared norm, is the row `_direct_kernel`
+    # builds and that row's squared norm, bit for bit, and built once; a
+    # warm plan scores and searches as a fresh dictionary's plan does
     d = gp.Affine1DDictionary(n, mother=mother)
     grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
     residuals = [gp.SignalBuffer(np.random.default_rng(seed).standard_normal(n))
@@ -116,9 +117,10 @@ def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches
     assume(direct)
     for block in direct:
         assert block.kernel_rows.keys() <= set(range(block.bs.size))
-        for r, (row, start) in block.kernel_rows.items():
-            kernel, starts = pursuit._direct_kernel(n, block.mother, block.a, block.bs[[r]])
-            assert row.tobytes() == kernel[0].tobytes() and start == starts[0]
+        for r, (row, norm2) in block.kernel_rows.items():
+            (want,) = pursuit._direct_kernel(n, block.mother, block.a, block.bs[[r]])
+            assert row.tobytes() == want.tobytes()
+            assert norm2 == np.einsum("l,l->", want, want)
     built = [dict(block.kernel_rows) for block in direct]
 
     points = list(grid.points())
@@ -133,7 +135,7 @@ def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches
         slow = np.array([gp.score(d, u, p) for p in points])
         assert np.abs(scores - slow).max() <= tol
     for block, rows in zip(direct, built):
-        assert all(block.kernel_rows[r][0] is row for r, (row, _) in rows.items())
+        assert all(block.kernel_rows[r] is entry for r, entry in rows.items())
 
 
 @settings(max_examples=25, deadline=None)
@@ -143,22 +145,20 @@ def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches
        a0=st.floats(0.8, 2.0),
        mother=mothers,
        seed=seeds)
-@example(n=21, b0=2.0, log2_tau=0.25, a0=1.0, mother="gaussian", seed=0)  # FFTs of 75 and 81
+@example(n=21, b0=2.0, log2_tau=0.25, a0=1.0, mother="gaussian", seed=0)  # an FFT of 75
 def test_1d_correlation_is_irfft(n, b0, log2_tau, a0, mother, seed):
-    # every 1-D correlation, level or envelope, is numpy's irfft at its
-    # gathered positions bit for bit, and a fresh array: the ones returned
-    # before are unchanged after the later blocks reuse the plan's buffers
+    # every 1-D level's correlation is numpy's irfft at its gathered
+    # positions bit for bit, and a fresh array: the ones returned before
+    # are unchanged after the later blocks reuse the plan's buffers
     d = gp.Affine1DDictionary(n, mother=mother)
     grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
     u = np.random.default_rng(seed).standard_normal(n)
     plan = pursuit._search_plan(d, gp.SignalBuffer(u), grid)
     fft_blocks = [b for b in plan.blocks if isinstance(b, pursuit._FFTBlock)]
-    assume(fft_blocks and len(fft_blocks) < len(plan.blocks))
-    pairs = [(plan.fft.forward(u).copy(), b.spectrum) for b in fft_blocks]
-    r2_hat = plan.bound_fft.forward(u * u).copy()
-    pairs += [(r2_hat, b.envelope) for b in plan.blocks if isinstance(b, pursuit._DirectBlock)]
+    assume(fft_blocks)
+    u_hat = plan.fft.forward(u).copy()
     returned = []
-    for u_hat, spectrum in pairs:
+    for spectrum in (b.spectrum for b in fft_blocks):
         got = spectrum.correlate(u_hat)
         want = np.fft.irfft(u_hat * spectrum.conj, spectrum.fft.shape[0])[spectrum.gather[0]]
         assert np.array_equal(got, want)
