@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,11 @@ _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
 # density_radius refines this many proxy-nearest grid points per probe.
 _PATH_CANDIDATES = 6
+# A slab bound's rounding margin, relative to the slab's d_o^T G_oo d_o (= q).
+# The bound's Schur term (at most q) is rounded by a few eps * cond(G_pp), and
+# cond(G_pp) <= cond(G) <= _METRIC_COND_LIMIT, so by a few 2.2e-4 of q at most;
+# the proxy near its minimum by a few eps of q.
+_BOUND_RTOL = 1e-3
 
 
 class DegenerateMetricError(ValueError):
@@ -32,7 +38,11 @@ class MetricTensor:
     """Pullback metric at a parameter point, with its inverse."""
 
     matrix: np.ndarray
-    inverse: np.ndarray
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """The inverse metric, computed on first read."""
+        return np.linalg.inv(self.matrix)
 
     @property
     def P(self) -> int:
@@ -58,7 +68,7 @@ def _gram(lam: ParamPoint, parts: np.ndarray) -> MetricTensor:
     if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _METRIC_COND_LIMIT:
         raise DegenerateMetricError(
             f"metric at {lam} is numerically singular (eigenvalues {eigvals})")
-    return MetricTensor(matrix=G, inverse=np.linalg.inv(G))
+    return MetricTensor(matrix=G)
 
 
 def christoffel(dictionary: Dictionary, lam: ParamPoint) -> np.ndarray:
@@ -134,18 +144,26 @@ def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> f
     representative whose angles lie within pi/2 of the probe's. A lower
     bound on the true sup-inf, since probes sample the domain.
 
-    The grid comes as its `factors()`, a product of positions and other
-    coordinates, and the proxy is evaluated on that product: one quadratic
-    form per position, one per other-coordinate row and a cross term, so
-    each probe costs O(positions * others) scalars.
+    The grid comes as its `factors()`, a product of positions and slabs of
+    other coordinates. A slab's proxy over continuous positions is at least
+    d_o^T (G_oo - G_op G_pp^-1 G_po) d_o, the Schur complement of the
+    position block, so a probe builds the proxy (`_block_proxy`) only for
+    the slabs whose bound, less a rounding margin, reaches the
+    `_PATH_CANDIDATES`-th smallest proxy, visiting them by ascending bound
+    (`_candidates`): no point of another slab can be a candidate. With no
+    position columns (a `TauAdicGrid`) each slab is one point and its bound
+    is its proxy.
 
-    The max-min is pruned exactly: a probe's candidates are refined nearest
-    first by proxy (ties to the lower grid index), and refinement stops once
-    the probe's running min is at most the running max over earlier probes,
-    since it can no longer raise the result. The radius equals that of
+    The max-min is pruned exactly: every probe's candidates are found
+    first, then the probes are refined farthest first (in descending order
+    of their nearest candidate's proxy, ties to the lower probe index),
+    each probe's candidates nearest first by proxy (ties to the lower grid
+    index), and a probe stops once its running min is at most the running
+    max, since it can no longer raise the result. The radius equals that of
     refining every candidate, bit for bit, but a candidate path that cannot
     change it is never evaluated, so a `DomainError` such a path would raise
-    does not abort the estimate. `segments` must be at least 1.
+    does not abort the estimate; which paths are skipped follows this
+    order. `segments` must be at least 1.
     """
     positions, others = grid.factors()
     probes = list(probes)
@@ -157,24 +175,73 @@ def density_radius(dictionary: Dictionary, grid, probes, segments: int = 4) -> f
     # angle columns of `others`: translations lead every dictionary's coordinates
     angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == ANGLE]
     n_cand = min(_PATH_CANDIDATES, len(positions) * len(others))
+    found = [_candidates(metric(dictionary, probe).matrix, positions, others, probe.coords,
+                         angles, n_cand) for probe in probes]
     worst = 0.0
-    for probe in probes:
-        g = metric(dictionary, probe)
-        proxy, wrapped = _block_proxy(g.matrix, positions, others, probe.coords, angles)
-        nearest = np.argpartition(proxy, n_cand - 1, axis=None)[:n_cand]
+    # farthest first: `worst` rises early, so later probes stop at their first path
+    for i in sorted(range(len(probes)), key=lambda i: (-found[i][0][0], i)):
         best = math.inf
-        # nearest first, ties to the lower grid index
-        for idx in nearest[np.lexsort((nearest, proxy.ravel()[nearest]))]:
-            s, p = divmod(int(idx), len(positions))
-            if proxy[s, p] == 0.0:
+        for proxy, target in zip(*found[i]):
+            if proxy == 0.0:
                 best = 0.0
                 break
-            target = np.concatenate([positions[p], wrapped[s]])
-            best = min(best, path_length(dictionary, probe, ParamPoint(target), segments))
+            best = min(best, path_length(dictionary, probes[i], ParamPoint(target), segments))
             if best <= worst:  # this probe can no longer raise the max
                 break
         worst = max(worst, best)
     return worst
+
+
+def _candidates(G: np.ndarray, positions: np.ndarray, others: np.ndarray, x: np.ndarray,
+                angles, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` grid points nearest to `x` by proxy, nearest first with
+    ties to the lower grid index, as their proxies and their coordinate rows
+    (angles wrapped as `_block_proxy` wraps them). Slabs are built by
+    ascending bound in two rounds: the fewest slabs of lowest bound that
+    hold `count` points, then every other slab whose bound reaches the
+    `count`-th smallest proxy so far. A slab whose bound exceeds it cannot
+    hold a candidate, and the running `count`-th proxy only falls."""
+    t, n_pos = positions.shape[1], len(positions)
+    do, _ = _offsets(others, x[t:], angles)
+    low = _slab_bounds(G, t, do)
+    built = np.zeros(len(others), dtype=bool)
+    wrapped = np.empty_like(others)
+    proxies, index = np.empty(0), np.empty(0, dtype=np.intp)
+    first = -(-count // n_pos)
+    todo = np.argpartition(low, first - 1)[:first]
+    while len(todo):
+        block, wrapped[todo] = _block_proxy(G, positions, others[todo], x, angles)
+        built[todo] = True
+        k = min(count, block.size) - 1
+        keep = np.flatnonzero(block <= np.partition(block, k, axis=None)[k])  # ties included
+        proxies = np.concatenate([proxies, block.ravel()[keep]])
+        index = np.concatenate([index, todo[keep // n_pos] * n_pos + keep % n_pos])
+        top = np.lexsort((index, proxies))[:count]
+        proxies, index = proxies[top], index[top]
+        todo = np.flatnonzero((low <= proxies[-1]) & ~built)
+    slab, pos = np.divmod(index, n_pos)
+    return proxies, np.hstack([positions[pos], wrapped[slab]])
+
+
+def _offsets(others: np.ndarray, x: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """`others` less the probe's coordinates `x`, and `others` itself, with
+    the `angles` columns moved by whole turns of pi to within pi/2 of `x`."""
+    do = others - x
+    turns = np.floor(do[:, angles] / math.pi + 0.5) * math.pi
+    do[:, angles] -= turns
+    wrapped = others.copy()
+    wrapped[:, angles] -= turns
+    return do, wrapped
+
+
+def _slab_bounds(G: np.ndarray, t: int, do: np.ndarray) -> np.ndarray:
+    """A lower bound on every proxy `_block_proxy` computes in each slab, whose
+    offsets from the probe are the rows of `do`: the proxy's minimum over
+    continuous positions, d_o^T G_oo d_o - w^T G_pp^-1 w with w = G_po d_o,
+    less `_BOUND_RTOL` times d_o^T G_oo d_o for rounding."""
+    q = np.einsum("nq,nq->n", do @ G[t:, t:], do)
+    w = do @ G[t:, :t]
+    return q - np.einsum("nt,tn->n", w, np.linalg.solve(G[:t, :t], w.T)) - _BOUND_RTOL * q
 
 
 def _block_proxy(G: np.ndarray, positions: np.ndarray, others: np.ndarray, x: np.ndarray,
@@ -183,15 +250,17 @@ def _block_proxy(G: np.ndarray, positions: np.ndarray, others: np.ndarray, x: np
     product `positions` x `others`, as an (others, positions) array, with
     `others` angle-wrapped to within pi/2 of the probe `x` (the `angles`
     index its columns). With d = (d_p, d_o) the proxy is
-    d_p^T G_pp d_p + 2 d_o^T G_op d_p + d_o^T G_oo d_o."""
+    d_p^T G_pp d_p + 2 d_o^T G_op d_p + d_o^T G_oo d_o. Each row is the same
+    floats whatever other rows come with it: the cross term is a sum of
+    outer products, one per position column, not a matrix product, whose
+    BLAS kernel (and rounding) changes with the number of rows."""
     t = positions.shape[1]
     dp = positions - x[:t]
-    do = others - x[t:]
-    turns = np.floor(do[:, angles] / math.pi + 0.5) * math.pi
-    do[:, angles] -= turns
-    wrapped = others.copy()
-    wrapped[:, angles] -= turns
-    proxy = (do @ G[t:, :t]) @ dp.T
+    do, wrapped = _offsets(others, x[t:], angles)
+    c = do @ G[t:, :t]
+    proxy = np.zeros((len(others), len(positions)))
+    for j in range(t):
+        proxy += np.multiply.outer(c[:, j], dp[:, j])
     proxy *= 2.0
     proxy += np.einsum("np,np->n", dp @ G[:t, :t], dp)
     proxy += np.einsum("nq,nq->n", do @ G[t:, t:], do)[:, None]

@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (TranslationDictionary, central_differences, dense_proxy,
                       exhaustive_density_radius, interior_affine_points)
 
 SQRT3 = 1.7320508075688772  # ||g''|| / ||g'||^2 for a unit Gaussian, any scale
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_metric_positive_definite(rng):
@@ -310,6 +313,134 @@ def test_density_radius_matches_exhaustive_oracle_on_tau_adic_grids(n, b0, log2_
     lo, hi = grid.scale_span()
     check_density_radius(d, grid, [d.point(u * (n - 1), lo * (hi / lo) ** v)
                                    for u, v in probes])
+
+
+def random_metric(P, log10_cond, seed, position_null=False):
+    """A random SPD matrix of condition number 10**log10_cond; with
+    `position_null` its smallest eigenvector lies mostly in the first two
+    (position) coordinates, so that its position block is ill-conditioned."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((P, P))
+    if position_null:
+        M[2:, 0] *= 1e-6
+    Q, _ = np.linalg.qr(M)
+    eigvals = np.logspace(0, log10_cond, P)
+    eigvals[1:-1] = rng.permutation(eigvals[1:-1])
+    G = (Q * eigvals) @ Q.T
+    return (G + G.T) / 2
+
+
+def check_slab_bounds(dictionary, grid, coords, G, on_minimum):
+    """Each slab's bound, less its margin, is at most every proxy computed in
+    that slab. With `on_minimum`, the probe's position puts the continuous
+    minimiser of the first slab's proxy exactly on a grid position, where
+    the bound is tightest."""
+    positions, others = grid.factors()
+    t = positions.shape[1]
+    angles = [i - t for i, kind in enumerate(dictionary.kinds) if kind == gp.ANGLE]
+    x = np.array(coords, dtype=np.float64)
+    if on_minimum and t:
+        do, _ = geometry._offsets(others[:1], x[t:], angles)
+        x[:t] = positions[len(positions) // 2] + np.linalg.solve(G[:t, :t], G[:t, t:] @ do[0])
+    do, _ = geometry._offsets(others, x[t:], angles)
+    low = geometry._slab_bounds(G, t, do)
+    proxy, _ = geometry._block_proxy(G, positions, others, x, angles)
+    assert np.all(low <= proxy.min(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), j_scales=st.integers(1, 3),
+       k_orients=st.integers(1, 4), u=st.tuples(*[st.floats(0, 1)] * 4), theta=thetas,
+       log10_cond=st.one_of(st.floats(0, 12), st.floats(11, 12)), position_null=st.booleans(),
+       on_minimum=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_slab_bound_is_below_every_proxy_of_its_slab_on_2d_grids(
+        nx, ny, j_scales, k_orients, u, theta, log10_cond, position_null, on_minimum, seed):
+    grid = gp.Grid2DSpec(nx, ny, j_scales, k_orients)
+    d = gp.Aniso2DDictionary((nx, ny))
+    lo, hi = d.scale_range
+    coords = (u[0] * (nx - 1), u[1] * (ny - 1), theta, *(lo * (hi / lo) ** f for f in u[2:]))
+    check_slab_bounds(d, grid, coords, random_metric(d.P, log10_cond, seed, position_null),
+                      on_minimum)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(24, 256), b0=st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]), a0=st.floats(0.8, 2.0),
+       u=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+       log10_cond=st.one_of(st.floats(0, 12), st.floats(11, 12)), seed=st.integers(0, 2 ** 32 - 1))
+def test_slab_bound_is_below_every_proxy_on_tau_adic_grids(n, b0, log2_tau, a0, u, log10_cond,
+                                                           seed):
+    # no position columns: each slab is one grid point and its bound is the proxy
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    d = gp.Affine1DDictionary(n)
+    lo, hi = grid.scale_span()
+    coords = (u[0] * (n - 1), lo * (hi / lo) ** u[1])
+    check_slab_bounds(d, grid, coords, random_metric(d.P, log10_cond, seed), False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=st.integers(8, 16), ny=st.integers(8, 16), j_scales=st.integers(1, 3),
+       k_orients=st.integers(1, 4),
+       probes=st.lists(st.tuples(st.tuples(*[st.floats(0, 1)] * 4), thetas), **probe_counts))
+def test_density_radius_ignores_probe_order_on_2d_grids(nx, ny, j_scales, k_orients, probes):
+    grid = gp.Grid2DSpec(nx, ny, j_scales, k_orients)
+    d = gp.Aniso2DDictionary((nx, ny), scale_range=(0.5, 2.0 * max(nx, ny)))
+    lo, hi = float(grid.scales()[0]), float(grid.scales()[-1])
+    points = [ParamPoint((u[0] * (nx - 1), u[1] * (ny - 1), theta,
+                          *(lo * (hi / lo) ** f for f in u[2:])))
+              for u, theta in probes]
+    forward = gp.density_radius(d, grid, points)
+    assert gp.density_radius(d, grid, points[::-1]).hex() == forward.hex()
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(24, 256), b0=st.sampled_from([0.75, 1.0, 1.5, 2.0, 3.0]),
+       log2_tau=st.sampled_from([0.25, 0.5, 1.0]), a0=st.floats(0.8, 2.0),
+       probes=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), **probe_counts))
+def test_density_radius_ignores_probe_order_on_tau_adic_grids(n, b0, log2_tau, a0, probes):
+    grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
+    d = gp.Affine1DDictionary(n)
+    lo, hi = grid.scale_span()
+    points = [d.point(u * (n - 1), lo * (hi / lo) ** v) for u, v in probes]
+    forward = gp.density_radius(d, grid, points)
+    assert gp.density_radius(d, grid, points[::-1]).hex() == forward.hex()
+
+
+def benchmark_probes(monkeypatch):
+    """The `geometry-2d` benchmark's dictionary and grid, and the density
+    radius probes of its first seed-1 report."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workload = importlib.import_module("workloads").WORKLOADS["geometry-2d"]()
+    workload.setup()
+    return workload.dictionary, workload.grid, workload.inputs(1)[0]["probes"]
+
+
+def test_block_proxy_rows_do_not_depend_on_the_other_rows(monkeypatch):
+    # density_radius builds the proxy slab by slab, and the exhaustive oracle
+    # all at once; both must see the same floats
+    d, grid, probes = benchmark_probes(monkeypatch)
+    positions, others = grid.factors()
+    t = positions.shape[1]
+    angles = [i - t for i, kind in enumerate(d.kinds) if kind == gp.ANGLE]
+    for probe in probes:
+        G = gp.metric(d, probe).matrix
+        block, wrapped = geometry._block_proxy(G, positions, others, probe.coords, angles)
+        for s in range(len(others)):
+            row, one = geometry._block_proxy(G, positions, others[[s]], probe.coords, angles)
+            assert row.tobytes() == block[s].tobytes()
+            assert one.tobytes() == wrapped[s].tobytes()
+
+
+def test_density_radius_builds_few_slabs_on_the_benchmark_grid(monkeypatch):
+    d, grid, probes = benchmark_probes(monkeypatch)
+    rows = []
+    block_proxy = geometry._block_proxy
+    monkeypatch.setattr(geometry, "_block_proxy",
+                        lambda G, positions, others, *a: rows.append(len(others))
+                        or block_proxy(G, positions, others, *a))
+    gp.density_radius(d, grid, probes)
+    slabs = len(grid.factors()[1])
+    assert 0 < sum(rows) < 0.1 * len(probes) * slabs
 
 
 def test_weakness_factors_worked_example():
