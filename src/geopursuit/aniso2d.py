@@ -7,9 +7,10 @@ An atom with parameters (b1, b2, theta, a1, a2) evaluates the mother at
 (a1*a2)^(-1/2), sampled at pixel centers (integer coordinates). The mother
 is even in x, so orientation is pi-periodic and theta is canonicalized to
 [0, pi). `Aniso2DDictionary._jet` is the one evaluation of the atom: it
-builds the rotated frame and the Gaussian envelope once and returns the
-atom with its first and second partials in closed form, stacked along
-leading axes. The grid search's slab templates are atoms from it too.
+builds the rotated frame and the Gaussian envelope once, in scratch of its
+own call, and returns the atom with its first and second partials in
+closed form, stacked along leading axes. The grid search's slab templates
+are atoms from it too.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ _C2D = math.sqrt(4.0 / (3.0 * math.pi))
 
 
 class Aniso2DDictionary(Dictionary):
-    """Five-parameter dictionary (b1, b2, theta, a1, a2) on a pixel grid.
-
-    `_jet` evaluates its atoms in scratch arrays that the dictionary owns,
-    which every evaluation overwrites: a dictionary must not be used from
-    two threads at once."""
+    """Five-parameter dictionary (b1, b2, theta, a1, a2) on a pixel grid."""
 
     def __init__(self, shape: tuple[int, int],
                  scale_range: tuple[float, float] | None = None):
@@ -48,7 +45,6 @@ class Aniso2DDictionary(Dictionary):
         if not 0 < lo < hi:
             raise ValueError(f"bad scale range {scale_range}")
         self.scale_range = (float(lo), float(hi))
-        self._work = np.empty((8, *self.shape))
 
     def point(self, b1: float, b2: float, theta: float, a1: float, a2: float) -> ParamPoint:
         return ParamPoint((b1, b2, theta % math.pi, a1, a2))
@@ -60,13 +56,10 @@ class Aniso2DDictionary(Dictionary):
         and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
         + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2).
 
-        The frame and the mother's values are built in place, in the
-        dictionary's scratch arrays at its own shape (a template canvas
-        gets its own), and the parts are views of one fresh block."""
+        The frame and the mother's values are built in place, in one
+        scratch block of this call, and the parts are views of another."""
         b1, b2, theta, a1, a2 = coords
-        shape = tuple(shape)
-        work = self._work if shape == self.shape else np.empty((8, *shape))
-        u, v, env, uu, G, Gu, Gv, tmp = work
+        u, v, env, uu, G, Gu, Gv, tmp = np.empty((8, *shape))
         block = np.empty(((1, 6, 31)[order], *shape))
         raw, d1 = block[0], block[1:6]
         dx = np.arange(shape[0], dtype=np.float64)[:, None] - b1

@@ -28,7 +28,7 @@ from .experiments import (BurstSignalSpec, beta_surrogate, convergence_curve,
                           image_harness, make_test_image, nae)
 from .geometry import (christoffel, condition_bound, density_radius, metric,
                        weakness_factors)
-from .pursuit import Decomposition, PursuitConfig, _jsonl_steps, run
+from .pursuit import Decomposition, PursuitConfig, jsonl_steps, run
 
 
 def _fmt(x: float) -> str:
@@ -73,7 +73,7 @@ def _reconstruct_steps(path, dictionary) -> tuple[Decomposition, SignalBuffer]:
     lambda of another length, a scale out of range, an atom with no support
     in the buffer) is refused naming the file and the line."""
     steps, acc = [], np.zeros(dictionary.shape)
-    for number, step in _jsonl_steps(path):
+    for number, step in jsonl_steps(path):
         try:
             acc += step.coeff * dictionary.synthesize(ParamPoint(step.lam)).data
         except ValueError as exc:
@@ -167,6 +167,18 @@ def cmd_reconstruct(args) -> tuple[dict, list, list]:
 
 def cmd_geometry(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
+    if args.beta is None and args.beta_corpus < 1:
+        raise ValueError(f"--beta-corpus must be at least 1 without --beta, "
+                         f"got {args.beta_corpus}")
+    at = None
+    if args.at:
+        try:
+            at = [float(v) for v in args.at.split(",")]
+        except ValueError:
+            raise ValueError(f"--at takes comma-separated numbers, got {args.at!r}") from None
+        if len(at) != dictionary.P:
+            raise ValueError(f"--at takes {dictionary.P} comma-separated coordinates "
+                             f"on the grid in {args.grid}, got {len(at)}")
     rng = np.random.default_rng(args.seed)
     a_lo, a_hi = grid.scale_span()
     a_mid = math.sqrt(a_lo * a_hi)
@@ -203,13 +215,7 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
 
         def _beta_input(s):
             return make_test_image(nx, ny, seed=int(s.generate_state(1)[0]))
-    coords = center
-    if args.at:
-        coords = [float(v) for v in args.at.split(",")]
-        if len(coords) != dictionary.P:
-            raise ValueError(f"--at takes {dictionary.P} comma-separated coordinates "
-                             f"on the grid in {args.grid}, got {len(coords)}")
-    lam0 = dictionary.point(*coords)
+    lam0 = dictionary.point(*(center if at is None else at))
     g = metric(dictionary, lam0)
     gamma = christoffel(dictionary, lam0)
     k_hat = condition_bound(dictionary, samples)

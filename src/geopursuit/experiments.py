@@ -48,6 +48,11 @@ class BurstSignalSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "rectangular"):
             raise ValueError(f"unknown burst kind {self.kind!r}")
+        if (isinstance(self.n_bursts, bool) or not isinstance(self.n_bursts, int)
+                or self.n_bursts < 1):
+            raise ValueError(f"n_bursts must be an integer >= 1, got {self.n_bursts!r}")
+        if not 0 < self.envelope < math.inf:
+            raise ValueError(f"envelope must be positive and finite, got {self.envelope!r}")
         if self.n < self.envelope:
             raise ValueError(f"signal length {self.n} too short for envelope "
                              f"{self.envelope}")

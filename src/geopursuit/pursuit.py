@@ -9,14 +9,15 @@ otherwise. It is an exact branch and bound: the FFT levels give the
 incumbent, and a direct level scores only the translations whose upper
 bound, the residual energy in the atom's window (from one prefix sum of
 the squared residual), can still reach it, building each kernel row at
-its first use and once per plan. In `gmp` mode the best grid atom seeds a
-gradient ascent on the parameter manifold before subtraction.
+its first use and once per plan. A plan holds only what does not depend
+on the residual: each search allocates its own spectrum and FFT scratch.
+In `gmp` mode the best grid atom seeds a gradient ascent on the parameter
+manifold before subtraction.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
@@ -175,7 +176,7 @@ class Decomposition:
     def from_jsonl(cls, path) -> "Decomposition":
         """Read steps written by `to_jsonl`; a line that is not such a step
         raises ValueError naming the file and the line."""
-        return cls.from_steps([step for _, step in _jsonl_steps(path)])
+        return cls.from_steps([step for _, step in jsonl_steps(path)])
 
     def to_csv(self, path) -> None:
         P = len(self.steps[0].lam) if self.steps else 0
@@ -193,7 +194,7 @@ class Decomposition:
                                 + seed + [s.ascent_steps])
 
 
-def _jsonl_steps(path):
+def jsonl_steps(path):
     """(line number, step) for each non-blank line of a `to_jsonl` file; a
     line that is not such a step raises ValueError naming the file and the
     line."""
@@ -252,11 +253,8 @@ def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamP
     returns a score below score(lam0).
     """
     s0 = score(dictionary, residual, lam0)
-    best_lam, best_s = lam0, s0
     lam = dictionary.clamp_coords(lam0.coords)
     s = score(dictionary, residual, lam)
-    if s > best_s:
-        best_lam, best_s = lam, s
     steps = 0
     reason = "kappa"
     while steps < kappa:
@@ -283,9 +281,10 @@ def gradient_ascent(dictionary: Dictionary, residual: SignalBuffer, lam0: ParamP
             reason = "halvings"
             break
         steps += 1
-        if s > best_s:
-            best_lam, best_s = lam, s
-    return AscentResult(lam=best_lam, score=best_s, steps=steps, reason=reason)
+    # accepted steps only raise s, so (lam, s) is the best point after the seed
+    if s <= s0:
+        lam, s = lam0, s0
+    return AscentResult(lam=lam, score=s, steps=steps, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +328,9 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     """
     dictionary.check_shape(residual.shape)
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        entries = _affine_plan
+        levels = _affine_plan
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        entries = _grid2d_plan
+        levels = _grid2d_plan
     else:
         raise TypeError(f"no grid search plan for a {type(grid).__name__} grid with "
                         f"a {type(dictionary).__name__}")
@@ -339,8 +338,7 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     if grid not in plans:
         dictionary.check_shape(grid.shape)
         dictionary.check_scales(grid.scale_span(), problem="of the grid outside")
-        plans[grid] = _SearchPlan.build(dictionary.shape, entries(dictionary, grid),
-                                        grid.factors())
+        plans[grid] = _SearchPlan.build(dictionary, levels(dictionary, grid), grid.factors())
     return plans[grid]
 
 
@@ -363,66 +361,64 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _BOUND_MARGIN = 1e-9
 
 
-class _FFT:
-    """Real FFTs at one shape through buffers that a search plan owns: the
-    zero-padded input, its spectrum, the product of two spectra and the
-    inverse. Every search overwrites them, so a plan serves one search at
-    a time. They pay for themselves in 2-D speed, not in page faults."""
+class _Level(NamedTuple):
+    """A level or slab of a grid: its non-translation coordinates `others`
+    and its translations, one array per axis. On the integer lattice the
+    positions are integers (1-D ones may lie outside the buffer) and `ms`
+    holds the template's half-widths (2m+1 samples per axis); off it, `ms`
+    is None."""
 
-    def __init__(self, shape: tuple):
-        self.shape = shape
-        half = shape[:-1] + (shape[-1] // 2 + 1,)
-        self.padded = np.zeros(shape)
-        self.spectrum = np.empty(half, dtype=np.complex128)
-        self.product = np.empty(half, dtype=np.complex128)
-        self.inverse = np.empty(shape)
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        """The spectrum of `u` zero-padded to the FFT shape; the samples past
-        `u` stay zero, as `u` always has the plan's shape."""
-        np.copyto(self.padded[tuple(slice(n) for n in u.shape)], u)
-        return np.fft.rfftn(self.padded, axes=tuple(range(len(self.shape))), out=self.spectrum)
-
-
-class _Spectrum(NamedTuple):
-    """A centred template's conjugate spectrum wrapped to the real-FFT shape
-    of `fft`, and the indices of its integer positions there, per axis. A
-    2-D grid scores every pixel row, so its row indices are 0..nx-1."""
-
-    conj: np.ndarray
-    gather: tuple
-    fft: _FFT
-
-    def correlate(self, u_hat) -> np.ndarray:
-        """The inverse FFT of u_hat * conj at the outer product of the
-        gather indices, as a fresh array."""
-        fft = self.fft
-        product = np.multiply(u_hat, self.conj, out=fft.product)
-        inverse = fft.inverse
-        # irfftn's passes in its order, all unscaled, then one scaling by
-        # 1/prod(shape), where pocketfft's irfftn applies it, so the floats
-        # are its floats for any lengths; in 2-D the real pass reads only
-        # the leading rows, the pixel rows the grid scores
-        if product.ndim == 2:
-            np.fft.ifft(product, axis=0, norm="forward", out=product)
-            rows = slice(len(self.gather[0]))
-            product, inverse = product[rows], inverse[rows]
-        np.fft.irfft(product, fft.shape[-1], norm="forward", out=inverse)
-        out = inverse[..., self.gather[-1]]  # a fancy index: a fresh array
-        out *= 1.0 / math.prod(fft.shape)
-        return out
+    others: tuple
+    positions: list
+    ms: tuple | None
 
 
 @dataclass(frozen=True)
 class _FFTBlock:
-    """A level or slab on the integer lattice: its template's spectrum at
-    the plan's FFT shape, and the in-buffer squared norms."""
+    """A level or slab on the integer lattice: its centred template's
+    conjugate spectrum wrapped to the plan's real-FFT shape, the indices of
+    its integer positions there, per axis, and the in-buffer squared norms.
+    A 2-D grid scores every pixel row, so its row indices are 0..nx-1."""
 
-    spectrum: _Spectrum
+    conj: np.ndarray
+    gather: tuple
     norm2: np.ndarray
 
-    def scores(self, u, u_hat):
-        return _scores(self.spectrum.correlate(u_hat), self.norm2)
+    def scores(self, u, transform):
+        return _scores(self.correlate(transform), self.norm2)
+
+    def correlate(self, transform) -> np.ndarray:
+        """The inverse FFT of u_hat * conj at the outer product of the
+        gather indices, as a fresh array, from a search's `transform`: the
+        spectrum u_hat and the product and inverse buffers it overwrites."""
+        u_hat, product, inverse = transform
+        scale = 1.0 / inverse.size
+        np.multiply(u_hat, self.conj, out=product)
+        # irfftn's passes in its order, all unscaled, then one scaling by
+        # 1/prod(shape), where pocketfft's irfftn applies it, so the floats
+        # are its floats for any lengths; in 2-D the real pass reads only
+        # the leading rows, the pixel rows the grid scores
+        n = inverse.shape[-1]
+        if product.ndim == 2:
+            np.fft.ifft(product, axis=0, norm="forward", out=product)
+            rows = slice(len(self.gather[0]))
+            product, inverse = product[rows], inverse[rows]
+        np.fft.irfft(product, n, norm="forward", out=inverse)
+        out = inverse[..., self.gather[-1]]  # a fancy index: a fresh array
+        out *= scale
+        return out
+
+    @classmethod
+    def build(cls, dictionary: Dictionary, level: _Level, fft_shape) -> "_FFTBlock":
+        w = _template(dictionary, level.others, level.ms)
+        # template offsets -keep..keep per axis, stored at offset mod the FFT length
+        offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(level, dictionary.shape)]
+        wrapped = np.zeros(fft_shape)
+        wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
+            w[np.ix_(*(o + m for o, m in zip(offsets, level.ms)))]
+        gather = tuple(p % size for p, size in zip(level.positions, fft_shape))
+        return cls(np.conj(np.fft.rfftn(wrapped)), gather,
+                   _lattice_norm2(w, level.positions, dictionary.shape))
 
 
 @dataclass(frozen=True)
@@ -434,11 +430,10 @@ class _DirectBlock:
     row's squared norm, for every row a search has asked for. A row depends
     only on n, the mother, a and b, so it is built once, at its first use,
     and later searches read the same floats; the plan build builds none.
-    The cache only grows; like the plan's FFT buffers it serves one search
-    at a time, and it is freed with the plan. At worst it holds every
-    direct row of the grid, which one `grid_scores` call reaches: 0.91 M
-    samples, 7.2 MB, on the n=8192 `experiment_grid(b0=2, log2_tau=0.5)`
-    grid.
+    The cache only grows, and it is freed with the plan. At worst it holds
+    every direct row of the grid, which one `grid_scores` call reaches:
+    0.91 M samples, 7.2 MB, on the n=8192
+    `experiment_grid(b0=2, log2_tau=0.5)` grid.
     """
 
     mother: object
@@ -448,7 +443,7 @@ class _DirectBlock:
     length: int
     kernel_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def scores(self, u, u_hat, rows=slice(None)):
+    def scores(self, u, transform, rows=slice(None)):
         rows = np.arange(self.bs.size)[rows]
         new = [r for r in rows.tolist() if r not in self.kernel_rows]
         if new:
@@ -461,41 +456,60 @@ class _DirectBlock:
                 for w, s in zip(kernel, self.starts[rows].tolist())]
         return _scores(np.array(corr), np.array(norm2))
 
+    def bounds(self, prefix: np.ndarray) -> np.ndarray:
+        """Every translation's residual energy in its window, from the
+        prefix sum of the squared residual."""
+        return prefix[self.starts + self.length] - prefix[self.starts]
+
+    @classmethod
+    def build(cls, dictionary: Affine1DDictionary, level: _Level) -> "_DirectBlock":
+        (a,), (bs,) = level.others, level.positions
+        _, _, starts, length = _direct_windows(dictionary.shape[0], a, bs)
+        return cls(dictionary.mother, a, bs, starts, length)
+
 
 @dataclass(frozen=True)
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, with the enumeration
-    index of each block's first atom; the real FFT of the FFT blocks (None
-    when there are none); and the grid's `factors()`, which map an index
-    to its point.
+    index of each block's first atom; the indices of the direct blocks; the
+    real-FFT shape of the FFT blocks (None when there are none); and the
+    grid's `factors()`, which map an index to its point.
 
-    The FFT holds the plan's scratch buffers, which every search
-    overwrites; the scores a search returns are fresh arrays. A plan, like
-    the dictionary it is cached on, must not be searched from two threads
-    at once."""
+    A plan holds no buffers: each search takes its own spectrum and scratch
+    (`transform`), and the scores it returns are fresh arrays."""
 
-    fft: _FFT | None
+    fft_shape: tuple | None
     blocks: list
+    direct: tuple
     offsets: list
     factors: tuple
 
+    def transform(self, u: np.ndarray):
+        """(u_hat, product, inverse) for one search: the spectrum of `u`
+        zero-padded to the FFT shape, and a product and an inverse buffer
+        that every FFT block of the search overwrites in turn (None without
+        FFT blocks)."""
+        if self.fft_shape is None:
+            return None
+        u_hat = np.fft.rfftn(u, s=self.fft_shape, axes=tuple(range(u.ndim)))
+        return u_hat, np.empty_like(u_hat), np.empty(self.fft_shape)
+
     def scores(self, u: np.ndarray) -> list:
         """Every atom's score, as one flat array per block, from one FFT of `u`."""
-        u_hat = self.fft.forward(u) if self.fft else None
-        return [block.scores(u, u_hat) for block in self.blocks]
+        transform = self.transform(u)
+        return [block.scores(u, transform) for block in self.blocks]
 
     def bounds(self, u: np.ndarray) -> dict:
         """Upper bounds on the scores of every direct block's translations,
         by block index: the energy of `u` in each row's window, which bounds
         (sum u w)**2 / |w|**2 by Cauchy-Schwarz, as the difference of two
         entries of one prefix sum of u**2 (none without direct blocks)."""
-        direct = {i: b for i, b in enumerate(self.blocks) if isinstance(b, _DirectBlock)}
-        if not direct:
+        if not self.direct:
             return {}
         prefix = np.zeros(u.size + 1)
         np.cumsum(u * u, out=prefix[1:])
-        return {i: prefix[b.starts + b.length] - prefix[b.starts] for i, b in direct.items()}
+        return {i: self.blocks[i].bounds(prefix) for i in self.direct}
 
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
         """(score, enumeration index) of the first best atom of `scores`, by
@@ -504,11 +518,11 @@ class _SearchPlan:
         whose bound reaches the running best. A skipped atom scores below
         the best, so the result is the exhaustive one, bit for bit."""
         bounds = self.bounds(u)
-        u_hat = self.fft.forward(u) if self.fft else None
+        transform = self.transform(u)
         best = (-math.inf, 0)  # (score, -index): the max is the first best
         for i, block in enumerate(self.blocks):
             if i not in bounds:
-                scores = block.scores(u, u_hat)
+                scores = block.scores(u, transform)
                 k = int(np.argmax(scores))
                 best = max(best, (float(scores[k]), -self.offsets[i] - k))
         margin = _BOUND_MARGIN * float(np.vdot(u, u))
@@ -516,41 +530,39 @@ class _SearchPlan:
             rows = np.flatnonzero(bounds[i] >= best[0] - margin)
             if not rows.size:
                 break  # the blocks left have lower bounds still
-            scores = self.blocks[i].scores(u, u_hat, rows)
+            scores = self.blocks[i].scores(u, transform, rows)
             j = int(np.argmax(scores))
             best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
         return best[0], -best[1]
 
     @classmethod
-    def build(cls, shape, entries, factors) -> "_SearchPlan":
-        """Plan from `entries` in enumeration order, one template at a time:
-        each `_Lattice` becomes an FFT block, and each off-lattice level
-        (mother, a, bs) a direct block."""
-        fft = _fft([e for e in entries if isinstance(e, _Lattice)], shape)
-        blocks = [_fft_block(e, shape, fft) if isinstance(e, _Lattice)
-                  else _direct_block(*e, shape) for e in entries]
-        sizes = [b.starts.size if isinstance(b, _DirectBlock) else b.norm2.size for b in blocks]
+    def build(cls, dictionary: Dictionary, levels, factors) -> "_SearchPlan":
+        """Plan from `levels` in enumeration order, one template at a time:
+        a level on the integer lattice becomes an FFT block, and one off it
+        a direct block."""
+        levels = list(levels)
+        lattice = [level for level in levels if level.ms is not None]
+        fft_shape = None
+        if lattice:
+            lengths = np.max([[size for size, _ in _lattice_axes(level, dictionary.shape)]
+                              for level in lattice], axis=0)
+            fft_shape = tuple(_next_fast_len(int(k)) for k in lengths)
+        blocks = [_DirectBlock.build(dictionary, level) if level.ms is None
+                  else _FFTBlock.build(dictionary, level, fft_shape) for level in levels]
+        direct = tuple(i for i, level in enumerate(levels) if level.ms is None)
+        sizes = [math.prod(len(p) for p in level.positions) for level in levels]
         offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-        return cls(fft, blocks, offsets, factors)
+        return cls(fft_shape, blocks, direct, offsets, factors)
 
 
-class _Lattice(NamedTuple):
-    """A level or slab scored on integer positions (one array per axis; 1-D
-    positions may lie outside the buffer): `template()` builds its centred
-    template, with half-widths `ms` (2m+1 samples per axis)."""
-
-    ms: tuple
-    positions: list
-    template: object
-
-
-def _lattice_axes(lattice: _Lattice, shape):
-    """Per axis (size, keep): keep is the template half-width that can meet
-    the buffer, and at the circular-correlation length size = n + reach +
-    keep, where reach is how far the positions lie outside the buffer,
-    template offsets within keep never wrap onto a wanted position."""
+def _lattice_axes(level: _Level, shape):
+    """Per axis (size, keep) of a lattice level: keep is the template
+    half-width that can meet the buffer, and at the circular-correlation
+    length size = n + reach + keep, where reach is how far the positions lie
+    outside the buffer, template offsets within keep never wrap onto a
+    wanted position."""
     out = []
-    for m, p, n in zip(lattice.ms, lattice.positions, shape):
+    for m, p, n in zip(level.ms, level.positions, shape):
         reach = max(0, -int(p.min()), int(p.max()) - (n - 1))
         keep = min(m, n - 1 + reach)
         out.append((n + reach + keep, keep))
@@ -572,31 +584,6 @@ def _next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _fft(lattices, shape) -> _FFT | None:
-    """The real FFT whose shape holds every lattice's correlation (None for none)."""
-    if not lattices:
-        return None
-    sizes = np.max([[size for size, _ in _lattice_axes(e, shape)] for e in lattices], axis=0)
-    return _FFT(tuple(_next_fast_len(int(s)) for s in sizes))
-
-
-def _spectrum(lattice: _Lattice, w: np.ndarray, shape, fft: _FFT) -> _Spectrum:
-    """The spectrum of `lattice`'s template `w` at the shape of `fft`."""
-    # template offsets -keep..keep per axis, stored at offset mod the FFT length
-    offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(lattice, shape)]
-    wrapped = np.zeros(fft.shape)
-    wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft.shape)))] = \
-        w[np.ix_(*(o + m for o, m in zip(offsets, lattice.ms)))]
-    gather = tuple(p % size for p, size in zip(lattice.positions, fft.shape))
-    return _Spectrum(np.conj(np.fft.rfftn(wrapped)), gather, fft)
-
-
-def _fft_block(lattice: _Lattice, shape, fft: _FFT) -> _FFTBlock:
-    w = lattice.template()
-    return _FFTBlock(_spectrum(lattice, w, shape, fft),
-                     _lattice_norm2(w, lattice.positions, shape))
 
 
 def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
@@ -664,11 +651,6 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _direct_block(mother, a: float, bs: np.ndarray, shape) -> _DirectBlock:
-    _, _, starts, length = _direct_windows(shape[0], a, bs)
-    return _DirectBlock(mother, a, bs, starts, length)
-
-
 def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
     """The dictionary's own raw atom at the non-translation coordinates
     `others`, centred on a canvas of 2m + 1 samples per axis for the
@@ -677,12 +659,10 @@ def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
     return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0)[0]
 
 
-def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
-    """The plan's entries, one per level: an FFT lattice where the level's
-    translations sit on the integer sample lattice, the level's data
-    (mother, a, bs) otherwise."""
+def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid):
+    """The grid's levels, one per scale, on the integer sample lattice
+    where the level's translations sit on it."""
     n = grid.n
-    entries = []
     for _, a, step, n_lo, n_hi in grid.levels():
         bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
         b_round = np.rint(bs)
@@ -690,11 +670,9 @@ def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid) -> list:
                 and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
             # the template reaches every translation the grid keeps
             m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
-            entries.append(_Lattice((m,), [b_round.astype(np.int64)],
-                                    functools.partial(_template, dictionary, (a,), (m,))))
+            yield _Level((a,), [b_round.astype(np.int64)], (m,))
         else:
-            entries.append((dictionary.mother, a, bs))
-    return entries
+            yield _Level((a,), [bs], None)
 
 
 def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
@@ -706,14 +684,11 @@ def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2:
     return int(min(math.ceil(h1), nx - 1)), int(min(math.ceil(h2), ny - 1))
 
 
-def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> list:
-    """The plan's entries: one FFT lattice per slab over all pixel positions."""
+def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec):
+    """The grid's slabs, each on the lattice of all pixel positions."""
     positions = [np.arange(k) for k in grid.shape]
-    entries = []
     for slab in grid.slabs():
-        ms = _slab_halfwidths(dictionary, *slab)
-        entries.append(_Lattice(ms, positions, functools.partial(_template, dictionary, slab, ms)))
-    return entries
+        yield _Level(slab, positions, _slab_halfwidths(dictionary, *slab))
 
 
 # ---------------------------------------------------------------------------

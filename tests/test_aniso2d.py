@@ -40,6 +40,26 @@ def test_quarter_turn_swaps_axes():
     assert np.abs(g90.data - g0.data.T).max() < 1e-10
 
 
+def test_jets_leave_the_dictionary_unchanged():
+    # every evaluation works in scratch of its own: `_jet` on the
+    # dictionary's shape and on a template canvas, and `jet` at orders 0-2,
+    # leave every attribute but the jet memo as it was, bit for bit
+    d = gp.Aniso2DDictionary((16, 12))
+    coords = np.array([7.5, 5.0, 0.6, 2.0, 3.0])
+
+    def state():
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                for k, v in vars(d).items() if k != "_last_jet"}
+
+    before = state()
+    for order in range(3):
+        for shape in (d.shape, (9, 7)):
+            d._jet(coords + order, shape, order)
+            assert state() == before
+        d.jet(d.point(*coords), order)
+        assert state() == before
+
+
 def test_boundary_atom_unit_norm():
     d = gp.Aniso2DDictionary((32, 32))
     g = d.synthesize(d.point(0.0, 31.0, 0.9, 4.0, 7.0))

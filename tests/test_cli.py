@@ -325,13 +325,13 @@ def test_reconstruct_sums_the_steps_it_checked(tmp_path, grid_file, monkeypatch)
                                residual_energy=0.75).to_record()
     steps = tmp_path / "steps.jsonl"
     steps.write_text(json.dumps(rec) + "\n")
-    read = cli._jsonl_steps
+    read = cli.jsonl_steps
 
     def read_then_rewrite(path):
         yield from read(path)
         steps.write_text(json.dumps({**rec, "lambda": [100.0, 1000.0]}) + "\n")
 
-    monkeypatch.setattr(cli, "_jsonl_steps", read_then_rewrite)
+    monkeypatch.setattr(cli, "jsonl_steps", read_then_rewrite)
     out = tmp_path / "r.bin"
     assert main(["reconstruct", "--grid", str(grid_file), "--steps", str(steps),
                  "--out", str(out)]) == 0
@@ -495,6 +495,46 @@ def test_geometry_at_wrong_count_is_runtime_error(tmp_path, grid):
                    "--beta-corpus", "1", "--out", "g.json"], cwd=tmp_path)
     assert out.returncode == 1
     assert "error: --at takes" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("bursts", ["0", "-3"])
+@pytest.mark.parametrize("command", ["gen-signal", "curve", "nae"])
+def test_burst_counts_below_one_are_runtime_errors(tmp_path, grid_file, capsys, command,
+                                                   bursts):
+    out = tmp_path / "x.out"
+    args = [command, "--bursts", bursts, "--out", str(out)]
+    args += ["--n", "512"] if command == "gen-signal" else ["--grid", str(grid_file),
+                                                             "--trials", "1"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: n_bursts must be an integer >= 1, got {bursts}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--at", "10,x"], "--at takes comma-separated numbers, got '10,x'"),
+    (["--beta-corpus", "-1"], "--beta-corpus must be at least 1 without --beta, got -1"),
+    (["--beta-corpus", "0"], "--beta-corpus must be at least 1 without --beta, got 0")],
+    ids=["at", "corpus-negative", "corpus-empty"])
+def test_geometry_refuses_bad_option_values_up_front(tmp_path, grid_file, capsys, monkeypatch,
+                                                     args, message):
+    # refused by name before any part of the report is computed
+    def computed(*_):
+        raise AssertionError("the report was computed")
+
+    for name in ("metric", "condition_bound", "density_radius", "beta_surrogate"):
+        monkeypatch.setattr(cli, name, computed)
+    out = tmp_path / "g.json"
+    assert main(["geometry", "--grid", str(grid_file), *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_geometry_with_beta_takes_any_corpus_size(tmp_path, grid_file):
+    # the corpus only estimates beta, so a given --beta makes its size moot
+    out = tmp_path / "g.json"
+    assert main(["geometry", "--grid", str(grid_file), "--beta", "0.5", "--beta-corpus", "0",
+                 "--samples", "2", "--probes", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["weakness"]["beta"] == 0.5
 
 
 def test_image_subcommand_on_small_image(tmp_path):

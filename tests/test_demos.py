@@ -3,8 +3,8 @@
 Each demo runs in a child interpreter that imports the same geopursuit
 package as this session (`conftest.child_env`), with the pytest temp
 directory as its working directory and as TMPDIR, so that the files demo 04
-writes through `tempfile.mkdtemp()` stay there. Demos 01-03 take a few
-seconds each and 04 about 7 s on a 2-core host.
+writes through `tempfile.mkdtemp()` stay there. Demos 01-03 take under a
+second each and 04 about 3 s on a 2-core host.
 """
 
 import subprocess

@@ -37,6 +37,18 @@ def test_burst_spec_validation():
         gp.BurstSignalSpec(n=1024, kind="sawtooth")
 
 
+@pytest.mark.parametrize("field, value", [("n_bursts", 0), ("n_bursts", -3),
+                                          ("n_bursts", 2.0), ("n_bursts", True),
+                                          ("envelope", 0.0), ("envelope", -4.0),
+                                          ("envelope", float("nan")),
+                                          ("envelope", float("inf"))])
+def test_burst_spec_refuses_bad_counts_and_envelopes(field, value):
+    # refused when the spec is built, naming the field, instead of a
+    # zero-energy draw, a division by zero or numpy's own complaint later
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        gp.BurstSignalSpec(n=1024, **{field: value})
+
+
 def test_experiment_grid_covers_class_band():
     grid = gp.experiment_grid(4096, b0=1, log2_tau=0.5)
     lo, hi = grid.scale_span()

@@ -114,7 +114,7 @@ def test_full_search_zero_residual_tie_break():
         assert s == 0.0
         first = next(grid.points())
         assert np.array_equal(best.coords, first.coords)
-        assert (pursuit._search_plan(d, z, grid).fft is not None) == fft_levels
+        assert (pursuit._search_plan(d, z, grid).fft_shape is not None) == fft_levels
 
 
 def test_unplanned_grids_are_refused(rng):
@@ -218,19 +218,20 @@ def test_search_plans_do_not_cross_talk(rng):
             gp.grid_scores(d, u2t, grids2[0])
 
 
-def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
+def test_plans_of_one_fft_shape_search_as_fresh_plans(rng):
     # n = 58 and n = 63 plan FFT lattices at the same FFT shape, beside
-    # direct levels; each plan's buffers are its own, so searching one signal
-    # leaves nothing (say, samples past the shorter signal's end) that the
-    # other's search could read: every search, alternating, scores as the
-    # per-atom oracle does and as a fresh dictionary does, bit for bit
+    # direct levels; each search takes its own spectrum and scratch, so
+    # searching one signal leaves nothing (say, samples past the shorter
+    # signal's end) that the other's search could read: every search,
+    # alternating, scores as the per-atom oracle does and as a fresh
+    # dictionary does, bit for bit
     sizes = (63, 58)
     grids = {n: gp.tau_grid_for_signal(n, b0=0.75, log2_tau=0.5) for n in sizes}
     dicts = {n: gp.Affine1DDictionary(n) for n in sizes}
     signals = {n: gp.SignalBuffer(rng.standard_normal(n)) for n in sizes}
     plans = [pursuit._search_plan(dicts[n], signals[n], grids[n]) for n in sizes]
-    assert plans[0].fft.shape == plans[1].fft.shape
-    assert all(any(isinstance(b, pursuit._DirectBlock) for b in plan.blocks) for plan in plans)
+    assert plans[0].fft_shape == plans[1].fft_shape
+    assert all(plan.direct for plan in plans)
     slow = {n: np.array([gp.score(dicts[n], signals[n], lam) for lam in grids[n].points()])
             for n in sizes}
     for n in sizes * 3:
@@ -246,27 +247,66 @@ def test_plans_of_one_fft_shape_keep_their_own_buffers(rng):
 def test_plan_build_builds_no_kernel_row_and_one_fft(monkeypatch):
     # the direct levels' rows are built when a search first asks for them,
     # and their bounds need no FFT: building the plan of the n=8192
-    # benchmark grid builds no row and one FFT shape, the FFT levels'
-    built, shapes = [], []
-    kernel, fft = pursuit._direct_kernel, pursuit._FFT
+    # benchmark grid builds no row, and every FFT level's spectrum is at
+    # the plan's one FFT shape
+    built = []
+    kernel = pursuit._direct_kernel
 
     def counted_kernel(*args):
         built.append(args)
         return kernel(*args)
 
-    def counted_fft(shape):
-        shapes.append(shape)
-        return fft(shape)
-
     monkeypatch.setattr(pursuit, "_direct_kernel", counted_kernel)
-    monkeypatch.setattr(pursuit, "_FFT", counted_fft)
     n = 8192
     d = gp.Affine1DDictionary(n)
     grid = gp.experiment_grid(n, b0=2, log2_tau=0.5)
     plan = pursuit._search_plan(d, gp.SignalBuffer.zeros((n,)), grid)
-    assert any(isinstance(b, pursuit._DirectBlock) for b in plan.blocks)
+    assert plan.direct
     assert built == []
-    assert shapes == [plan.fft.shape]
+    (size,) = plan.fft_shape
+    fft_blocks = [b for i, b in enumerate(plan.blocks) if i not in plan.direct]
+    assert fft_blocks and {b.conj.shape for b in fft_blocks} == {(size // 2 + 1,)}
+
+
+def _held_arrays(obj, path=()):
+    """(path, array) for every array reachable from `obj` through
+    containers and object attributes."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _held_arrays(value, path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _held_arrays(value, path + (i,))
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        for name, value in vars(obj).items():
+            yield from _held_arrays(value, path + (name,))
+
+
+@pytest.mark.parametrize("case", ["1d-benchmark", "2d-benchmark"])
+def test_searches_leave_their_plan_unchanged(rng, case):
+    # a plan holds only what does not depend on the residual: after a
+    # search of one residual, a full scoring and a search of another each
+    # leave every array the plan held bit for bit as it was; a direct
+    # level's cache of kernel rows may only gain rows
+    if case == "1d-benchmark":
+        d = gp.Affine1DDictionary(8192)
+        grid = gp.experiment_grid(8192, b0=2, log2_tau=0.5)
+    else:
+        d = gp.Aniso2DDictionary((64, 64))
+        grid = gp.Grid2DSpec(64, 64, 3, 4)
+    u, v = (gp.SignalBuffer(rng.standard_normal(d.shape)) for _ in range(2))
+    full_search(d, u, grid)
+    plan = pursuit._search_plan(d, u, grid)
+    for search in (gp.grid_scores, full_search):
+        before = {path: a.copy() for path, a in _held_arrays(plan)}
+        search(d, v, grid)
+        after = dict(_held_arrays(plan))
+        assert before
+        for path, a in before.items():
+            assert after[path].dtype == a.dtype and after[path].tobytes() == a.tobytes(), path
+        assert all("kernel_rows" in path for path in after.keys() - before.keys())
 
 
 def test_next_fast_len_is_the_next_5_smooth_length():

@@ -9,7 +9,8 @@ bound, must pick the same atom and score as `conftest.naive_search` and as
 the argmax of `grid_scores`. The bound itself must be at least every
 translation's score, and the 2-D search's pruned inverse FFT must equal
 the full `irfftn` at the positions it keeps, bit for bit, as every 1-D
-level's correlation must equal numpy's `irfft`. The kernel rows a direct
+level's correlation must equal numpy's `irfft`, each from a spectrum equal
+to the transform of the zero-padded residual. The kernel rows a direct
 level keeps across searches, and their squared norms, must be the ones it
 would build afresh.
 """
@@ -147,23 +148,31 @@ def test_cached_kernel_rows_are_fresh_rows(n, b0, log2_tau, a0, mother, searches
        seed=seeds)
 @example(n=21, b0=2.0, log2_tau=0.25, a0=1.0, mother="gaussian", seed=0)  # an FFT of 75
 def test_1d_correlation_is_irfft(n, b0, log2_tau, a0, mother, seed):
-    # every 1-D level's correlation is numpy's irfft at its gathered
-    # positions bit for bit, and a fresh array: the ones returned before
-    # are unchanged after the later blocks reuse the plan's buffers
+    # a search's spectrum is the rfft of the residual zero-padded to the
+    # FFT length, and every 1-D level's correlation is numpy's irfft at its
+    # gathered positions bit for bit, and a fresh array: the ones returned
+    # before, and the spectrum, are unchanged after the later blocks reuse
+    # the search's buffers
     d = gp.Affine1DDictionary(n, mother=mother)
     grid = gp.tau_grid_for_signal(n, b0=b0, log2_tau=log2_tau, a0=a0)
     u = np.random.default_rng(seed).standard_normal(n)
     plan = pursuit._search_plan(d, gp.SignalBuffer(u), grid)
     fft_blocks = [b for b in plan.blocks if isinstance(b, pursuit._FFTBlock)]
     assume(fft_blocks)
-    u_hat = plan.fft.forward(u).copy()
+    (size,) = plan.fft_shape
+    padded = np.zeros(size)
+    padded[:n] = u
+    transform = plan.transform(u)
+    u_hat = transform[0]
+    assert np.array_equal(u_hat, np.fft.rfft(padded))
     returned = []
-    for spectrum in (b.spectrum for b in fft_blocks):
-        got = spectrum.correlate(u_hat)
-        want = np.fft.irfft(u_hat * spectrum.conj, spectrum.fft.shape[0])[spectrum.gather[0]]
+    for block in fft_blocks:
+        got = block.correlate(transform)
+        want = np.fft.irfft(u_hat * block.conj, size)[block.gather[0]]
         assert np.array_equal(got, want)
         returned.append((got, want))
     assert all(np.array_equal(got, want) for got, want in returned)
+    assert np.array_equal(u_hat, np.fft.rfft(padded))
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,16 +204,18 @@ def test_pruned_2d_inverse_is_irfftn(nx, ny, j_scales, k_orients, seed):
     grid = gp.Grid2DSpec(nx=nx, ny=ny, j_scales=j_scales, k_orients=k_orients)
     u = np.random.default_rng(seed).standard_normal((nx, ny))
     plan = pursuit._search_plan(d, gp.SignalBuffer(u), grid)
-    shape = plan.fft.shape
-    u_hat = plan.fft.forward(u)
-    assert np.array_equal(u_hat, np.fft.rfftn(u, shape, axes=(0, 1)))
+    shape = plan.fft_shape
+    padded = np.zeros(shape)
+    padded[:nx, :ny] = u
+    transform = plan.transform(u)
+    u_hat = transform[0]
+    assert np.array_equal(u_hat, np.fft.rfftn(padded))
     for block in plan.blocks:
-        spectrum = block.spectrum
-        assert np.array_equal(spectrum.gather[0], np.arange(nx))  # the rows the real pass reads
-        want = np.fft.irfftn(u_hat * spectrum.conj, shape, axes=(0, 1), norm="forward")
-        want = want[np.ix_(*spectrum.gather)] * (1.0 / (shape[0] * shape[1]))
-        got = spectrum.correlate(u_hat)
+        assert np.array_equal(block.gather[0], np.arange(nx))  # the rows the real pass reads
+        want = np.fft.irfftn(u_hat * block.conj, shape, axes=(0, 1), norm="forward")
+        want = want[np.ix_(*block.gather)] * (1.0 / (shape[0] * shape[1]))
+        got = block.correlate(transform)
         assert got.shape == (nx, ny) and np.array_equal(got, want)
         if all(_is_power_of_two(k) for k in shape):
-            full = np.fft.irfftn(u_hat * spectrum.conj, shape, axes=(0, 1))
-            assert np.array_equal(got, full[np.ix_(*spectrum.gather)])
+            full = np.fft.irfftn(u_hat * block.conj, shape, axes=(0, 1))
+            assert np.array_equal(got, full[np.ix_(*block.gather)])

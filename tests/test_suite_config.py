@@ -154,6 +154,39 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
                                             "probe.py:6: _helper"]
 
 
+def _private_imports(path: Path) -> list:
+    """Private names (one leading underscore) that the module at `path`
+    imports from a sibling module: another module's internals, which that
+    module is free to change."""
+    entries = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            entries += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return entries
+
+
+def test_no_module_imports_another_modules_private_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    private = [entry for path in modules for entry in _private_imports(path)]
+    assert not private, f"private names imported from another module: {private}"
+
+
+def test_the_private_import_check_sees_a_private_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "from os import _exit\n"
+                     "from . import __version__, _helper\n"
+                     "from .core import (PUBLIC,\n"
+                     "                   _internal as alias)\n"
+                     "def f():\n"
+                     "    from ..pkg import _nested\n"
+                     "    return _nested\n")
+    assert _private_imports(probe) == ["probe.py:3: _helper", "probe.py:4: _internal",
+                                       "probe.py:7: _nested"]
+
+
 def _third_party_imports(package: Path) -> set:
     """Top-level modules that the modules of `package` import, less the
     standard library and the package's own relative imports."""
