@@ -167,6 +167,12 @@ def cmd_reconstruct(args) -> tuple[dict, list, list]:
 
 def cmd_geometry(args) -> tuple[dict, list, list]:
     grid, dictionary = _load_grid(args.grid)
+    for name, value in (("alpha", args.alpha), ("beta", args.beta)):
+        if value is not None and not 0 < value <= 1:
+            raise ValueError(f"--{name} must lie in (0, 1], got {value}")
+    for name in ("samples", "probes", "segments"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
     if args.beta is None and args.beta_corpus < 1:
         raise ValueError(f"--beta-corpus must be at least 1 without --beta, "
                          f"got {args.beta_corpus}")

@@ -3,15 +3,16 @@ with optional manifold gradient-ascent refinement of the selected atom.
 
 Each iteration finds the best atom of the whole grid, subtracts it, and
 records the step. The search works from a plan built once per dictionary
-and grid: FFT cross-correlation along translation axes where the
-translations sit on the integer sample lattice, windowed direct evaluation
-otherwise. It is an exact branch and bound: the FFT levels give the
-incumbent, and a direct level scores only the translations whose upper
-bound, the residual energy in the atom's window (from one prefix sum of
-the squared residual), can still reach it, building each kernel row at
-its first use and once per plan. A plan holds only what does not depend
-on the residual: each search allocates its own spectrum and FFT scratch.
-In `gmp` mode the best grid atom seeds a gradient ascent on the parameter
+and grid. A 2-D grid is scored whole, one FFT cross-correlation per slab.
+A 1-D grid is scored on residual windows, by an exact branch and bound:
+an atom's upper bound is the residual energy in its window (from one
+prefix sum of the squared residual), and a level scores only the
+translations whose bound can still reach the best. A level on the integer
+sample lattice scores them with its one centred template; a level off it
+builds each kernel row at its first use and keeps it for the plan's life.
+A plan holds only what does not depend on the residual: each search
+allocates its own padded residual, or its spectrum and FFT scratch. In
+`gmp` mode the best grid atom seeds a gradient ascent on the parameter
 manifold before subtraction.
 """
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .affine1d import MASS_RADIUS, Affine1DDictionary, TauAdicGrid, affine_jet
 from .aniso2d import Aniso2DDictionary, Grid2DSpec
@@ -307,9 +309,9 @@ def full_search(dictionary: Dictionary, residual: SignalBuffer, grid):
 def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndarray:
     """Scores of every grid atom, in enumeration order.
 
-    Diagnostic companion to full_search; uses the same FFT/direct scoring
-    machinery but scores every atom, so it also serves to audit the fast
-    paths and the search's pruning atom by atom.
+    Diagnostic companion to full_search; uses the same scoring machinery
+    but scores every atom, so it also serves to audit the fast paths and
+    the search's pruning atom by atom.
     """
     plan = _search_plan(dictionary, residual, grid)
     return np.concatenate(plan.scores(residual.data))
@@ -321,7 +323,7 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     The only place that branches on grid and dictionary type: a tau-adic
     grid over an affine dictionary and a 2-D grid over an anisotropic one
     are planned, and any other pair raises TypeError. A residual whose
-    shape is not the dictionary's raises ValueError first: the FFT path
+    shape is not the dictionary's raises ValueError first: the search
     would pad or truncate it. A new plan checks the grid once: its shape
     against the dictionary's (ValueError), its scale span against the
     scale range (DomainError).
@@ -363,8 +365,8 @@ _BOUND_MARGIN = 1e-9
 
 class _Level(NamedTuple):
     """A level or slab of a grid: its non-translation coordinates `others`
-    and its translations, one array per axis. On the integer lattice the
-    positions are integers (1-D ones may lie outside the buffer) and `ms`
+    and its translations, one array per axis (1-D ones may lie outside the
+    buffer). On the integer lattice the positions are integers and `ms`
     holds the template's half-widths (2m+1 samples per axis); off it, `ms`
     is None."""
 
@@ -375,16 +377,15 @@ class _Level(NamedTuple):
 
 @dataclass(frozen=True)
 class _FFTBlock:
-    """A level or slab on the integer lattice: its centred template's
-    conjugate spectrum wrapped to the plan's real-FFT shape, the indices of
-    its integer positions there, per axis, and the in-buffer squared norms.
-    A 2-D grid scores every pixel row, so its row indices are 0..nx-1."""
+    """A 2-D slab: its centred template's conjugate spectrum wrapped to the
+    plan's real-FFT shape, its positions per axis (every pixel row and
+    column), and the in-buffer squared norms."""
 
     conj: np.ndarray
     gather: tuple
     norm2: np.ndarray
 
-    def scores(self, u, transform):
+    def scores(self, transform):
         return _scores(self.correlate(transform), self.norm2)
 
     def correlate(self, transform) -> np.ndarray:
@@ -396,14 +397,12 @@ class _FFTBlock:
         np.multiply(u_hat, self.conj, out=product)
         # irfftn's passes in its order, all unscaled, then one scaling by
         # 1/prod(shape), where pocketfft's irfftn applies it, so the floats
-        # are its floats for any lengths; in 2-D the real pass reads only
-        # the leading rows, the pixel rows the grid scores
-        n = inverse.shape[-1]
-        if product.ndim == 2:
-            np.fft.ifft(product, axis=0, norm="forward", out=product)
-            rows = slice(len(self.gather[0]))
-            product, inverse = product[rows], inverse[rows]
-        np.fft.irfft(product, n, norm="forward", out=inverse)
+        # are its floats for any lengths; the real pass reads only the
+        # leading rows, the pixel rows the grid scores
+        np.fft.ifft(product, axis=0, norm="forward", out=product)
+        rows = slice(len(self.gather[0]))
+        product, inverse = product[rows], inverse[rows]
+        np.fft.irfft(product, inverse.shape[-1], norm="forward", out=inverse)
         out = inverse[..., self.gather[-1]]  # a fancy index: a fresh array
         out *= scale
         return out
@@ -411,20 +410,56 @@ class _FFTBlock:
     @classmethod
     def build(cls, dictionary: Dictionary, level: _Level, fft_shape) -> "_FFTBlock":
         w = _template(dictionary, level.others, level.ms)
-        # template offsets -keep..keep per axis, stored at offset mod the FFT length
-        offsets = [np.arange(-keep, keep + 1) for _, keep in _lattice_axes(level, dictionary.shape)]
+        # template offsets -m..m per axis, stored at offset mod the FFT length
         wrapped = np.zeros(fft_shape)
-        wrapped[np.ix_(*(o % size for o, size in zip(offsets, fft_shape)))] = \
-            w[np.ix_(*(o + m for o, m in zip(offsets, level.ms)))]
-        gather = tuple(p % size for p, size in zip(level.positions, fft_shape))
-        return cls(np.conj(np.fft.rfftn(wrapped)), gather,
+        wrapped[np.ix_(*(np.arange(-m, m + 1) % k for m, k in zip(level.ms, fft_shape)))] = w
+        return cls(np.conj(np.fft.rfftn(wrapped)), tuple(level.positions),
                    _lattice_norm2(w, level.positions, dictionary.shape))
 
 
 @dataclass(frozen=True)
-class _DirectBlock:
+class _WindowBlock:
+    """A 1-D level, scored on the windows [starts, starts + length) of the
+    padded residual by one dot product per row: unlike a matrix product's,
+    a row's float does not depend on which rows share the call."""
+
+    starts: np.ndarray
+    length: int
+
+    def bounds(self, prefix: np.ndarray) -> np.ndarray:
+        """Each translation's residual energy in its window, from the prefix sum of u_pad**2."""
+        return prefix[self.starts + self.length] - prefix[self.starts]
+
+
+@dataclass(frozen=True)
+class _LatticeBlock(_WindowBlock):
+    """A 1-D level on the integer lattice: its centred template `w`, of
+    2m + 1 samples, scores the window [b - m, b + m] of each integer
+    position b. `norm2` holds each position's in-buffer squared norm, a sum
+    of the template's squares at its in-buffer samples: unlike a difference
+    of prefix sums, it cannot cancel when only a far tail is inside."""
+
+    w: np.ndarray
+    norm2: np.ndarray
+
+    def scores(self, u, rows=slice(None)):
+        windows = as_strided(u, (u.size - self.length + 1, self.length), u.strides * 2,
+                             writeable=False)
+        return _scores(np.vecdot(windows[self.starts[rows]], self.w), self.norm2[rows])
+
+    @classmethod
+    def build(cls, dictionary: Affine1DDictionary, level: _Level, pad: int) -> "_LatticeBlock":
+        w = _template(dictionary, level.others, level.ms)
+        (m,), (bs,) = level.ms, level.positions
+        samples = bs[:, None] + np.arange(-m, m + 1)
+        inside = (samples >= 0) & (samples < dictionary.shape[0])
+        return cls(bs - m + pad, w.size, w, np.vecdot(inside, w * w))
+
+
+@dataclass(frozen=True)
+class _DirectBlock(_WindowBlock):
     """An off-lattice 1-D level of `mother` at scale `a` and translations
-    `bs`, whose residual windows are [starts, starts + length).
+    `bs`, in a buffer of n samples.
 
     `kernel_rows` maps a translation's index to its kernel row and the
     row's squared norm, for every row a search has asked for. A row depends
@@ -436,101 +471,104 @@ class _DirectBlock:
     `experiment_grid(b0=2, log2_tau=0.5)` grid.
     """
 
+    n: int
     mother: object
     a: float
     bs: np.ndarray
-    starts: np.ndarray
-    length: int
     kernel_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def scores(self, u, transform, rows=slice(None)):
+    def scores(self, u, rows=slice(None)):
         rows = np.arange(self.bs.size)[rows]
         new = [r for r in rows.tolist() if r not in self.kernel_rows]
         if new:
-            kernel = _direct_kernel(len(u), self.mother, self.a, self.bs[new])
+            kernel = _direct_kernel(self.n, self.mother, self.a, self.bs[new])
             kernel.setflags(write=False)
-            norm2 = np.einsum("nl,nl->n", kernel, kernel).tolist()
+            norm2 = np.vecdot(kernel, kernel).tolist()
             self.kernel_rows.update(zip(new, zip(kernel, norm2)))
         kernel, norm2 = zip(*map(self.kernel_rows.__getitem__, rows.tolist()))
-        corr = [np.einsum("l,l->", w, u[s:s + self.length])
+        corr = [np.dot(w, u[s:s + self.length])
                 for w, s in zip(kernel, self.starts[rows].tolist())]
         return _scores(np.array(corr), np.array(norm2))
 
-    def bounds(self, prefix: np.ndarray) -> np.ndarray:
-        """Every translation's residual energy in its window, from the
-        prefix sum of the squared residual."""
-        return prefix[self.starts + self.length] - prefix[self.starts]
-
     @classmethod
-    def build(cls, dictionary: Affine1DDictionary, level: _Level) -> "_DirectBlock":
+    def build(cls, dictionary: Affine1DDictionary, level: _Level, pad: int) -> "_DirectBlock":
         (a,), (bs,) = level.others, level.positions
-        _, _, starts, length = _direct_windows(dictionary.shape[0], a, bs)
-        return cls(dictionary.mother, a, bs, starts, length)
+        (n,) = dictionary.shape
+        _, _, starts, length = _direct_windows(n, a, bs)
+        return cls(starts + pad, length, n, dictionary.mother, a, bs)
 
 
 @dataclass(frozen=True)
 class _SearchPlan:
     """Everything a grid search needs that does not depend on the residual:
     one block per level or slab, in enumeration order, with the enumeration
-    index of each block's first atom; the indices of the direct blocks; the
-    real-FFT shape of the FFT blocks (None when there are none); and the
-    grid's `factors()`, which map an index to its point.
+    index of each block's first atom, and the grid's `factors()`, which map
+    an index to its point. A 2-D plan holds FFT blocks at one real-FFT shape;
+    a 1-D plan (`fft_shape` None) holds window blocks, whose windows lie in
+    the residual zero-padded by `pad` samples at each end.
 
-    A plan holds no buffers: each search takes its own spectrum and scratch
-    (`transform`), and the scores it returns are fresh arrays."""
+    A plan holds no buffers: each search takes its own `transform`, and the
+    scores it returns are fresh arrays."""
 
     fft_shape: tuple | None
+    pad: int
     blocks: list
-    direct: tuple
     offsets: list
     factors: tuple
 
     def transform(self, u: np.ndarray):
-        """(u_hat, product, inverse) for one search: the spectrum of `u`
-        zero-padded to the FFT shape, and a product and an inverse buffer
-        that every FFT block of the search overwrites in turn (None without
-        FFT blocks)."""
+        """What one search hands its blocks: in 1-D, `u` zero-padded; in
+        2-D, (u_hat, product, inverse), the spectrum of `u` zero-padded to
+        the FFT shape and a product and an inverse buffer that every block
+        of the search overwrites in turn."""
         if self.fft_shape is None:
-            return None
-        u_hat = np.fft.rfftn(u, s=self.fft_shape, axes=tuple(range(u.ndim)))
+            return np.pad(u, self.pad)
+        u_hat = np.fft.rfftn(u, s=self.fft_shape, axes=(0, 1))
         return u_hat, np.empty_like(u_hat), np.empty(self.fft_shape)
 
     def scores(self, u: np.ndarray) -> list:
-        """Every atom's score, as one flat array per block, from one FFT of `u`."""
+        """Every atom's score, as one flat array per block."""
         transform = self.transform(u)
-        return [block.scores(u, transform) for block in self.blocks]
+        return [block.scores(transform) for block in self.blocks]
 
-    def bounds(self, u: np.ndarray) -> dict:
-        """Upper bounds on the scores of every direct block's translations,
-        by block index: the energy of `u` in each row's window, which bounds
-        (sum u w)**2 / |w|**2 by Cauchy-Schwarz, as the difference of two
-        entries of one prefix sum of u**2 (none without direct blocks)."""
-        if not self.direct:
-            return {}
-        prefix = np.zeros(u.size + 1)
-        np.cumsum(u * u, out=prefix[1:])
-        return {i: self.blocks[i].bounds(prefix) for i in self.direct}
+    def bounds(self, u_pad: np.ndarray) -> list:
+        """Upper bounds on the scores of every translation of a 1-D plan,
+        one array per block: the energy of the padded residual `u_pad` in
+        each row's window, which bounds (sum u w)**2 / |w|**2 by
+        Cauchy-Schwarz, as the difference of two entries of one prefix sum
+        of u_pad**2."""
+        prefix = np.zeros(u_pad.size + 1)
+        np.cumsum(u_pad * u_pad, out=prefix[1:])
+        return [block.bounds(prefix) for block in self.blocks]
 
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
-        """(score, enumeration index) of the first best atom of `scores`, by
-        branch and bound: FFT blocks give the incumbent, then direct blocks,
-        by descending largest bound, build rows only for the translations
-        whose bound reaches the running best. A skipped atom scores below
-        the best, so the result is the exhaustive one, bit for bit."""
-        bounds = self.bounds(u)
+        """(score, enumeration index) of the first best atom of `scores`. A
+        2-D plan scores every atom. A 1-D plan scores, block by descending
+        largest bound, only the translations whose bound reaches the running
+        best, or a threshold set first from the score of the first block's
+        largest-bound row. A skipped atom scores below the best, and a row's
+        score does not depend on the rows scored with it, so the result is
+        the exhaustive one, bit for bit."""
         transform = self.transform(u)
         best = (-math.inf, 0)  # (score, -index): the max is the first best
-        for i, block in enumerate(self.blocks):
-            if i not in bounds:
-                scores = block.scores(u, transform)
+        if self.fft_shape is not None:
+            for offset, block in zip(self.offsets, self.blocks):
+                scores = block.scores(transform)
                 k = int(np.argmax(scores))
-                best = max(best, (float(scores[k]), -self.offsets[i] - k))
+                best = max(best, (float(scores[k]), -offset - k))
+            return best[0], -best[1]
+        bounds = self.bounds(transform)
+        order = sorted(range(len(bounds)), key=lambda i: -bounds[i].max())
+        # a threshold before the first block is scored, from its largest-bound
+        # row; never the best, which comes only from scoring passing rows
+        first, top = order[0], int(np.argmax(bounds[order[0]]))
+        threshold = float(self.blocks[first].scores(transform, [top])[0])
         margin = _BOUND_MARGIN * float(np.vdot(u, u))
-        for i in sorted(bounds, key=lambda i: -bounds[i].max()):
-            rows = np.flatnonzero(bounds[i] >= best[0] - margin)
+        for i in order:
+            rows = np.flatnonzero(bounds[i] >= max(best[0], threshold) - margin)
             if not rows.size:
                 break  # the blocks left have lower bounds still
-            scores = self.blocks[i].scores(u, transform, rows)
+            scores = self.blocks[i].scores(transform, rows)
             j = int(np.argmax(scores))
             best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
         return best[0], -best[1]
@@ -538,35 +576,27 @@ class _SearchPlan:
     @classmethod
     def build(cls, dictionary: Dictionary, levels, factors) -> "_SearchPlan":
         """Plan from `levels` in enumeration order, one template at a time:
-        a level on the integer lattice becomes an FFT block, and one off it
-        a direct block."""
+        a 2-D slab becomes an FFT block, a 1-D level on the integer lattice
+        a lattice block, and one off it a direct block."""
         levels = list(levels)
-        lattice = [level for level in levels if level.ms is not None]
-        fft_shape = None
-        if lattice:
-            lengths = np.max([[size for size, _ in _lattice_axes(level, dictionary.shape)]
-                              for level in lattice], axis=0)
-            fft_shape = tuple(_next_fast_len(int(k)) for k in lengths)
-        blocks = [_DirectBlock.build(dictionary, level) if level.ms is None
-                  else _FFTBlock.build(dictionary, level, fft_shape) for level in levels]
-        direct = tuple(i for i, level in enumerate(levels) if level.ms is None)
         sizes = [math.prod(len(p) for p in level.positions) for level in levels]
         offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-        return cls(fft_shape, blocks, direct, offsets, factors)
-
-
-def _lattice_axes(level: _Level, shape):
-    """Per axis (size, keep) of a lattice level: keep is the template
-    half-width that can meet the buffer, and at the circular-correlation
-    length size = n + reach + keep, where reach is how far the positions lie
-    outside the buffer, template offsets within keep never wrap onto a
-    wanted position."""
-    out = []
-    for m, p, n in zip(level.ms, level.positions, shape):
-        reach = max(0, -int(p.min()), int(p.max()) - (n - 1))
-        keep = min(m, n - 1 + reach)
-        out.append((n + reach + keep, keep))
-    return out
+        if len(dictionary.shape) == 2:
+            # at n + m samples per axis, template offsets -m..m (m < n) never
+            # wrap onto a pixel position
+            fft_shape = tuple(_next_fast_len(n + max(level.ms[axis] for level in levels))
+                              for axis, n in enumerate(dictionary.shape))
+            blocks = [_FFTBlock.build(dictionary, level, fft_shape) for level in levels]
+            return cls(fft_shape, 0, blocks, offsets, factors)
+        # the padding holds every lattice window [b - m, b + m]; direct
+        # windows lie in the buffer
+        (n,) = dictionary.shape
+        pad = max([0] + [m + max(-int(bs.min()), int(bs.max()) - (n - 1))
+                         for level in levels if level.ms is not None
+                         for m, bs in zip(level.ms, level.positions)])
+        blocks = [_DirectBlock.build(dictionary, level, pad) if level.ms is None
+                  else _LatticeBlock.build(dictionary, level, pad) for level in levels]
+        return cls(None, pad, blocks, offsets, factors)
 
 
 def _next_fast_len(n: int) -> int:
@@ -587,47 +617,17 @@ def _next_fast_len(n: int) -> int:
 
 
 def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
-    """Squared norms of the in-buffer part of the centred template `w` at
-    the outer product of integer `positions`, from prefix tables of w**2.
-
-    A 1-D position outside the buffer keeps only a tail of its template,
-    which can be smaller than the template's energy by many orders of
-    magnitude. Along each axis where a position's in-buffer part lies wholly
-    past the centre, its sums run from the far end of the template (the
-    template reversed), so the difference of two prefix sums never cancels
-    the energy outside the buffer.
-    """
+    """Squared norms of the in-buffer part of the centred 2-D template `w`
+    at the outer product of the pixel `positions`, from a prefix table of
+    w**2."""
     ms = [(k - 1) // 2 for k in w.shape]
     # per axis, the template indices [lo, hi) of the in-buffer part
-    his = [np.minimum(n - 1 - p, m) + m + 1 for p, m, n in zip(positions, ms, shape)]
-    los = [np.maximum(-p, -m) + m for p, m in zip(positions, ms)]
-    norm2 = np.zeros(tuple(len(p) for p in positions))
-    for flips in itertools.product((False, True), repeat=w.ndim):
-        rows = [np.flatnonzero((lo > m) == f) for lo, m, f in zip(los, ms, flips)]
-        if not all(r.size for r in rows):
-            continue
-        # reversed along an axis, [lo, hi) becomes [2m + 1 - hi, 2m + 1 - lo)
-        bounds = [(2 * m + 1 - lo[r], 2 * m + 1 - hi[r]) if f else (hi[r], lo[r])
-                  for lo, hi, m, r, f in zip(los, his, ms, rows, flips)]
-        v = w[tuple(slice(None, None, -1) if f else slice(None) for f in flips)]
-        norm2[np.ix_(*rows)] = _prefix_norm2(v, bounds)
-    return norm2
-
-
-def _prefix_norm2(w: np.ndarray, bounds) -> np.ndarray:
-    """Sums of w**2 over the outer product of per-axis index ranges, given
-    as (past the last index, first index) arrays, from a prefix table."""
-    w2 = w * w
-    for axis in range(w.ndim):
-        w2 = np.cumsum(w2, axis=axis)
+    (hi0, lo0), (hi1, lo1) = [(np.minimum(n - 1 - p, m) + m + 1, np.maximum(-p, -m) + m)
+                              for p, m, n in zip(positions, ms, shape)]
     prefix = np.zeros(tuple(k + 1 for k in w.shape))
-    prefix[(slice(1, None),) * w.ndim] = w2
-    norm2 = 0.0
-    for corner in itertools.product((0, 1), repeat=w.ndim):
-        corner = corner[::-1]  # in 2-D: hi,hi - lo,hi - hi,lo + lo,lo
-        term = prefix[np.ix_(*(b[c] for b, c in zip(bounds, corner)))]
-        norm2 = norm2 - term if sum(corner) % 2 else norm2 + term
-    return norm2
+    prefix[1:, 1:] = np.cumsum(np.cumsum(w * w, axis=0), axis=1)
+    return (prefix[np.ix_(hi0, hi1)] - prefix[np.ix_(lo0, hi1)] - prefix[np.ix_(hi0, lo1)]
+            + prefix[np.ix_(lo0, lo1)])
 
 
 def _direct_windows(n: int, a: float, bs: np.ndarray):
@@ -654,7 +654,7 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
 def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
     """The dictionary's own raw atom at the non-translation coordinates
     `others`, centred on a canvas of 2m + 1 samples per axis for the
-    half-widths `ms`: every FFT-lattice template, level or slab."""
+    half-widths `ms`: every lattice template, 1-D level or 2-D slab."""
     coords = np.array([*ms, *others], dtype=np.float64)
     return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0)[0]
 

@@ -513,8 +513,17 @@ def test_burst_counts_below_one_are_runtime_errors(tmp_path, grid_file, capsys, 
 @pytest.mark.parametrize("args, message", [
     (["--at", "10,x"], "--at takes comma-separated numbers, got '10,x'"),
     (["--beta-corpus", "-1"], "--beta-corpus must be at least 1 without --beta, got -1"),
-    (["--beta-corpus", "0"], "--beta-corpus must be at least 1 without --beta, got 0")],
-    ids=["at", "corpus-negative", "corpus-empty"])
+    (["--beta-corpus", "0"], "--beta-corpus must be at least 1 without --beta, got 0"),
+    (["--alpha", "0"], "--alpha must lie in (0, 1], got 0.0"),
+    (["--alpha", "1.5"], "--alpha must lie in (0, 1], got 1.5"),
+    (["--alpha", "nan"], "--alpha must lie in (0, 1], got nan"),
+    (["--beta", "2"], "--beta must lie in (0, 1], got 2.0"),
+    (["--beta", "-0.5"], "--beta must lie in (0, 1], got -0.5"),
+    (["--samples", "0"], "--samples must be at least 1, got 0"),
+    (["--probes", "0"], "--probes must be at least 1, got 0"),
+    (["--segments", "-2"], "--segments must be at least 1, got -2")],
+    ids=["at", "corpus-negative", "corpus-empty", "alpha-zero", "alpha-above-one", "alpha-nan",
+         "beta-above-one", "beta-negative", "samples", "probes", "segments"])
 def test_geometry_refuses_bad_option_values_up_front(tmp_path, grid_file, capsys, monkeypatch,
                                                      args, message):
     # refused by name before any part of the report is computed

@@ -103,18 +103,19 @@ def test_full_search_2d_matches_naive_oracle(rng):
 
 
 def test_full_search_zero_residual_tie_break():
-    # every atom ties at 0, on all-FFT levels and on all-direct levels (no
-    # incumbent before the first direct level, every bound 0)
+    # every atom ties at 0, on all-lattice levels and on all-direct levels
+    # (every bound and the pruning threshold 0, so every row passes)
     d = gp.Affine1DDictionary(64)
     z = gp.SignalBuffer.zeros((64,))
-    for grid, fft_levels in ((gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64), True),
-                             (gp.TauAdicGrid(b0=0.75, a0=1, tau=2.0, j_min=0, j_max=1, n=64),
-                              False)):
+    for grid, kind in ((gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64),
+                        pursuit._LatticeBlock),
+                       (gp.TauAdicGrid(b0=0.75, a0=1, tau=2.0, j_min=0, j_max=1, n=64),
+                        pursuit._DirectBlock)):
         best, s = full_search(d, z, grid)
         assert s == 0.0
         first = next(grid.points())
         assert np.array_equal(best.coords, first.coords)
-        assert (pursuit._search_plan(d, z, grid).fft_shape is not None) == fft_levels
+        assert {type(b) for b in pursuit._search_plan(d, z, grid).blocks} == {kind}
 
 
 def test_unplanned_grids_are_refused(rng):
@@ -218,37 +219,11 @@ def test_search_plans_do_not_cross_talk(rng):
             gp.grid_scores(d, u2t, grids2[0])
 
 
-def test_plans_of_one_fft_shape_search_as_fresh_plans(rng):
-    # n = 58 and n = 63 plan FFT lattices at the same FFT shape, beside
-    # direct levels; each search takes its own spectrum and scratch, so
-    # searching one signal leaves nothing (say, samples past the shorter
-    # signal's end) that the other's search could read: every search,
-    # alternating, scores as the per-atom oracle does and as a fresh
-    # dictionary does, bit for bit
-    sizes = (63, 58)
-    grids = {n: gp.tau_grid_for_signal(n, b0=0.75, log2_tau=0.5) for n in sizes}
-    dicts = {n: gp.Affine1DDictionary(n) for n in sizes}
-    signals = {n: gp.SignalBuffer(rng.standard_normal(n)) for n in sizes}
-    plans = [pursuit._search_plan(dicts[n], signals[n], grids[n]) for n in sizes]
-    assert plans[0].fft_shape == plans[1].fft_shape
-    assert all(plan.direct for plan in plans)
-    slow = {n: np.array([gp.score(dicts[n], signals[n], lam) for lam in grids[n].points()])
-            for n in sizes}
-    for n in sizes * 3:
-        d, u, grid = dicts[n], signals[n], grids[n]
-        scores = gp.grid_scores(d, u, grid)
-        assert np.abs(scores - slow[n]).max() < 1e-9 * u.energy()
-        assert np.array_equal(scores, gp.grid_scores(gp.Affine1DDictionary(n), u, grid))
-        lam, s = full_search(d, u, grid)
-        want_lam, want_s = full_search(gp.Affine1DDictionary(n), u, grid)
-        assert np.array_equal(lam.coords, want_lam.coords) and s == want_s
-
-
-def test_plan_build_builds_no_kernel_row_and_one_fft(monkeypatch):
+def test_plan_build_builds_no_kernel_row_and_no_fft(monkeypatch):
     # the direct levels' rows are built when a search first asks for them,
-    # and their bounds need no FFT: building the plan of the n=8192
-    # benchmark grid builds no row, and every FFT level's spectrum is at
-    # the plan's one FFT shape
+    # and a 1-D plan has no FFT: building the plan of the n=8192 benchmark
+    # grid builds no row, and it holds one template per lattice level,
+    # whose windows all lie in the padded residual
     built = []
     kernel = pursuit._direct_kernel
 
@@ -261,11 +236,47 @@ def test_plan_build_builds_no_kernel_row_and_one_fft(monkeypatch):
     d = gp.Affine1DDictionary(n)
     grid = gp.experiment_grid(n, b0=2, log2_tau=0.5)
     plan = pursuit._search_plan(d, gp.SignalBuffer.zeros((n,)), grid)
-    assert plan.direct
     assert built == []
-    (size,) = plan.fft_shape
-    fft_blocks = [b for i, b in enumerate(plan.blocks) if i not in plan.direct]
-    assert fft_blocks and {b.conj.shape for b in fft_blocks} == {(size // 2 + 1,)}
+    assert plan.fft_shape is None
+    lattice = [b for b in plan.blocks if isinstance(b, pursuit._LatticeBlock)]
+    direct = [b for b in plan.blocks if isinstance(b, pursuit._DirectBlock)]
+    assert len(lattice) == len(direct) == 10 and len(plan.blocks) == 20
+    for (_, a, *_), block in zip(grid.levels(), plan.blocks):
+        if isinstance(block, pursuit._LatticeBlock):
+            m = math.ceil(pursuit.KERNEL_RADIUS * a)
+            assert block.w.tobytes() == pursuit._template(d, (a,), (m,)).tobytes()
+            assert block.length == block.w.size == 2 * m + 1
+        assert block.starts.min() >= 0 and block.starts.max() + block.length <= n + 2 * plan.pad
+
+
+def test_row_scores_do_not_depend_on_their_batch(rng):
+    # a row's score is the same float whichever rows are scored with it, so
+    # the pruned search returns the exhaustive scoring's float: on the
+    # n=8192 benchmark grid, `full_search` on a fresh plan (which scores a
+    # single threshold row first) returns the `grid_scores` entry at its
+    # index, and a random subset of every 1-D block's rows, and each single
+    # row of the widest lattice level (10,243 taps, past the 8,192 where a
+    # one-row einsum changes its summation), score bit for bit as the whole
+    # block does
+    n = 8192
+    d = gp.Affine1DDictionary(n)
+    grid = gp.experiment_grid(n, b0=2, log2_tau=0.5)
+    u = gp.SignalBuffer(rng.standard_normal(n))
+    _, s = full_search(d, u, grid)
+    plan = pursuit._search_plan(d, u, grid)
+    best, index = plan.argmax(u.data)
+    scores = gp.grid_scores(d, u, grid)
+    assert s == best == scores[index] == scores.max() and index == int(np.argmax(scores))
+    u_pad = plan.transform(u.data)
+    lattice = [b for b in plan.blocks if isinstance(b, pursuit._LatticeBlock)]
+    widest = max(lattice, key=lambda b: b.length)
+    assert widest.length == 10_243
+    for block in plan.blocks:
+        whole = block.scores(u_pad)
+        rows = np.sort(rng.choice(whole.size, size=max(1, whole.size // 3), replace=False))
+        assert block.scores(u_pad, rows).tobytes() == whole[rows].tobytes()
+        for k in range(whole.size) if block is widest else rows[:1]:
+            assert block.scores(u_pad, [k]).tobytes() == whole[[k]].tobytes()
 
 
 def _held_arrays(obj, path=()):
