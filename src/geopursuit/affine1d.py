@@ -4,9 +4,11 @@ Atoms take the form g_(b,a)(t) = a^(-1/2) g((t-b)/a) before boundary
 renormalization, with a Mexican Hat mother by default. A mother is its
 `jet` alone: its profile and, up to order 2, its derivatives from a single
 exponential; the grid search bounds scores without it. `affine_jet` calls
-it once and is the one evaluation of the atom formula, with its partials,
-for the dictionary's atoms (the grid search's templates among them) and
-the search's off-lattice kernel rows.
+it and is the one evaluation of the atom formula, with its partials, for
+the dictionary's atoms (the grid search's templates among them) and the
+search's off-lattice kernel rows; it returns its frame, the sample offsets
+s, their exponential and the mother's derivatives, so that a higher order
+at the same atom continues from it.
 Grids are tau-adic: k_(j,n) = (n*b0*tau^j, a0*tau^j).
 """
 
@@ -30,8 +32,9 @@ _GRID_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MotherFunction:
-    """Unit-norm mother profile: `jet(s, order)` returns [g], [g, g'] or
-    [g, g', g''] sampled at `s`, all from one exponential."""
+    """Unit-norm mother profile: `jet(s, e, start, order)` returns its
+    derivatives of orders start..order (at most 2) sampled at `s`, all from
+    the one exponential e = exp(-s*s/2) that the caller computed."""
 
     name: str
     jet: callable
@@ -40,10 +43,11 @@ class MotherFunction:
 _MH_C = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
 
 
-def _mh_jet(s, order):
-    e = np.exp(-0.5 * s * s)
-    out = [_MH_C * (1.0 - s * s) * e]
-    if order >= 1:
+def _mh_jet(s, e, start, order):
+    out = []
+    if start == 0:
+        out.append(_MH_C * (1.0 - s * s) * e)
+    if start <= 1 <= order:
         out.append(_MH_C * (s * s * s - 3.0 * s) * e)
     if order >= 2:
         out.append(_MH_C * (-(s * s * s * s) + 6.0 * s * s - 3.0) * e)
@@ -53,10 +57,11 @@ def _mh_jet(s, order):
 _GS_C = math.pi ** -0.25
 
 
-def _gauss_jet(s, order):
-    e = np.exp(-0.5 * s * s)
-    out = [_GS_C * e]
-    if order >= 1:
+def _gauss_jet(s, e, start, order):
+    out = []
+    if start == 0:
+        out.append(_GS_C * e)
+    if start <= 1 <= order:
         out.append(-_GS_C * s * e)
     if order >= 2:
         out.append(_GS_C * (s * s - 1.0) * e)
@@ -68,28 +73,44 @@ GAUSSIAN = MotherFunction("gaussian", _gauss_jet)
 MOTHERS = {m.name: m for m in (MEXICAN_HAT, GAUSSIAN)}
 
 
-def affine_jet(mother: MotherFunction, b, a: float, t, order: int = 0) -> tuple:
+def affine_jet(mother: MotherFunction, b, a: float, t, order: int = 0,
+               start: int = 0, frame=None) -> tuple:
     """The raw atom a^(-1/2) g((t-b)/a) sampled at `t` and, up to `order`,
     its partials in (b, a), stacked along leading axes, from one mother jet.
 
-    Returns (raw,), (raw, d1) or (raw, d1, d2): d1 = [d_b, d_a] and d2 the
-    symmetric 2 x 2 stack of second partials. `b` and `t` broadcast, so
-    one call evaluates a row of atoms (b a column, t the sample offsets).
+    Returns (parts, frame). The parts are those of orders start..order:
+    raw, d1 = [d_b, d_a] and d2, the symmetric 2 x 2 stack of second
+    partials. The frame, (s, e, g) with s = (t-b)/a, its exponential and
+    the mother's derivatives so far, is what a later call at the same b, a
+    and t continues from: `start` is 0 and `frame` None for a fresh
+    evaluation, else the order after the earlier call's and its frame. `b`
+    and `t` broadcast, so one call evaluates a row of atoms (b a column, t
+    the sample offsets).
     """
-    s = (t - b) / a
-    g = mother.jet(s, order)  # g[k]: the k-th derivative of the mother at s
-    raw = g[0] / math.sqrt(a)
-    if order == 0:
-        return (raw,)
-    inv = a ** -1.5
-    d1 = np.stack([-inv * g[1], -inv * (0.5 * g[0] + s * g[1])])
-    if order == 1:
-        return raw, d1
-    inv = a ** -2.5
-    d_ba = inv * (1.5 * g[1] + s * g[2])
-    d2 = np.stack([np.stack([inv * g[2], d_ba]),
-                   np.stack([d_ba, inv * (0.75 * g[0] + 3.0 * s * g[1] + s * s * g[2])])])
-    return raw, d1, d2
+    if frame is None:
+        # s = (t - b) / a and e = exp(-0.5 * s * s), each in one array
+        s = np.subtract(t, b)
+        s /= a
+        e = np.multiply(-0.5, s)
+        e *= s
+        np.exp(e, out=e)
+        g = []
+    else:
+        s, e, g = frame
+    g = g + mother.jet(s, e, start, order)  # g[k]: the k-th derivative of the mother at s
+    parts = []
+    if start == 0:
+        parts.append(g[0] / math.sqrt(a))
+    if start <= 1 <= order:
+        inv = a ** -1.5
+        parts.append(np.stack([-inv * g[1], -inv * (0.5 * g[0] + s * g[1])]))
+    if order >= 2:
+        inv = a ** -2.5
+        d_ba = inv * (1.5 * g[1] + s * g[2])
+        parts.append(np.stack([np.stack([inv * g[2], d_ba]),
+                               np.stack([d_ba, inv * (0.75 * g[0] + 3.0 * s * g[1]
+                                                      + s * s * g[2])])]))
+    return tuple(parts), (s, e, g)
 
 
 class Affine1DDictionary(Dictionary):
@@ -109,6 +130,8 @@ class Affine1DDictionary(Dictionary):
         if not 0 < lo < hi:
             raise ValueError(f"bad scale range {scale_range}")
         self.scale_range = (float(lo), float(hi))
+        self._t = np.arange(self.n, dtype=np.float64)  # the sample positions of every atom
+        self._t.setflags(write=False)
 
     def clamp_coords(self, coords) -> ParamPoint:
         """As `Dictionary.clamp_coords`, except that b clamps to
@@ -119,9 +142,10 @@ class Affine1DDictionary(Dictionary):
         reach = MASS_RADIUS * a
         return self.point(min(max(b, -reach), self.n - 1 + reach), a)
 
-    def _jet(self, coords, shape, order):
+    def _jet(self, coords, shape, order, start, frame):
         b, a = coords
-        return affine_jet(self.mother, b, a, np.arange(shape[0], dtype=np.float64), order)
+        t = self._t if tuple(shape) == self.shape else np.arange(shape[0], dtype=np.float64)
+        return affine_jet(self.mother, b, a, t, order, start, frame)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ An atom with parameters (b1, b2, theta, a1, a2) evaluates the mother at
 (a1*a2)^(-1/2), sampled at pixel centers (integer coordinates). The mother
 is even in x, so orientation is pi-periodic and theta is canonicalized to
 [0, pi). `Aniso2DDictionary._jet` is the one evaluation of the atom: it
-builds the rotated frame and the Gaussian envelope once, in scratch of its
-own call, and returns the atom with its first and second partials in
-closed form, stacked along leading axes. The grid search's slab templates
+builds the rotated frame and the Gaussian envelope once, in a scratch block
+of its own call, and returns the atom with its first and second partials in
+closed form, stacked along leading axes, with that block, from which a
+higher order at the same atom continues. The grid search's slab templates
 are atoms from it too.
 """
 
@@ -49,52 +50,59 @@ class Aniso2DDictionary(Dictionary):
     def point(self, b1: float, b2: float, theta: float, a1: float, a2: float) -> ParamPoint:
         return ParamPoint((b1, b2, theta % math.pi, a1, a2))
 
-    def _jet(self, coords, shape, order):
+    def _jet(self, coords, shape, order, start, frame):
         """The atom s * G(u, v), s = (a1*a2)^(-1/2), and its partials by the
         chain rule: d_i = s_i G + s G_i and
         d_ij = s_ij G + s_i G_j + s_j G_i + s G_ij, where G_i = G_u u_i + G_v v_i
         and G_ij = G_uu u_i u_j + G_uv (u_i v_j + u_j v_i) + G_vv v_i v_j
         + G_u u_ij + G_v v_ij. Index order is (b1, b2, theta, a1, a2).
 
-        The frame and the mother's values are built in place, in one
-        scratch block of this call, and the parts are views of another."""
+        The frame, u, v, env, uu and G (and, once order 1 is done, G_u and
+        G_v), is one scratch block of the fresh call, built in place; a
+        later call continues from it. The parts are views of another block."""
         b1, b2, theta, a1, a2 = coords
-        u, v, env, uu, G, Gu, Gv, tmp = np.empty((8, *shape))
-        block = np.empty(((1, 6, 31)[order], *shape))
-        raw, d1 = block[0], block[1:6]
-        dx = np.arange(shape[0], dtype=np.float64)[:, None] - b1
-        dy = np.arange(shape[1], dtype=np.float64)[None, :] - b2
+        if frame is None:
+            frame = np.empty((8, *shape))
+        u, v, env, uu, G, Gu, Gv, tmp = frame
+        block = np.empty((sum((1, 5, 25)[start:order + 1]), *shape))
+        parts = []
         ct, st = math.cos(theta), math.sin(theta)
-        # u = (ct dx + st dy) / a1, v = (-st dx + ct dy) / a2,
-        # env = exp(-0.5 (u u + v v)), G = _C2D (1 - u u) env, raw = G / sqrt(a1 a2)
-        np.divide(np.add(ct * dx, st * dy, out=u), a1, out=u)
-        np.divide(np.add(-st * dx, ct * dy, out=v), a2, out=v)
-        np.multiply(u, u, out=uu)
-        np.add(uu, np.multiply(v, v, out=env), out=env)
-        np.exp(np.multiply(-0.5, env, out=env), out=env)
-        np.multiply(np.multiply(_C2D, np.subtract(1.0, uu, out=G), out=G), env, out=G)
-        np.divide(G, math.sqrt(a1 * a2), out=raw)
-        if order == 0:
-            return (raw,)
-        # d/du of the mother, _C2D * (uu * u - 3.0 * u) * env
-        np.subtract(np.multiply(uu, u, out=Gu), np.multiply(3.0, u, out=tmp), out=Gu)
-        np.multiply(np.multiply(_C2D, Gu, out=Gu), env, out=Gu)
-        np.multiply(np.negative(v, out=Gv), G, out=Gv)
         s = 1.0 / math.sqrt(a1 * a2)
-        # s * (Gu * (-ct / a1) + Gv * (st / a2)), and its b2 twin
-        for row, cu, cv in ((d1[0], -ct / a1, st / a2), (d1[1], -st / a1, -ct / a2)):
-            np.add(np.multiply(Gu, cu, out=row), np.multiply(Gv, cv, out=tmp), out=row)
-            np.multiply(s, row, out=row)
-        # s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2))
-        np.multiply(Gu, np.divide(np.multiply(a2, v, out=tmp), a1, out=tmp), out=d1[2])
-        np.multiply(Gv, np.divide(np.multiply(a1, u, out=tmp), a2, out=tmp), out=tmp)
-        np.multiply(s, np.subtract(d1[2], tmp, out=d1[2]), out=d1[2])
-        # -(s / a1) * (0.5 * G + u * Gu), and its a2 twin
-        for row, a, w, Gw in ((d1[3], a1, u, Gu), (d1[4], a2, v, Gv)):
-            np.add(np.multiply(0.5, G, out=row), np.multiply(w, Gw, out=tmp), out=row)
-            np.multiply(-(s / a), row, out=row)
-        if order == 1:
-            return raw, d1
+        if start == 0:
+            raw = block[0]
+            dx = np.arange(shape[0], dtype=np.float64)[:, None] - b1
+            dy = np.arange(shape[1], dtype=np.float64)[None, :] - b2
+            # u = (ct dx + st dy) / a1, v = (-st dx + ct dy) / a2,
+            # env = exp(-0.5 (u u + v v)), G = _C2D (1 - u u) env, raw = G / sqrt(a1 a2)
+            np.divide(np.add(ct * dx, st * dy, out=u), a1, out=u)
+            np.divide(np.add(-st * dx, ct * dy, out=v), a2, out=v)
+            np.multiply(u, u, out=uu)
+            np.add(uu, np.multiply(v, v, out=env), out=env)
+            np.exp(np.multiply(-0.5, env, out=env), out=env)
+            np.multiply(np.multiply(_C2D, np.subtract(1.0, uu, out=G), out=G), env, out=G)
+            np.divide(G, math.sqrt(a1 * a2), out=raw)
+            parts.append(raw)
+        if start <= 1 <= order:
+            d1 = block[len(parts):len(parts) + 5]
+            # d/du of the mother, _C2D * (uu * u - 3.0 * u) * env
+            np.subtract(np.multiply(uu, u, out=Gu), np.multiply(3.0, u, out=tmp), out=Gu)
+            np.multiply(np.multiply(_C2D, Gu, out=Gu), env, out=Gu)
+            np.multiply(np.negative(v, out=Gv), G, out=Gv)
+            # s * (Gu * (-ct / a1) + Gv * (st / a2)), and its b2 twin
+            for row, cu, cv in ((d1[0], -ct / a1, st / a2), (d1[1], -st / a1, -ct / a2)):
+                np.add(np.multiply(Gu, cu, out=row), np.multiply(Gv, cv, out=tmp), out=row)
+                np.multiply(s, row, out=row)
+            # s * (Gu * (a2 * v / a1) - Gv * (a1 * u / a2))
+            np.multiply(Gu, np.divide(np.multiply(a2, v, out=tmp), a1, out=tmp), out=d1[2])
+            np.multiply(Gv, np.divide(np.multiply(a1, u, out=tmp), a2, out=tmp), out=tmp)
+            np.multiply(s, np.subtract(d1[2], tmp, out=d1[2]), out=d1[2])
+            # -(s / a1) * (0.5 * G + u * Gu), and its a2 twin
+            for row, a, w, Gw in ((d1[3], a1, u, Gu), (d1[4], a2, v, Gv)):
+                np.add(np.multiply(0.5, G, out=row), np.multiply(w, Gw, out=tmp), out=row)
+                np.multiply(-(s / a), row, out=row)
+            parts.append(d1)
+        if order < 2:
+            return tuple(parts), frame
         # first derivatives of u, v and s
         du = [-ct / a1, -st / a1, a2 * v / a1, -u / a1, 0.0]
         dv = [st / a2, -ct / a2, -a1 * u / a2, 0.0, -v / a2]
@@ -112,7 +120,7 @@ class Aniso2DDictionary(Dictionary):
                (4, 4): 2.0 * v / (a2 * a2)}
         dds = {(3, 3): 0.75 * s / (a1 * a1), (3, 4): 0.25 * s / (a1 * a2),
                (4, 4): 0.75 * s / (a2 * a2)}
-        d2 = block[6:].reshape((5, 5, *shape))
+        d2 = block[-25:].reshape((5, 5, *shape))
         for i in range(5):
             for j in range(i, 5):
                 d2G = (Guu * (du[i] * du[j]) + Guv * (du[i] * dv[j] + du[j] * dv[i])
@@ -120,7 +128,7 @@ class Aniso2DDictionary(Dictionary):
                        + Gu * ddu.get((i, j), 0.0) + Gv * ddv.get((i, j), 0.0))
                 d2[i, j] = d2[j, i] = (dds.get((i, j), 0.0) * G + ds[i] * dG[j]
                                        + ds[j] * dG[i] + s * d2G)
-        return raw, d1, d2
+        return (*parts, d2), frame
 
 
 @dataclass(frozen=True)

@@ -198,30 +198,32 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
     def _scale():
         return math.exp(rng.uniform(log_lo, log_hi))
 
+    # drawn points and the default centre are clamped into the interior, as
+    # the gmp ascent clamps its seed: on a grid whose scales reach the
+    # dictionary's edge, a point there has no derivatives
+    clamp = dictionary.clamp_coords
     if isinstance(grid, TauAdicGrid):
         (n,) = shape
-        center = (n / 2, a_mid)
-        samples = [dictionary.point(rng.uniform(0.3 * n, 0.7 * n), _scale())
-                   for _ in range(args.samples)]
-        probes = [dictionary.point(rng.uniform(0, n - 1), _scale()) for _ in range(args.probes)]
+        center = clamp((n / 2, a_mid))
+        samples = [clamp((rng.uniform(0.3 * n, 0.7 * n), _scale())) for _ in range(args.samples)]
+        probes = [clamp((rng.uniform(0, n - 1), _scale())) for _ in range(args.probes)]
 
         def _beta_input(s):
             return BurstSignalSpec(n=n, kind="gaussian", envelope=min(256.0, n / 4)).sample(s)
     else:
         nx, ny = shape
-        center = (nx / 2, ny / 2, 0.0, a_mid, a_mid)
+        center = clamp((nx / 2, ny / 2, 0.0, a_mid, a_mid))
 
         def _rand_point():
-            return dictionary.point(
-                rng.uniform(0.3 * nx, 0.7 * nx), rng.uniform(0.3 * ny, 0.7 * ny),
-                rng.uniform(0, math.pi), _scale(), _scale())
+            return clamp((rng.uniform(0.3 * nx, 0.7 * nx), rng.uniform(0.3 * ny, 0.7 * ny),
+                          rng.uniform(0, math.pi), _scale(), _scale()))
 
         samples = [_rand_point() for _ in range(args.samples)]
         probes = [_rand_point() for _ in range(args.probes)]
 
         def _beta_input(s):
             return make_test_image(nx, ny, seed=int(s.generate_state(1)[0]))
-    lam0 = dictionary.point(*(center if at is None else at))
+    lam0 = center if at is None else dictionary.point(*at)
     g = metric(dictionary, lam0)
     gamma = christoffel(dictionary, lam0)
     k_hat = condition_bound(dictionary, samples)

@@ -8,13 +8,16 @@ the identities <d_i g, g> = 0 and <d_ij g, g> = -G_ij hold exactly in the
 discrete inner product. Derivatives are therefore derivatives of the
 *renormalized* synthesis map. Each dictionary family evaluates its raw atom
 and its first and second partials in closed form in one function, its
-`_jet`, which builds the sample frame once and stacks the partials along
-leading axes. `Dictionary.jet`, of which `synthesize`, `partials` and
-`second_partials` are views, is the one place that checks a point against
-the domain (its length and its scales) and renormalizes: one quotient rule
-gives the first partials, (P, *shape), and the second, (P, P, *shape),
-from them; the geometry contracts the stacks. It keeps the last jet it
-evaluated, so asking again at the same point costs nothing.
+`_jet`, which builds the sample frame once, stacks the partials along
+leading axes and returns the frame with them. `Dictionary.jet`, of which
+`synthesize`, `partials` and `second_partials` are views, is the one place
+that checks a point against the domain (its length and its scales) and
+renormalizes: one quotient rule gives the first partials, (P, *shape), and
+the second, (P, P, *shape), from them; the geometry contracts the stacks.
+It keeps the last jet it evaluated, with its frame and its norm: asking
+again at the same point costs nothing, and asking for a higher order there
+continues that jet instead of starting over, so each point's frame and
+atom are built once.
 """
 
 from __future__ import annotations
@@ -114,13 +117,20 @@ class Dictionary:
     def point(self, *coords) -> ParamPoint:
         return ParamPoint(coords)
 
-    def _jet(self, coords: np.ndarray, shape, order: int) -> tuple:
-        """(raw,), (raw, d1) or (raw, d1, d2) for order 0, 1 or 2: the raw
-        atom sampled on `shape`, its first partials stacked as (P, *shape)
-        and its second partials as a symmetric (P, P, *shape) stack. The
-        arrays are fresh, never scratch the dictionary reuses: the
-        renormalization overwrites the stacks, and the memo keeps them.
-        Atoms use `self.shape`; the search's templates use their own canvas."""
+    def _jet(self, coords: np.ndarray, shape, order: int, start: int, frame) -> tuple:
+        """(parts, frame): the parts of orders start..order, at most 2, of
+        the raw atom sampled on `shape` (the atom itself, its first partials
+        stacked as (P, *shape) and its second partials as a symmetric
+        (P, P, *shape) stack), and the frame a later call continues from.
+        `start` is 0 and `frame` None for a fresh evaluation; else `frame`
+        is what the call at the same coordinates and shape up to order
+        start - 1 returned, and the call computes only what that one did
+        not, the same floats a fresh call computes. The frame is the
+        family's own (its sample coordinates and the values they share);
+        the parts are fresh arrays, never scratch the dictionary or the
+        frame reuses: the renormalization overwrites the stacks, and the
+        memo keeps them. Atoms use `self.shape`; the search's templates use
+        their own canvas."""
         raise NotImplementedError
 
     def check_shape(self, shape) -> None:
@@ -177,8 +187,8 @@ class Dictionary:
         return ParamPoint(coords)
 
     # -- synthesis & derivatives -------------------------------------------
-    # (coordinate bytes, parts) of the last jet evaluated; see `jet`.
-    _last_jet: tuple = (None, ())
+    # (coordinate bytes, parts, frame, norm) of the last jet evaluated; see `jet`.
+    _last_jet: tuple = (None, (), None, ())
 
     def jet(self, lam: ParamPoint, order: int = 0) -> tuple:
         """The renormalized atom at `lam` and, up to `order`, its partials:
@@ -187,22 +197,30 @@ class Dictionary:
         Derivatives need `lam` interior to the domain.
 
         The dictionary keeps a one-entry memo of the last jet it evaluated,
-        keyed on the exact coordinates: a request at the same coordinates
-        and of an order no higher than the entry's is served from it, as
-        the prefix of its parts. Each order's parts are the same floats
-        whatever order computed them, so a served jet equals a fresh one
-        bit for bit; a point that failed a check is never stored. The memo,
-        like the search plans cached per dictionary, relies on a dictionary
-        being immutable once built."""
+        keyed on the exact coordinates: its parts, the `_jet` frame they
+        came from and the norm that renormalized them. A request at the
+        same coordinates and of an order no higher than the entry's is
+        served from it, as the prefix of its parts; one of a higher order
+        extends it: `_jet` continues from the frame, and only the new
+        partials are renormalized, by the entry's atom and norm. Each
+        order's parts are the same floats whatever order computed them and
+        whether or not they extend an entry, so a served or extended jet
+        equals a fresh one bit for bit. An extension runs the checks of its
+        order, and a point or an order that failed a check is never stored.
+        The memo, like the search plans cached per dictionary, relies on a
+        dictionary being immutable once built."""
         key = lam.coords.tobytes()
-        last_key, parts = self._last_jet
-        if key == last_key and len(parts) > order:
+        last_key, parts, frame, norm = self._last_jet
+        if key != last_key:
+            self._check_domain(lam)
+            parts, frame, norm = (), None, ()
+        elif len(parts) > order:
             return parts[:order + 1]
-        self._check_domain(lam)
         if order:
             self.require_interior(lam)
-        parts = _renormalized(*self._jet(lam.coords, self.shape, order))
-        self._last_jet = (key, parts)
+        new, frame = self._jet(lam.coords, self.shape, order, len(parts), frame)
+        parts, norm = _renormalized(parts, norm, new)
+        self._last_jet = (key, parts, frame, norm)
         return parts
 
     def synthesize(self, lam: ParamPoint, shape=None) -> SignalBuffer:
@@ -221,38 +239,49 @@ class Dictionary:
         return self.jet(lam, 2)[2]
 
 
-def _renormalized(raw: np.ndarray, *partials: np.ndarray) -> tuple:
-    """raw/||raw|| and, from the stacked partials of raw given after it, its
-    own partials by the exact quotient rule. With n = ||raw|| and atom =
-    raw/n, the first partials p_i = (d_i raw - atom d_i n)/n overwrite d1,
-    then the second partials (d_ij raw - p_i d_j n - p_j d_i n - atom d_ij n)/n
-    overwrite d2 (a fresh (P, P, *shape) array costs page faults on every
-    call). Every part is returned finite (else DomainError) and read-only."""
-    nrm = np.linalg.norm(raw)
-    if not _MIN_ATOM_NORM < nrm < np.inf:  # a finite norm means a finite atom
-        raise DomainError("atom has no effective support in the buffer, or is not finite")
-    atom = raw / nrm
-    out = (atom, *partials)
-    if partials:
-        d1 = partials[0]
-        P = len(d1)
-        dn = d1.reshape(P, -1) @ atom.ravel()  # d_i n = <d_i raw, atom>
-        for i in range(P):
-            d1[i] -= dn[i] * atom
-        d1 /= nrm
-    if len(partials) == 2:
-        d2 = partials[1]
-        flat = d1.reshape(P, -1)
-        # d_ij n = <d_ij raw, atom> + <d_i raw, p_j>, where d_i raw = n p_i + atom d_i n
-        # and <atom, p_j> = 0 leave <d_i raw, p_j> = n <p_i, p_j>
-        ddn = (d2.reshape(P * P, -1) @ atom.ravel()).reshape(P, P) + nrm * (flat @ flat.T)
-        for i in range(P):
-            for j in range(i, P):
-                d2[i, j] -= d1[i] * dn[j] + d1[j] * dn[i] + atom * ddn[i, j]
-                d2[i, j] /= nrm
-                d2[j, i] = d2[i, j]
-    if not all(np.isfinite(part).all() for part in partials):
-        raise DomainError("atom derivatives are not finite")
-    for part in out:
+def _renormalized(parts: tuple, norm: tuple, new) -> tuple:
+    """The renormalized jet `parts` continued by `new`, the raw parts of the
+    orders after its own: (parts, norm), where `norm` holds n = ||raw|| and,
+    from order 1, its partials d_i n, which the next order reads.
+
+    The atom is raw/n. The first partials p_i = (d_i raw - atom d_i n)/n
+    overwrite d1, then the second partials
+    (d_ij raw - p_i d_j n - p_j d_i n - atom d_ij n)/n overwrite d2 (a fresh
+    (P, P, *shape) array costs page faults on every call). Held parts are
+    read, never written. Every new part is returned finite (else
+    DomainError) and read-only."""
+    out = list(parts)
+    for k, part in enumerate(new, len(parts)):
+        if k == 0:
+            nrm = np.linalg.norm(part)
+            if not _MIN_ATOM_NORM < nrm < np.inf:  # a finite norm means a finite atom
+                raise DomainError("atom has no effective support in the buffer, "
+                                  "or is not finite")
+            out.append(part / nrm)
+            norm = (nrm,)
+            continue
+        atom, nrm = out[0], norm[0]
+        P = len(part)
+        if k == 1:
+            dn = part.reshape(P, -1) @ atom.ravel()  # d_i n = <d_i raw, atom>
+            for i in range(P):
+                part[i] -= dn[i] * atom
+            part /= nrm
+            norm = (nrm, dn)
+        else:
+            d1, dn = out[1], norm[1]
+            flat = d1.reshape(P, -1)
+            # d_ij n = <d_ij raw, atom> + <d_i raw, p_j>, where d_i raw = n p_i + atom d_i n
+            # and <atom, p_j> = 0 leave <d_i raw, p_j> = n <p_i, p_j>
+            ddn = (part.reshape(P * P, -1) @ atom.ravel()).reshape(P, P) + nrm * (flat @ flat.T)
+            for i in range(P):
+                for j in range(i, P):
+                    part[i, j] -= d1[i] * dn[j] + d1[j] * dn[i] + atom * ddn[i, j]
+                    part[i, j] /= nrm
+                    part[j, i] = part[i, j]
+        if not np.isfinite(part).all():
+            raise DomainError("atom derivatives are not finite")
+        out.append(part)
+    for part in out[len(parts):]:
         part.setflags(write=False)
-    return out
+    return tuple(out), norm

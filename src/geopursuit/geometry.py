@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionaries import ANGLE, Dictionary, ParamPoint
+from .dictionaries import ANGLE, CLAMP_MARGIN, SCALE, Dictionary, ParamPoint
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
@@ -115,7 +115,11 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
 
     Riemann sum of sqrt(d_lambda^T G d_lambda) with the metric evaluated at
     segment midpoints; an upper bound on the geodesic distance that refines
-    as `segments` grows. Raises if the segment leaves the domain.
+    as `segments` grows. Raises if the segment leaves the domain. A
+    midpoint inside the domain but too near a scale bound for derivatives
+    is measured with its scales clamped into the interior, as the ascent
+    clamps its points: a path to a grid point on a scale bound, such as a
+    2-D grid's default smallest scale, ends in that band.
     """
     if segments < 1:
         raise ValueError("segment count must be at least 1")
@@ -126,9 +130,15 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     delta = (np.asarray(lam_b.coords, dtype=np.float64) - start) / segments
     if not np.any(delta):
         return 0.0
+    scales = [i for i, kind in enumerate(dictionary.kinds) if kind == SCALE]
+    lo, hi = dictionary.scale_range
+    lo, hi = lo * (1 + CLAMP_MARGIN), hi * (1 - CLAMP_MARGIN)
     total = 0.0
     for k in range(segments):
         mid = start + (k + 0.5) * delta
+        dictionary.check_scales(mid[scales])
+        for i in scales:
+            mid[i] = min(max(mid[i], lo), hi)
         g = metric(dictionary, ParamPoint(mid))
         total += g.norm(delta)
     return total

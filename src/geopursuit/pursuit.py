@@ -212,7 +212,15 @@ def jsonl_steps(path):
 
 def score(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> float:
     """Squared correlation of the residual with the atom at `lam`."""
-    return inner_product(dictionary.synthesize(lam), residual) ** 2
+    return _correlation(dictionary.jet(lam)[0], residual) ** 2
+
+
+def _correlation(atom: np.ndarray, residual: SignalBuffer) -> float:
+    """<atom, residual>, the float `inner_product` gives, for a jet's atom,
+    which is read-only and finite already: no buffer is built around it."""
+    if atom.shape != residual.shape:
+        raise ValueError(f"shape mismatch: {atom.shape} vs {residual.shape}")
+    return float(np.dot(atom.ravel(), residual.data.ravel()))
 
 
 @dataclass(frozen=True)
@@ -227,9 +235,9 @@ def gradient(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) ->
     """Score value, coordinate partials, and manifold gradient at `lam`."""
     g = metric(dictionary, lam)
     # metric() just took the order-1 jet at lam: both calls below read its memo
-    atom = dictionary.synthesize(lam)
+    atom = dictionary.jet(lam)[0]
     parts = dictionary.partials(lam)
-    corr = inner_product(atom, residual)
+    corr = _correlation(atom, residual)
     partial = 2.0 * corr * (parts.reshape(len(parts), -1) @ residual.data.ravel())
     grad = g.inverse @ partial
     grad_norm = math.sqrt(max(float(partial @ grad), 0.0))
@@ -435,17 +443,28 @@ class _WindowBlock:
 class _LatticeBlock(_WindowBlock):
     """A 1-D level on the integer lattice: its centred template `w`, of
     2m + 1 samples, scores the window [b - m, b + m] of each integer
-    position b. `norm2` holds each position's in-buffer squared norm, a sum
-    of the template's squares at its in-buffer samples: unlike a difference
-    of prefix sums, it cannot cancel when only a far tail is inside."""
+    position b. The positions are `step` samples apart, so a run of
+    consecutive rows reads its windows as one strided view of the padded
+    residual, with no copy. `norm2` holds each position's in-buffer squared
+    norm, a sum of the template's squares at its in-buffer samples: unlike
+    a difference of prefix sums, it cannot cancel when only a far tail is
+    inside."""
 
+    step: int
     w: np.ndarray
     norm2: np.ndarray
 
     def scores(self, u, rows=slice(None)):
-        windows = as_strided(u, (u.size - self.length + 1, self.length), u.strides * 2,
-                             writeable=False)
-        return _scores(np.vecdot(windows[self.starts[rows]], self.w), self.norm2[rows])
+        (stride,) = u.strides
+        windows = as_strided(u[self.starts[0]:], (self.starts.size, self.length),
+                             (self.step * stride, stride), writeable=False)
+        rows = np.arange(self.starts.size)[rows]
+        # the runs of consecutive rows, each a slice of the windows
+        cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
+        first = rows.tolist()
+        corr = [np.vecdot(windows[first[i]:first[j - 1] + 1], self.w)
+                for i, j in zip(cuts, cuts[1:])]
+        return _scores(np.concatenate(corr), self.norm2[rows])
 
     @classmethod
     def build(cls, dictionary: Affine1DDictionary, level: _Level, pad: int) -> "_LatticeBlock":
@@ -453,7 +472,8 @@ class _LatticeBlock(_WindowBlock):
         (m,), (bs,) = level.ms, level.positions
         samples = bs[:, None] + np.arange(-m, m + 1)
         inside = (samples >= 0) & (samples < dictionary.shape[0])
-        return cls(bs - m + pad, w.size, w, np.vecdot(inside, w * w))
+        step = int(bs[1] - bs[0]) if bs.size > 1 else 1
+        return cls(bs - m + pad, w.size, step, w, np.vecdot(inside, w * w))
 
 
 @dataclass(frozen=True)
@@ -646,7 +666,7 @@ def _direct_kernel(n: int, mother, a: float, bs: np.ndarray) -> np.ndarray:
     `_direct_windows`, zero outside the support."""
     lo, width, starts, length = _direct_windows(n, a, bs)
     idx = starts[:, None] + np.arange(length)
-    (kernel,) = affine_jet(mother, bs[:, None], a, idx)
+    (kernel,), _ = affine_jet(mother, bs[:, None], a, idx)
     kernel[(idx < lo[:, None]) | (idx >= lo[:, None] + width)] = 0.0
     return kernel
 
@@ -656,7 +676,7 @@ def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
     `others`, centred on a canvas of 2m + 1 samples per axis for the
     half-widths `ms`: every lattice template, 1-D level or 2-D slab."""
     coords = np.array([*ms, *others], dtype=np.float64)
-    return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0)[0]
+    return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0, 0, None)[0][0]
 
 
 def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid):

@@ -1,5 +1,6 @@
 """Shared oracles and helpers, independent of the library's fast paths."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -30,11 +31,35 @@ class TranslationDictionary(gp.Dictionary):
         self.mother = MOTHERS[mother]
         self.scale_range = (self.scale, self.scale)  # no scale coordinate
 
-    def _jet(self, coords, shape, order):
-        jet = affine_jet(self.mother, coords[0], self.scale,
-                         np.arange(shape[0], dtype=np.float64), order)
+    def _jet(self, coords, shape, order, start, frame):
+        parts, frame = affine_jet(self.mother, coords[0], self.scale,
+                                  np.arange(shape[0], dtype=np.float64), order, start, frame)
         # the translation rows only: the scale is fixed
-        return tuple(d[(slice(0, 1),) * k] for k, d in enumerate(jet))
+        return tuple(d[(slice(0, 1),) * k] for k, d in enumerate(parts, start)), frame
+
+
+def assert_jet_extensions_are_fresh(make, lam):
+    """For every pair of orders lo < hi in 0..2, on a dictionary from
+    `make()`: `jet(lam, lo)` then `jet(lam, hi)` extends the entry (the
+    lower parts are the same arrays) and equals a fresh dictionary's
+    `jet(lam, hi)` bit for bit; so does `_jet` of orders lo + 1..hi
+    continued from the frame of its orders 0..lo."""
+    def same(got, want):
+        return (len(got) == len(want)
+                and all(p.shape == q.shape and p.tobytes() == q.tobytes()
+                        for p, q in zip(got, want)))
+
+    for lo, hi in itertools.combinations(range(3), 2):
+        d = make()
+        low = d.jet(lam, lo)
+        extended = d.jet(lam, hi)
+        assert len(extended) == hi + 1
+        assert all(p is q for p, q in zip(low, extended))
+        assert same(extended, make().jet(lam, hi))
+        fresh_raw, _ = d._jet(lam.coords, d.shape, hi, 0, None)
+        low_raw, frame = d._jet(lam.coords, d.shape, lo, 0, None)
+        new_raw, _ = d._jet(lam.coords, d.shape, hi, lo + 1, frame)
+        assert same(low_raw + new_raw, fresh_raw)
 
 
 def naive_search(dictionary, residual, grid):

@@ -140,10 +140,10 @@ def test_metric_is_constant_diagonal_after_scaling(rng):
 def test_mexican_hat_constant_against_quadrature():
     # g(0) is the closed form 2/(sqrt(3) pi^(1/4)), cross-checked by integrating g^2
     s = np.arange(-30, 30, 1e-4)
-    g = gp.MEXICAN_HAT.jet(s, 0)[0]
+    g = gp.MEXICAN_HAT.jet(s, np.exp(-0.5 * s * s), 0, 0)[0]
     assert np.sum(g * g) * 1e-4 == pytest.approx(1.0, abs=1e-9)
     c = 2.0 / (math.sqrt(3.0) * math.pi ** 0.25)
-    assert gp.MEXICAN_HAT.jet(np.zeros(1), 0)[0][0] == pytest.approx(c, abs=1e-15)
+    assert gp.MEXICAN_HAT.jet(np.zeros(1), np.ones(1), 0, 0)[0][0] == pytest.approx(c, abs=1e-15)
 
 
 def test_gaussian_mother_available():

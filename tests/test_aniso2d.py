@@ -23,7 +23,7 @@ def test_mother_amplitude_constant():
     # peak of the continuum mother is sqrt(4 / (3 pi))
     d = gp.Aniso2DDictionary((64, 64))
     c = math.sqrt(4.0 / (3.0 * math.pi))
-    (raw,) = d._jet(np.array([32.0, 32.0, 0.0, 1.0, 1.0]), (64, 64), 0)
+    (raw,), _ = d._jet(np.array([32.0, 32.0, 0.0, 1.0, 1.0]), (64, 64), 0, 0, None)
     assert raw[32, 32] == pytest.approx(c, abs=1e-14)
     # at a well-resolved scale the renormalized atom keeps the continuum
     # amplitude c / sqrt(a1 a2)
@@ -54,7 +54,7 @@ def test_jets_leave_the_dictionary_unchanged():
     before = state()
     for order in range(3):
         for shape in (d.shape, (9, 7)):
-            d._jet(coords + order, shape, order)
+            d._jet(coords + order, shape, order, 0, None)
             assert state() == before
         d.jet(d.point(*coords), order)
         assert state() == before
@@ -68,8 +68,8 @@ def test_boundary_atom_unit_norm():
 
 def test_pi_periodic_orientation():
     d = gp.Aniso2DDictionary((40, 40))
-    (raw_a,) = d._jet(np.array([20.5, 19.2, 0.7, 2.5, 4.0]), (40, 40), 0)
-    (raw_b,) = d._jet(np.array([20.5, 19.2, 0.7 + math.pi, 2.5, 4.0]), (40, 40), 0)
+    (raw_a,), _ = d._jet(np.array([20.5, 19.2, 0.7, 2.5, 4.0]), (40, 40), 0, 0, None)
+    (raw_b,), _ = d._jet(np.array([20.5, 19.2, 0.7 + math.pi, 2.5, 4.0]), (40, 40), 0, 0, None)
     assert np.abs(raw_a / np.linalg.norm(raw_a)
                   - raw_b / np.linalg.norm(raw_b)).max() < 1e-12
 

@@ -538,6 +538,23 @@ def test_geometry_refuses_bad_option_values_up_front(tmp_path, grid_file, capsys
     assert not out.exists()
 
 
+def test_geometry_at_on_the_scale_bound_is_not_clamped(tmp_path, capsys):
+    # the drawn points and the default centre are clamped into the interior;
+    # a point the user gives is evaluated as given, or refused
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"Nx": 16, "Ny": 16, "J": 1, "K": 2}))
+    out = tmp_path / "g.json"
+    assert main(["geometry", "--grid", str(path), "--at", "8,8,0,0.7,2", "--beta", "0.5",
+                 "--samples", "2", "--probes", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: scale 0.7 for derivatives is not 0.002 "
+                                       "(relative) inside [0.7, 16.0]\n")
+    assert not out.exists()
+    assert main(["geometry", "--grid", str(path), "--beta", "0.5",
+                 "--samples", "2", "--probes", "3", "--out", str(out)]) == 0
+    at = json.loads(out.read_text())["at"]
+    assert at[:3] == [8.0, 8.0, 0.0] and at[3] == at[4] == 0.7 * (1 + gp.dictionaries.CLAMP_MARGIN)
+
+
 def test_geometry_with_beta_takes_any_corpus_size(tmp_path, grid_file):
     # the corpus only estimates beta, so a given --beta makes its size moot
     out = tmp_path / "g.json"
@@ -570,11 +587,15 @@ def test_geometry_on_small_2d_grid(tmp_path, beta):
 
 @pytest.mark.parametrize("spec", [_TAU, {**_TAU, "b0": 1.0, "a0": 2.0, "tau": 2.0, "jmax": 0},
                                   {**_TAU, "b0": 1.0, "a0": 2.0, "tau": 1.05, "jmax": 1},
-                                  {"Nx": 16, "Ny": 16, "J": 1, "K": 2, "min_scale": 2.0}],
-                         ids=["integers", "one-scale", "narrow-span", "2-d-one-scale"])
+                                  {"Nx": 16, "Ny": 16, "J": 1, "K": 2, "min_scale": 2.0},
+                                  {"Nx": 16, "Ny": 16, "J": 1, "K": 2}],
+                         ids=["integers", "one-scale", "narrow-span", "2-d-one-scale",
+                              "2-d-one-scale-on-the-bound"])
 def test_geometry_on_integer_and_narrow_grids(tmp_path, spec):
     # a tau-adic spec written with integers, and a scale span too narrow for
-    # the 5% margin the draws keep inside it, both give a report
+    # the 5% margin the draws keep inside it, both give a report; so does a
+    # 2-D grid whose one scale is the dictionary's smallest, where the draws
+    # and the centre are clamped into the interior
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(spec))
     out_path = tmp_path / "geom.json"

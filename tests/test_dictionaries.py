@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import geopursuit as gp
 from geopursuit.dictionaries import INTERIOR_MARGIN, ParamPoint
-from conftest import (TranslationDictionary, fd_partials, fd_second_partials,
-                      interior_affine_points)
+from conftest import (TranslationDictionary, assert_jet_extensions_are_fresh, fd_partials,
+                      fd_second_partials, interior_affine_points)
 
 
 def test_param_point_validation():
@@ -195,11 +195,14 @@ def _contract_case(family, fx, fy, theta, f1, f2):
     if family == "translation":
         d = TranslationDictionary(40, scale=3.0, mother="mexican_hat")
         return d, d.point(fx * 39)
-    d = gp.Affine1DDictionary(40) if family == "affine" else gp.Aniso2DDictionary((12, 15))
+    if family == "aniso2d":
+        d = gp.Aniso2DDictionary((12, 15))
+    else:
+        d = gp.Affine1DDictionary(40, mother="gaussian" if family == "gaussian" else "mexican_hat")
     lo, hi = d.scale_range
     log_lo, log_hi = math.log(lo * (1 + INTERIOR_MARGIN)), math.log(hi * (1 - INTERIOR_MARGIN))
     a1, a2 = (math.exp(log_lo + f * (log_hi - log_lo)) for f in (f1, f2))
-    if family == "affine":
+    if family != "aniso2d":
         return d, d.point(fx * 39, a1)
     return d, d.point(fx * 11, fy * 14, theta, a1, a2)
 
@@ -212,7 +215,7 @@ def _contract_case(family, fx, fy, theta, f1, f2):
 def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2):
     d, lam = _contract_case(family, fx, fy, theta, f1, f2)
     shape = d.shape
-    jets = [d._jet(lam.coords, shape, order) for order in (0, 1, 2)]
+    jets = [d._jet(lam.coords, shape, order, 0, None)[0] for order in (0, 1, 2)]
     assert [len(j) for j in jets] == [1, 2, 3]
     # the parts the orders share are the same floats
     for j in jets[1:]:
@@ -256,12 +259,15 @@ def test_jet_orders_agree_and_stacks_are_read_only(family, fx, fy, theta, f1, f2
     s = np.linspace(-8.0, 8.0, 97) + fx
     h = 1e-5
     for mother in (gp.MEXICAN_HAT, gp.GAUSSIAN):
-        mjets = [mother.jet(s, order) for order in (0, 1, 2)]
+        def mjet(x, order):
+            return mother.jet(x, np.exp(-0.5 * x * x), 0, order)
+
+        mjets = [mjet(s, order) for order in (0, 1, 2)]
         assert [len(j) for j in mjets] == [1, 2, 3]
         for k, j in enumerate(mjets[1:], 1):
             assert all(np.array_equal(x, y) for x, y in zip(j, mjets[k - 1]))
         for k in (1, 2):
-            fd = (mother.jet(s + h, 2)[k - 1] - mother.jet(s - h, 2)[k - 1]) / (2 * h)
+            fd = (mjet(s + h, 2)[k - 1] - mjet(s - h, 2)[k - 1]) / (2 * h)
             assert np.abs(fd - mjets[2][k]).max() < 1e-8
 
 
@@ -274,36 +280,66 @@ def test_jet_parts_outlive_later_evaluations(family):
     point = (0.3, 0.6, 0.4, 0.2, 0.7)
     d, lam1 = _contract_case(family, *point)
     _, lam2 = _contract_case(family, 0.8, 0.1, 2.5, 0.6, 0.3)
-    kept = [(d._jet(lam1.coords, d.shape, order), d.jet(lam1, order)) for order in (0, 1, 2)]
+    kept = [(d._jet(lam1.coords, d.shape, order, 0, None)[0], d.jet(lam1, order))
+            for order in (0, 1, 2)]
     for order in (0, 1, 2):
-        d._jet(lam2.coords, d.shape, order)
+        d._jet(lam2.coords, d.shape, order, 0, None)
         d.jet(lam2, order)
     for order, (raw, renorm) in enumerate(kept):
         fresh = _contract_case(family, *point)[0]
-        want_raw = fresh._jet(lam1.coords, fresh.shape, order)
+        want_raw = fresh._jet(lam1.coords, fresh.shape, order, 0, None)[0]
         want = fresh.jet(lam1, order)
         assert len(raw) == len(renorm) == order + 1
         assert all(np.array_equal(p, q) for p, q in zip(raw, want_raw))
         assert all(np.array_equal(p, q) for p, q in zip(renorm, want))
 
 
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["affine", "gaussian", "translation", "aniso2d"]),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi, exclude_max=True),
+       f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
+def test_jet_extension_is_a_fresh_jet(family, fx, fy, theta, f1, f2):
+    # both mothers of the affine family, the anisotropic 2-D family and the
+    # translation-only test family, edge-truncated atoms included
+    _, lam = _contract_case(family, fx, fy, theta, f1, f2)
+    assert_jet_extensions_are_fresh(lambda: _contract_case(family, fx, fy, theta, f1, f2)[0],
+                                    lam)
+
+
 def test_jet_memo_never_skips_a_check():
     # the memo serves only what the same coordinates already passed: an
-    # atom near the scale bound does not make its derivatives legal, and a
-    # point that raised is not stored, so it raises again
+    # atom near the scale bound does not make its derivatives legal, an
+    # extension to them runs the same check, and a point or an order that
+    # raised is not stored, so it raises again and the entry below it stays
     d = gp.Affine1DDictionary(64)
     lo, hi = d.scale_range
     for a in (lo * (1 + INTERIOR_MARGIN / 2), hi * (1 - INTERIOR_MARGIN / 2)):
         near_edge = d.point(30.0, a)
         atom = d.jet(near_edge)[0]
-        for _ in range(2):
+        entry = d._last_jet
+        for order in (1, 2, 1):
             with pytest.raises(gp.DomainError, match="for derivatives"):
-                d.partials(near_edge)
-        assert d.jet(near_edge)[0] is atom  # the failed request replaced nothing
+                d.jet(near_edge, order)
+        assert d._last_jet is entry  # the failed requests replaced nothing
+        assert d.jet(near_edge)[0] is atom
     unsupported = d.point(-1000.0, 2.0)
     for _ in range(2):
         with pytest.raises(gp.DomainError, match="no effective support"):
             d.jet(unsupported)
+
+    # an order whose partials are not finite is refused; the order-0 entry
+    # it would have extended stays as it was
+    d = ConstantMother(8)
+    d._jet = lambda coords, shape, order, start, frame: (
+        (np.ones(8), np.full((1, 8), np.nan))[start:order + 1], frame)
+    lam = d.point(3.0)
+    atom = d.jet(lam)[0]
+    entry = d._last_jet
+    for _ in range(2):
+        with pytest.raises(gp.DomainError, match="derivatives are not finite"):
+            d.jet(lam, 1)
+    assert d._last_jet is entry and d.jet(lam)[0] is atom
 
 
 def test_score_directional_derivative(rng):
@@ -360,8 +396,8 @@ class ConstantMother(gp.Dictionary):
     def require_interior(self, lam):
         return None
 
-    def _jet(self, coords, shape, order):
-        return (np.ones(shape[0]), np.zeros((1, shape[0])))[:order + 1]
+    def _jet(self, coords, shape, order, start, frame):
+        return (np.ones(shape[0]), np.zeros((1, shape[0])))[start:order + 1], None
 
 
 def test_degenerate_dictionary_rejected():
@@ -376,7 +412,8 @@ def test_non_finite_raw_atom_is_a_domain_error(bad):
     d = ConstantMother(8)
     raw = np.ones(8)
     raw[3] = bad
-    d._jet = lambda coords, shape, order: (raw.copy(), np.zeros((1, 8)))[:order + 1]
+    d._jet = lambda coords, shape, order, start, frame: (
+        (raw.copy(), np.zeros((1, 8)))[start:order + 1], None)
     for order in (0, 1):
         with pytest.raises(gp.DomainError):
             d.jet(d.point(3.0), order=order)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import geopursuit as gp
 from geopursuit import geometry
 from geopursuit.dictionaries import ParamPoint
-from conftest import (TranslationDictionary, central_differences, dense_proxy,
-                      exhaustive_density_radius, interior_affine_points)
+from conftest import (TranslationDictionary, assert_jet_extensions_are_fresh,
+                      central_differences, dense_proxy, exhaustive_density_radius,
+                      interior_affine_points)
 
 SQRT3 = 1.7320508075688772  # ||g''|| / ||g'||^2 for a unit Gaussian, any scale
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +41,8 @@ def test_christoffel_and_curvature_take_one_order_2_jet(monkeypatch, quantity):
     orders = []
     jet = gp.Aniso2DDictionary._jet
     monkeypatch.setattr(gp.Aniso2DDictionary, "_jet",
-                        lambda self, c, s, order: orders.append(order) or jet(self, c, s, order))
+                        lambda self, c, s, order, *held: orders.append(order)
+                        or jet(self, c, s, order, *held))
     d = gp.Aniso2DDictionary((24, 24))
     quantity(d, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
     assert orders == [2]
@@ -150,6 +152,26 @@ def test_path_length_domain_exit():
     with pytest.raises(gp.DomainError):
         gp.path_length(d, d.point(100.0, 2.0), gp.ParamPoint((100.0, 0.5)),
                        segments=8)
+
+
+def test_path_length_to_a_scale_bound():
+    # the last midpoints of a path to a point on a scale bound lie where no
+    # derivatives exist; they are measured with their scales clamped into
+    # the interior, so the path has a length, near that of its stretch
+    # outside the band; a path that leaves the domain still raises
+    d = gp.Aniso2DDictionary((16, 16))
+    lo, hi = d.scale_range
+    for a in (lo, hi):
+        edge = d.point(8.0, 7.0, 0.3, a, 2.0)
+        inner = d.clamp_coords(edge.coords)
+        with pytest.raises(gp.DomainError, match="for derivatives"):
+            gp.metric(d, edge)
+        length = gp.path_length(d, inner, edge, segments=4)
+        assert length == pytest.approx(gp.metric(d, inner).norm(edge.coords - inner.coords),
+                                       rel=1e-2)
+        assert length > 0
+    with pytest.raises(gp.DomainError, match="outside"):
+        gp.path_length(d, d.point(8.0, 7.0, 0.3, 1.0, 2.0), ParamPoint((8.0, 7.0, 0.3, 0.5, 2.0)))
 
 
 def test_density_radius_zero_on_grid_points():
@@ -505,16 +527,29 @@ class LogScaleAffine(gp.Dictionary):
         return None
 
     def _raw(self, coords, shape):
-        return self.base._jet(np.array([coords[0], math.exp(coords[1])]), shape, 0)[0]
+        return self.base._jet(np.array([coords[0], math.exp(coords[1])]), shape, 0, 0, None)[0][0]
 
-    def _jet(self, coords, shape, order):
+    def _partials(self, coords, shape):
+        return central_differences(lambda c: self._raw(c, shape), coords, [1e-4, 1e-4])
+
+    def _jet(self, coords, shape, order, start, frame):
         # first partials by central differences of the raw atom rather than
         # the chain rule through the base dictionary, so the tensor law is
-        # checked independently; the step is fine enough to verify it at 1e-6
-        raw = self._raw(coords, shape)
-        if order == 0:
-            return (raw,)
-        return raw, central_differences(lambda c: self._raw(c, shape), coords, [1e-4, 1e-4])
+        # checked independently; the step is fine enough to verify it at 1e-6.
+        # Second partials are central differences of those; no frame is kept
+        parts = [self._raw(coords, shape)] if start == 0 else []
+        if start <= 1 <= order:
+            parts.append(self._partials(coords, shape))
+        if order >= 2:
+            parts.append(central_differences(lambda c: self._partials(c, shape), coords,
+                                             [1e-3, 1e-3]))
+        return tuple(parts), None
+
+
+def test_log_scale_jet_extension_is_a_fresh_jet():
+    base = gp.Affine1DDictionary(512)
+    lam = LogScaleAffine(base).point(250.0, math.log(12.0))
+    assert_jet_extensions_are_fresh(lambda: LogScaleAffine(base), lam)
 
 
 def test_metric_transforms_as_tensor():

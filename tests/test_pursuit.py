@@ -35,6 +35,33 @@ def test_score_orthogonal_residual(rng):
     assert gp.score(d, gp.SignalBuffer(x), lam) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(two_d=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi, exclude_max=True),
+       f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0))
+def test_score_is_the_squared_inner_product_of_the_atom(two_d, seed, fx, fy, theta, f1, f2):
+    # score dots the jet's atom with the residual without building a buffer
+    # around it; the float is inner_product's on the synthesized atom, on a
+    # cold dictionary and on a warm one alike
+    def make():
+        return gp.Aniso2DDictionary((14, 11)) if two_d else gp.Affine1DDictionary(96)
+
+    d = make()
+    lo, hi = (x * f for x, f in zip(d.scale_range, (1.01, 0.99)))
+    a1, a2 = (lo * (hi / lo) ** f for f in (f1, f2))
+    if two_d:
+        lam = d.point(fx * 13, fy * 10, theta, a1, a2)
+    else:
+        lam = d.point(fx * 95, a1)
+    r = gp.SignalBuffer(np.random.default_rng(seed).standard_normal(d.shape))
+    want = gp.inner_product(make().synthesize(lam), r) ** 2
+    assert gp.score(d, r, lam) == want
+    assert gp.score(d, r, lam) == want == gp.inner_product(d.synthesize(lam), r) ** 2
+    with pytest.raises(ValueError, match="shape mismatch"):
+        gp.score(d, gp.SignalBuffer(r.data.ravel()[:-1]), lam)
+
+
 def test_score_known_component(rng):
     d = gp.Affine1DDictionary(256)
     lam = d.point(130.0, 6.0)
@@ -364,7 +391,7 @@ def test_level_template_is_the_dictionary_atom(mother):
     # 2m + 1 samples: bit for bit the atom at b = 0 over offsets -m..m
     d = gp.Affine1DDictionary(64, mother=mother)
     for a, m in [(0.5, 5), (1.0, 10), (1.5, 15), (2.0 ** 0.5, 3), (7.25, 73), (40.0, 90)]:
-        want = affine_jet(d.mother, 0.0, a, np.arange(-m, m + 1.0))[0]
+        want = affine_jet(d.mother, 0.0, a, np.arange(-m, m + 1.0))[0][0]
         got = pursuit._template(d, (a,), (m,))
         assert got.tobytes() == want.tobytes()
 
@@ -412,23 +439,47 @@ def test_gradient_norm_consistent_with_metric(rng):
 
 
 def test_gradient_and_ascent_seed_take_one_jet(monkeypatch, rng):
-    # metric's order-1 jet serves gradient's atom and partials, and the
-    # seed's jet serves a clamp that changes nothing
-    orders = []
+    # metric's order-1 jet serves gradient's atom and partials; at a point
+    # whose order-0 entry is held it extends that entry and builds no new
+    # frame; the seed's jet serves a clamp that changes nothing; and over a
+    # whole ascent each point gets one frame, every gradient extending the
+    # entry its score left. A call is (order, start, whether it built a frame)
+    calls, points = [], []
     jet = gp.Aniso2DDictionary._jet
-    monkeypatch.setattr(gp.Aniso2DDictionary, "_jet",
-                        lambda self, c, s, order: orders.append(order) or jet(self, c, s, order))
+
+    def counted(self, coords, shape, order, start, frame):
+        calls.append((order, start, frame is None))
+        if frame is None:
+            points.append(coords.tobytes())
+        return jet(self, coords, shape, order, start, frame)
+
+    monkeypatch.setattr(gp.Aniso2DDictionary, "_jet", counted)
     d = gp.Aniso2DDictionary((24, 24))
     u = gp.SignalBuffer(rng.standard_normal((24, 24)))
-    gp.gradient(d, u, d.point(11.0, 12.5, 0.4, 2.0, 3.5))
-    assert orders == [1]
+    lam = d.point(11.0, 12.5, 0.4, 2.0, 3.5)
+    gp.gradient(d, u, lam)
+    assert calls == [(1, 0, True)]
+
+    d = gp.Aniso2DDictionary((24, 24))
+    s = gp.score(d, u, lam)
+    calls.clear()
+    info = gp.gradient(d, u, lam)
+    assert calls == [(1, 1, False)] and info.score == s
 
     d = gp.Aniso2DDictionary((24, 24))
     seed = next(lam for lam in gp.Grid2DSpec(24, 24, 3, 4).points()
                 if np.array_equal(d.clamp_coords(lam.coords).coords, lam.coords))
-    orders.clear()
+    calls.clear()
     res = gradient_ascent(d, u, seed, kappa=0)
-    assert res.lam is seed and orders == [0]
+    assert res.lam is seed and calls == [(0, 0, True)]
+
+    calls.clear()
+    points.clear()
+    res = gradient_ascent(d, u, seed, kappa=4)
+    assert res.steps >= 2
+    assert len(points) == len(set(points))
+    gradients = res.steps + (res.reason != "kappa")  # the last gradient stops a short ascent
+    assert [c for c in calls if c[0] == 1] == [(1, 1, False)] * gradients
 
 
 def test_ascent_fixed_point():
