@@ -213,6 +213,9 @@ class Dictionary:
         last_key, parts, frame, norm = self._last_jet
         if key != last_key:
             self._check_domain(lam)
+            # drop the old entry first, so that its arrays are freed before
+            # the new ones are allocated
+            self._last_jet = Dictionary._last_jet
             parts, frame, norm = (), None, ()
         elif len(parts) > order:
             return parts[:order + 1]

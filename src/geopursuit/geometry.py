@@ -135,8 +135,8 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     lo, hi = lo * (1 + CLAMP_MARGIN), hi * (1 - CLAMP_MARGIN)
     total = 0.0
     for k in range(segments):
-        mid = start + (k + 0.5) * delta
-        dictionary.check_scales(mid[scales])
+        mid = (start + (k + 0.5) * delta).tolist()
+        dictionary.check_scales([mid[i] for i in scales])
         for i in scales:
             mid[i] = min(max(mid[i], lo), hi)
         g = metric(dictionary, ParamPoint(mid))
