@@ -137,8 +137,7 @@ class Affine1DDictionary(Dictionary):
         """As `Dictionary.clamp_coords`, except that b clamps to
         [-MASS_RADIUS*a, n-1 + MASS_RADIUS*a] at the clamped scale a, the
         translations a tau-adic grid keeps, so a grid atom is its own clamp."""
-        b = float(coords[0])
-        a = float(super().clamp_coords(coords).coords[1])
+        b, a = float(coords[0]), self.clamp_scale(float(coords[1]))
         reach = MASS_RADIUS * a
         return self.point(min(max(b, -reach), self.n - 1 + reach), a)
 

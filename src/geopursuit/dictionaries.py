@@ -166,6 +166,11 @@ class Dictionary:
         self.check_scales(self._scales(lam), INTERIOR_MARGIN,
                           f"for derivatives is not {INTERIOR_MARGIN:g} (relative) inside")
 
+    def clamp_scale(self, a: float) -> float:
+        """`a` pulled to CLAMP_MARGIN (relative) inside the scale range."""
+        lo, hi = self.scale_range
+        return min(max(a, lo * (1 + CLAMP_MARGIN)), hi * (1 - CLAMP_MARGIN))
+
     def clamp_coords(self, coords) -> ParamPoint:
         """Pull raw coordinates into the interior of the domain.
 
@@ -175,11 +180,10 @@ class Dictionary:
         coordinates outside the valid region (e.g. negative scales from an
         overshot step).
         """
-        lo, hi = self.scale_range
         coords = np.array(coords, dtype=np.float64, copy=True)
         for i, k in enumerate(self.kinds):
             if k == SCALE:
-                coords[i] = min(max(coords[i], lo * (1 + CLAMP_MARGIN)), hi * (1 - CLAMP_MARGIN))
+                coords[i] = self.clamp_scale(coords[i])
             elif k == ANGLE:
                 coords[i] = coords[i] % np.pi
             else:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dictionaries import ANGLE, CLAMP_MARGIN, SCALE, Dictionary, ParamPoint
+from .dictionaries import ANGLE, SCALE, Dictionary, ParamPoint
 
 _METRIC_COND_LIMIT = 1e12
 _CURVATURE_SLACK = 1e-3
@@ -131,14 +131,12 @@ def path_length(dictionary: Dictionary, lam_a: ParamPoint, lam_b: ParamPoint,
     if not np.any(delta):
         return 0.0
     scales = [i for i, kind in enumerate(dictionary.kinds) if kind == SCALE]
-    lo, hi = dictionary.scale_range
-    lo, hi = lo * (1 + CLAMP_MARGIN), hi * (1 - CLAMP_MARGIN)
     total = 0.0
     for k in range(segments):
         mid = (start + (k + 0.5) * delta).tolist()
         dictionary.check_scales([mid[i] for i in scales])
         for i in scales:
-            mid[i] = min(max(mid[i], lo), hi)
+            mid[i] = dictionary.clamp_scale(mid[i])
         g = metric(dictionary, ParamPoint(mid))
         total += g.norm(delta)
     return total
