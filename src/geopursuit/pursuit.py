@@ -461,8 +461,8 @@ class _LatticeBlock(_WindowBlock):
         rows = np.arange(self.starts.size)[rows]
         # the runs of consecutive rows, each a slice of the windows
         cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), rows.size]
-        first = rows.tolist()
-        corr = [np.vecdot(windows[first[i]:first[j - 1] + 1], self.w)
+        row = rows.tolist()
+        corr = [np.vecdot(windows[row[i]:row[j - 1] + 1], self.w)
                 for i, j in zip(cuts, cuts[1:])]
         return _scores(np.concatenate(corr), self.norm2[rows])
 
