@@ -1,11 +1,12 @@
 """Matching pursuit over continuously parametrized dictionaries.
 
-Discrete pursuit runs an FFT-accelerated full search over a parameter
-grid; the geometrically refined variant polishes each selected atom by
-gradient ascent on the dictionary's parameter manifold. A geometry toolkit
-(pullback metric, connection coefficients, curvature bound, density
-radius, effective weakness factors) quantifies what a given discretization
-costs.
+Discrete pursuit runs an exact full search over a parameter grid: an FFT
+correlation per slab of a 2-D grid, a pruned windowed correlation per
+level of a 1-D grid. The geometrically refined variant polishes each
+selected atom by gradient ascent on the dictionary's parameter manifold.
+A geometry toolkit (pullback metric, connection coefficients, curvature
+bound, density radius, effective weakness factors) quantifies what a
+given discretization costs.
 """
 
 from .affine1d import (GAUSSIAN, MEXICAN_HAT, Affine1DDictionary, MotherFunction,

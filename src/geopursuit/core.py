@@ -134,7 +134,7 @@ def _load_raw(path: Path) -> tuple:
     if ndim not in (1, 2) or d0 == 0 or (ndim == 2 and d1 == 0):
         raise ValueError(f"{path}: malformed dimensions ndim={ndim} dims=({d0},{d1})")
     shape = (d0,) if ndim == 1 else (d0, d1)
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = blob[_RAW_HEADER.size:]
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: payload size {len(payload)} != 8*{count}")

@@ -3,15 +3,17 @@ with optional manifold gradient-ascent refinement of the selected atom.
 
 Each iteration finds the best atom of the whole grid, subtracts it, and
 records the step. The search works from a plan built once per dictionary
-and grid. A 2-D grid is scored whole, one FFT cross-correlation per slab.
-A 1-D grid is scored on residual windows, by an exact branch and bound:
-an atom's upper bound is the residual energy in its window (from one
-prefix sum of the squared residual), and a level scores only the
-translations whose bound can still reach the best. A level on the integer
-sample lattice scores them with its one centred template; a level off it
-builds each kernel row at its first use and keeps it for the plan's life.
-A plan holds only what does not depend on the residual: each search
-allocates its own padded residual, or its spectrum and FFT scratch. In
+and grid, of one of two kinds, which `_search_plan` alone chooses. A slab
+plan scores a 2-D grid over the anisotropic dictionary whole, one FFT
+cross-correlation per slab. A window plan scores a tau-adic grid over the
+affine dictionary on residual windows, by an exact branch and bound: an
+atom's upper bound is the residual energy in its window (from one prefix
+sum of the squared residual), and a level scores only the translations
+whose bound can still reach the best. A level on the integer sample
+lattice scores them with its one centred template; a level off it builds
+each kernel row at its first use and keeps it for the plan's life. A plan
+holds only what does not depend on the residual: each search allocates its
+own padded residual, or its spectrum and FFT scratch. In
 `gmp` mode the best grid atom seeds a gradient ascent on the parameter
 manifold before subtraction.
 """
@@ -19,12 +21,12 @@ manifold before subtraction.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -338,9 +340,9 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     """
     dictionary.check_shape(residual.shape)
     if isinstance(grid, TauAdicGrid) and isinstance(dictionary, Affine1DDictionary):
-        levels = _affine_plan
+        plan = _WindowPlan
     elif isinstance(grid, Grid2DSpec) and isinstance(dictionary, Aniso2DDictionary):
-        levels = _grid2d_plan
+        plan = _SlabPlan
     else:
         raise TypeError(f"no grid search plan for a {type(grid).__name__} grid with "
                         f"a {type(dictionary).__name__}")
@@ -348,7 +350,7 @@ def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
     if grid not in plans:
         dictionary.check_shape(grid.shape)
         dictionary.check_scales(grid.scale_span(), problem="of the grid outside")
-        plans[grid] = _SearchPlan.build(dictionary, levels(dictionary, grid), grid.factors())
+        plans[grid] = plan.build(dictionary, grid)
     return plans[grid]
 
 
@@ -371,58 +373,39 @@ _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _BOUND_MARGIN = 1e-9
 
 
-class _Level(NamedTuple):
-    """A level or slab of a grid: its non-translation coordinates `others`
-    and its translations, one array per axis (1-D ones may lie outside the
-    buffer). On the integer lattice the positions are integers and `ms`
-    holds the template's half-widths (2m+1 samples per axis); off it, `ms`
-    is None."""
-
-    others: tuple
-    positions: list
-    ms: tuple | None
-
-
 @dataclass(frozen=True)
 class _FFTBlock:
     """A 2-D slab: its centred template's conjugate spectrum wrapped to the
-    plan's real-FFT shape, its positions per axis (every pixel row and
-    column), and the in-buffer squared norms."""
+    plan's real-FFT shape, and the in-buffer squared norm at every pixel."""
 
     conj: np.ndarray
-    gather: tuple
     norm2: np.ndarray
 
     def scores(self, transform):
         return _scores(self.correlate(transform), self.norm2)
 
     def correlate(self, transform) -> np.ndarray:
-        """The inverse FFT of u_hat * conj at the outer product of the
-        gather indices, as a fresh array, from a search's `transform`: the
-        spectrum u_hat and the product and inverse buffers it overwrites."""
+        """The inverse FFT of u_hat * conj at every pixel, as a fresh array,
+        from a search's `transform`: the spectrum u_hat and the product and
+        inverse buffers it overwrites."""
         u_hat, product, inverse = transform
-        scale = 1.0 / inverse.size
+        nx, ny = self.norm2.shape
         np.multiply(u_hat, self.conj, out=product)
         # irfftn's passes in its order, all unscaled, then one scaling by
         # 1/prod(shape), where pocketfft's irfftn applies it, so the floats
         # are its floats for any lengths; the real pass reads only the
-        # leading rows, the pixel rows the grid scores
+        # leading rows, the pixel rows
         np.fft.ifft(product, axis=0, norm="forward", out=product)
-        rows = slice(len(self.gather[0]))
-        product, inverse = product[rows], inverse[rows]
-        np.fft.irfft(product, inverse.shape[-1], norm="forward", out=inverse)
-        out = inverse[..., self.gather[-1]]  # a fancy index: a fresh array
-        out *= scale
-        return out
+        np.fft.irfft(product[:nx], inverse.shape[-1], norm="forward", out=inverse[:nx])
+        return inverse[:nx, :ny] * (1.0 / inverse.size)
 
     @classmethod
-    def build(cls, dictionary: Dictionary, level: _Level, fft_shape) -> "_FFTBlock":
-        w = _template(dictionary, level.others, level.ms)
+    def build(cls, dictionary: Aniso2DDictionary, slab, ms, fft_shape) -> "_FFTBlock":
+        w = _template(dictionary, slab, ms)
         # template offsets -m..m per axis, stored at offset mod the FFT length
         wrapped = np.zeros(fft_shape)
-        wrapped[np.ix_(*(np.arange(-m, m + 1) % k for m, k in zip(level.ms, fft_shape)))] = w
-        return cls(np.conj(np.fft.rfftn(wrapped)), tuple(level.positions),
-                   _lattice_norm2(w, level.positions, dictionary.shape))
+        wrapped[np.ix_(*(np.arange(-m, m + 1) % k for m, k in zip(ms, fft_shape)))] = w
+        return cls(np.conj(np.fft.rfftn(wrapped)), _lattice_norm2(w, dictionary.shape))
 
 
 @dataclass(frozen=True)
@@ -467,9 +450,9 @@ class _LatticeBlock(_WindowBlock):
         return _scores(np.concatenate(corr), self.norm2[rows])
 
     @classmethod
-    def build(cls, dictionary: Affine1DDictionary, level: _Level, pad: int) -> "_LatticeBlock":
-        w = _template(dictionary, level.others, level.ms)
-        (m,), (bs,) = level.ms, level.positions
+    def build(cls, dictionary: Affine1DDictionary, a: float, bs: np.ndarray, m: int,
+              pad: int) -> "_LatticeBlock":
+        w = _template(dictionary, (a,), (m,))
         samples = bs[:, None] + np.arange(-m, m + 1)
         inside = (samples >= 0) & (samples < dictionary.shape[0])
         step = int(bs[1] - bs[0]) if bs.size > 1 else 1
@@ -511,38 +494,116 @@ class _DirectBlock(_WindowBlock):
         return _scores(np.array(corr), np.array(norm2))
 
     @classmethod
-    def build(cls, dictionary: Affine1DDictionary, level: _Level, pad: int) -> "_DirectBlock":
-        (a,), (bs,) = level.others, level.positions
+    def build(cls, dictionary: Affine1DDictionary, a: float, bs: np.ndarray,
+              pad: int) -> "_DirectBlock":
         (n,) = dictionary.shape
         _, _, starts, length = _direct_windows(n, a, bs)
         return cls(starts + pad, length, n, dictionary.mother, a, bs)
 
 
 @dataclass(frozen=True)
-class _SearchPlan:
-    """Everything a grid search needs that does not depend on the residual:
-    one block per level or slab, in enumeration order, with the enumeration
+class _WindowPlan:
+    """The search plan of a tau-adic grid over an affine dictionary: one
+    window block per level, in enumeration order, with the enumeration
     index of each block's first atom, and the grid's `factors()`, which map
-    an index to its point. A 2-D plan holds FFT blocks at one real-FFT shape;
-    a 1-D plan (`fft_shape` None) holds window blocks, whose windows lie in
-    the residual zero-padded by `pad` samples at each end.
+    an index to its point. Every window lies in the residual zero-padded by
+    `pad` samples at each end.
 
-    A plan holds no buffers: each search takes its own `transform`, and the
+    A plan holds no buffers: each search pads its own residual, and the
     scores it returns are fresh arrays."""
 
-    fft_shape: tuple | None
     pad: int
     blocks: list
     offsets: list
     factors: tuple
 
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        """What one search hands its blocks: `u` zero-padded."""
+        return np.pad(u, self.pad)
+
+    def scores(self, u: np.ndarray) -> list:
+        """Every atom's score, as one flat array per block."""
+        u_pad = self.transform(u)
+        return [block.scores(u_pad) for block in self.blocks]
+
+    def bounds(self, u_pad: np.ndarray) -> list:
+        """Upper bounds on the scores of every translation, one array per
+        block: the energy of the padded residual `u_pad` in each row's
+        window, which bounds (sum u w)**2 / |w|**2 by Cauchy-Schwarz, as the
+        difference of two entries of one prefix sum of u_pad**2."""
+        prefix = np.zeros(u_pad.size + 1)
+        np.cumsum(u_pad * u_pad, out=prefix[1:])
+        return [block.bounds(prefix) for block in self.blocks]
+
+    def argmax(self, u: np.ndarray) -> tuple[float, int]:
+        """(score, enumeration index) of the first best atom of `scores`.
+        Scores, block by descending largest bound, only the translations
+        whose bound reaches the running best, or a threshold set first from
+        the score of the first block's largest-bound row. A skipped atom
+        scores below the best, and a row's score does not depend on the rows
+        scored with it, so the result is the exhaustive one, bit for bit."""
+        u_pad = self.transform(u)
+        bounds = self.bounds(u_pad)
+        order = sorted(range(len(bounds)), key=lambda i: -bounds[i].max())
+        # a threshold before the first block is scored, from its largest-bound
+        # row; never the best, which comes only from scoring passing rows
+        first, top = order[0], int(np.argmax(bounds[order[0]]))
+        threshold = float(self.blocks[first].scores(u_pad, [top])[0])
+        margin = _BOUND_MARGIN * float(np.vdot(u, u))
+        best = (-math.inf, 0)  # (score, -index): the max is the first best
+        for i in order:
+            rows = np.flatnonzero(bounds[i] >= max(best[0], threshold) - margin)
+            if not rows.size:
+                break  # the blocks left have lower bounds still
+            scores = self.blocks[i].scores(u_pad, rows)
+            j = int(np.argmax(scores))
+            best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
+        return best[0], -best[1]
+
+    @classmethod
+    def build(cls, dictionary: Affine1DDictionary, grid: TauAdicGrid) -> "_WindowPlan":
+        """One block per level, one template at a time: a lattice block
+        where the level's translations sit on the integer sample lattice,
+        a direct block where they do not."""
+        (n,) = dictionary.shape
+        pad, builds = 0, []
+        for _, a, step, n_lo, n_hi in grid.levels():
+            bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
+            b_round = np.rint(bs)
+            if (abs(step - round(step)) < _LATTICE_TOL
+                    and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
+                # the template reaches every translation the grid keeps
+                m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
+                bs = b_round.astype(np.int64)
+                # the padding holds every lattice window [b - m, b + m]
+                pad = max(pad, m + max(-int(bs.min()), int(bs.max()) - (n - 1)))
+                builds.append(functools.partial(_LatticeBlock.build, dictionary, a, bs, m))
+            else:
+                # a direct window lies in the buffer
+                builds.append(functools.partial(_DirectBlock.build, dictionary, a, bs))
+        blocks = [build(pad=pad) for build in builds]
+        offsets = list(itertools.accumulate((b.starts.size for b in blocks[:-1]), initial=0))
+        return cls(pad, blocks, offsets, grid.factors())
+
+
+@dataclass(frozen=True)
+class _SlabPlan:
+    """The search plan of a 2-D grid over an anisotropic dictionary: one FFT
+    block per slab, in enumeration order, at one real-FFT shape, and the
+    grid's `factors()`, which map an index to its point. Every slab scores
+    every pixel, so the first atom of slab i has index i * nx * ny.
+
+    A plan holds no buffers: each search takes its own `transform`, and the
+    scores it returns are fresh arrays."""
+
+    fft_shape: tuple
+    blocks: list
+    factors: tuple
+
     def transform(self, u: np.ndarray):
-        """What one search hands its blocks: in 1-D, `u` zero-padded; in
-        2-D, (u_hat, product, inverse), the spectrum of `u` zero-padded to
-        the FFT shape and a product and an inverse buffer that every block
-        of the search overwrites in turn."""
-        if self.fft_shape is None:
-            return np.pad(u, self.pad)
+        """What one search hands its blocks: (u_hat, product, inverse), the
+        spectrum of `u` zero-padded to the FFT shape and a product and an
+        inverse buffer that every block of the search overwrites in turn."""
         u_hat = np.fft.rfftn(u, s=self.fft_shape, axes=(0, 1))
         return u_hat, np.empty_like(u_hat), np.empty(self.fft_shape)
 
@@ -551,72 +612,28 @@ class _SearchPlan:
         transform = self.transform(u)
         return [block.scores(transform) for block in self.blocks]
 
-    def bounds(self, u_pad: np.ndarray) -> list:
-        """Upper bounds on the scores of every translation of a 1-D plan,
-        one array per block: the energy of the padded residual `u_pad` in
-        each row's window, which bounds (sum u w)**2 / |w|**2 by
-        Cauchy-Schwarz, as the difference of two entries of one prefix sum
-        of u_pad**2."""
-        prefix = np.zeros(u_pad.size + 1)
-        np.cumsum(u_pad * u_pad, out=prefix[1:])
-        return [block.bounds(prefix) for block in self.blocks]
-
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
-        """(score, enumeration index) of the first best atom of `scores`. A
-        2-D plan scores every atom. A 1-D plan scores, block by descending
-        largest bound, only the translations whose bound reaches the running
-        best, or a threshold set first from the score of the first block's
-        largest-bound row. A skipped atom scores below the best, and a row's
-        score does not depend on the rows scored with it, so the result is
-        the exhaustive one, bit for bit."""
+        """(score, enumeration index) of the first best atom of `scores`,
+        which scores every atom."""
         transform = self.transform(u)
         best = (-math.inf, 0)  # (score, -index): the max is the first best
-        if self.fft_shape is not None:
-            for offset, block in zip(self.offsets, self.blocks):
-                scores = block.scores(transform)
-                k = int(np.argmax(scores))
-                best = max(best, (float(scores[k]), -offset - k))
-            return best[0], -best[1]
-        bounds = self.bounds(transform)
-        order = sorted(range(len(bounds)), key=lambda i: -bounds[i].max())
-        # a threshold before the first block is scored, from its largest-bound
-        # row; never the best, which comes only from scoring passing rows
-        first, top = order[0], int(np.argmax(bounds[order[0]]))
-        threshold = float(self.blocks[first].scores(transform, [top])[0])
-        margin = _BOUND_MARGIN * float(np.vdot(u, u))
-        for i in order:
-            rows = np.flatnonzero(bounds[i] >= max(best[0], threshold) - margin)
-            if not rows.size:
-                break  # the blocks left have lower bounds still
-            scores = self.blocks[i].scores(transform, rows)
-            j = int(np.argmax(scores))
-            best = max(best, (float(scores[j]), -self.offsets[i] - int(rows[j])))
+        for i, block in enumerate(self.blocks):
+            scores = block.scores(transform)
+            k = int(np.argmax(scores))
+            best = max(best, (float(scores[k]), -i * scores.size - k))
         return best[0], -best[1]
 
     @classmethod
-    def build(cls, dictionary: Dictionary, levels, factors) -> "_SearchPlan":
-        """Plan from `levels` in enumeration order, one template at a time:
-        a 2-D slab becomes an FFT block, a 1-D level on the integer lattice
-        a lattice block, and one off it a direct block."""
-        levels = list(levels)
-        sizes = [math.prod(len(p) for p in level.positions) for level in levels]
-        offsets = list(itertools.accumulate(sizes[:-1], initial=0))
-        if len(dictionary.shape) == 2:
-            # at n + m samples per axis, template offsets -m..m (m < n) never
-            # wrap onto a pixel position
-            fft_shape = tuple(_next_fast_len(n + max(level.ms[axis] for level in levels))
-                              for axis, n in enumerate(dictionary.shape))
-            blocks = [_FFTBlock.build(dictionary, level, fft_shape) for level in levels]
-            return cls(fft_shape, 0, blocks, offsets, factors)
-        # the padding holds every lattice window [b - m, b + m]; direct
-        # windows lie in the buffer
-        (n,) = dictionary.shape
-        pad = max([0] + [m + max(-int(bs.min()), int(bs.max()) - (n - 1))
-                         for level in levels if level.ms is not None
-                         for m, bs in zip(level.ms, level.positions)])
-        blocks = [_DirectBlock.build(dictionary, level, pad) if level.ms is None
-                  else _LatticeBlock.build(dictionary, level, pad) for level in levels]
-        return cls(None, pad, blocks, offsets, factors)
+    def build(cls, dictionary: Aniso2DDictionary, grid: Grid2DSpec) -> "_SlabPlan":
+        """One FFT block per slab, one template at a time."""
+        slabs = list(grid.slabs())
+        ms = [_slab_halfwidths(dictionary, *slab) for slab in slabs]
+        # at n + m samples per axis, template offsets -m..m (m < n) never
+        # wrap onto a pixel position
+        fft_shape = tuple(_next_fast_len(n + max(axis_ms))
+                          for n, axis_ms in zip(dictionary.shape, zip(*ms)))
+        blocks = [_FFTBlock.build(dictionary, slab, m, fft_shape) for slab, m in zip(slabs, ms)]
+        return cls(fft_shape, blocks, grid.factors())
 
 
 def _next_fast_len(n: int) -> int:
@@ -636,14 +653,13 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _lattice_norm2(w: np.ndarray, positions, shape) -> np.ndarray:
+def _lattice_norm2(w: np.ndarray, shape) -> np.ndarray:
     """Squared norms of the in-buffer part of the centred 2-D template `w`
-    at the outer product of the pixel `positions`, from a prefix table of
-    w**2."""
+    at every pixel of a buffer of `shape`, from a prefix table of w**2."""
     ms = [(k - 1) // 2 for k in w.shape]
-    # per axis, the template indices [lo, hi) of the in-buffer part
+    # per axis and pixel p, the template indices [lo, hi) of the in-buffer part
     (hi0, lo0), (hi1, lo1) = [(np.minimum(n - 1 - p, m) + m + 1, np.maximum(-p, -m) + m)
-                              for p, m, n in zip(positions, ms, shape)]
+                              for m, n in zip(ms, shape) for p in [np.arange(n)]]
     prefix = np.zeros(tuple(k + 1 for k in w.shape))
     prefix[1:, 1:] = np.cumsum(np.cumsum(w * w, axis=0), axis=1)
     return (prefix[np.ix_(hi0, hi1)] - prefix[np.ix_(lo0, hi1)] - prefix[np.ix_(hi0, lo1)]
@@ -679,22 +695,6 @@ def _template(dictionary: Dictionary, others, ms) -> np.ndarray:
     return dictionary._jet(coords, tuple(2 * m + 1 for m in ms), 0, 0, None)[0][0]
 
 
-def _affine_plan(dictionary: Affine1DDictionary, grid: TauAdicGrid):
-    """The grid's levels, one per scale, on the integer sample lattice
-    where the level's translations sit on it."""
-    n = grid.n
-    for _, a, step, n_lo, n_hi in grid.levels():
-        bs = np.arange(n_lo, n_hi + 1, dtype=np.float64) * step
-        b_round = np.rint(bs)
-        if (abs(step - round(step)) < _LATTICE_TOL
-                and np.max(np.abs(bs - b_round)) < _LATTICE_TOL):
-            # the template reaches every translation the grid keeps
-            m = int(min(math.ceil(KERNEL_RADIUS * a), n + math.ceil(MASS_RADIUS * a)))
-            yield _Level((a,), [b_round.astype(np.int64)], (m,))
-        else:
-            yield _Level((a,), [bs], None)
-
-
 def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2: float):
     """Template half-widths per axis: KERNEL_RADIUS widths, clipped to the image."""
     nx, ny = dictionary.shape
@@ -702,13 +702,6 @@ def _slab_halfwidths(dictionary: Aniso2DDictionary, theta: float, a1: float, a2:
     h1 = KERNEL_RADIUS * (a1 * ct + a2 * st)
     h2 = KERNEL_RADIUS * (a1 * st + a2 * ct)
     return int(min(math.ceil(h1), nx - 1)), int(min(math.ceil(h2), ny - 1))
-
-
-def _grid2d_plan(dictionary: Aniso2DDictionary, grid: Grid2DSpec):
-    """The grid's slabs, each on the lattice of all pixel positions."""
-    positions = [np.arange(k) for k in grid.shape]
-    for slab in grid.slabs():
-        yield _Level(slab, positions, _slab_halfwidths(dictionary, *slab))
 
 
 # ---------------------------------------------------------------------------

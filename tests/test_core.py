@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -147,6 +148,11 @@ def test_raw_rejects_corrupt_header(tmp_path):
         gp.load_signal(path)
     path.write_bytes(b"GPSB")
     with pytest.raises(ValueError):
+        gp.load_signal(path)
+    # the sample count of the largest dims is named as it is, with no wrap
+    big = 2**32 - 1
+    path.write_bytes(struct.pack("<4sIII", b"GPSB", 2, big, big) + b"\x00" * 16)
+    with pytest.raises(ValueError, match=rf"payload size 16 != 8\*{big * big}$"):
         gp.load_signal(path)
 
 

@@ -131,18 +131,25 @@ def test_full_search_2d_matches_naive_oracle(rng):
 
 def test_full_search_zero_residual_tie_break():
     # every atom ties at 0, on all-lattice levels and on all-direct levels
-    # (every bound and the pruning threshold 0, so every row passes)
-    d = gp.Affine1DDictionary(64)
-    z = gp.SignalBuffer.zeros((64,))
-    for grid, kind in ((gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64),
-                        pursuit._LatticeBlock),
-                       (gp.TauAdicGrid(b0=0.75, a0=1, tau=2.0, j_min=0, j_max=1, n=64),
-                        pursuit._DirectBlock)):
+    # (every bound and the pruning threshold 0, so every row passes), and
+    # on every slab of a 2-D grid, where the first grid point must win
+    d1 = gp.Affine1DDictionary(64)
+    d2 = gp.Aniso2DDictionary((6, 5))
+    for d, grid, plan, kind in (
+            (d1, gp.TauAdicGrid(b0=4, a0=2, tau=2.0, j_min=0, j_max=2, n=64),
+             pursuit._WindowPlan, pursuit._LatticeBlock),
+            (d1, gp.TauAdicGrid(b0=0.75, a0=1, tau=2.0, j_min=0, j_max=1, n=64),
+             pursuit._WindowPlan, pursuit._DirectBlock),
+            (d2, gp.Grid2DSpec(nx=6, ny=5, j_scales=2, k_orients=3),
+             pursuit._SlabPlan, pursuit._FFTBlock)):
+        z = gp.SignalBuffer.zeros(d.shape)
         best, s = full_search(d, z, grid)
         assert s == 0.0
         first = next(grid.points())
         assert np.array_equal(best.coords, first.coords)
-        assert {type(b) for b in pursuit._search_plan(d, z, grid).blocks} == {kind}
+        planned = pursuit._search_plan(d, z, grid)
+        assert type(planned) is plan
+        assert {type(b) for b in planned.blocks} == {kind}
 
 
 def test_unplanned_grids_are_refused(rng):
@@ -264,7 +271,7 @@ def test_plan_build_builds_no_kernel_row_and_no_fft(monkeypatch):
     grid = gp.experiment_grid(n, b0=2, log2_tau=0.5)
     plan = pursuit._search_plan(d, gp.SignalBuffer.zeros((n,)), grid)
     assert built == []
-    assert plan.fft_shape is None
+    assert isinstance(plan, pursuit._WindowPlan)
     lattice = [b for b in plan.blocks if isinstance(b, pursuit._LatticeBlock)]
     direct = [b for b in plan.blocks if isinstance(b, pursuit._DirectBlock)]
     assert len(lattice) == len(direct) == 10 and len(plan.blocks) == 20

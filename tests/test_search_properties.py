@@ -213,11 +213,10 @@ def test_pruned_2d_inverse_is_irfftn(nx, ny, j_scales, k_orients, seed):
     u_hat = transform[0]
     assert np.array_equal(u_hat, np.fft.rfftn(padded))
     for block in plan.blocks:
-        assert np.array_equal(block.gather[0], np.arange(nx))  # the rows the real pass reads
         want = np.fft.irfftn(u_hat * block.conj, shape, axes=(0, 1), norm="forward")
-        want = want[np.ix_(*block.gather)] * (1.0 / (shape[0] * shape[1]))
+        want = want[:nx, :ny] * (1.0 / (shape[0] * shape[1]))
         got = block.correlate(transform)
         assert got.shape == (nx, ny) and np.array_equal(got, want)
         if all(_is_power_of_two(k) for k in shape):
             full = np.fft.irfftn(u_hat * block.conj, shape, axes=(0, 1))
-            assert np.array_equal(got, full[np.ix_(*block.gather)])
+            assert np.array_equal(got, full[:nx, :ny])

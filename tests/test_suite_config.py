@@ -187,6 +187,54 @@ def test_the_private_import_check_sees_a_private_name(tmp_path):
                                        "probe.py:7: _nested"]
 
 
+# the grid and dictionary classes whose pairing picks a search plan's kind
+_FAMILIES = {"TauAdicGrid", "Grid2DSpec", "Affine1DDictionary", "Aniso2DDictionary"}
+
+
+def _family_tests(path: Path, allowed: str) -> list:
+    """`isinstance` calls on a grid or dictionary family in the module at
+    `path` outside its function `allowed`, by line and enclosing scope: the
+    family decided a second time."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2 and scope != allowed):
+            types = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
+            if types & _FAMILIES:
+                found.append(f"{path.name}:{node.lineno}: {scope or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_only_the_plan_choice_tests_the_grid_family():
+    # `_search_plan` picks the plan kind from the grid and dictionary types;
+    # no plan, block or helper of the search asks again
+    assert _family_tests(PACKAGE / "pursuit.py", "_search_plan") == []
+
+
+def test_the_family_check_sees_a_second_decision(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import geopursuit as gp\n"
+                     "from geopursuit import Grid2DSpec, TauAdicGrid\n"
+                     "def _search_plan(d, grid):\n"
+                     "    return isinstance(grid, TauAdicGrid)\n"
+                     "class Plan:\n"
+                     "    def argmax(self, grid):\n"
+                     "        return isinstance(grid, (int, Grid2DSpec))\n"
+                     "def build(d):\n"
+                     "    return isinstance(d, dict) or isinstance(d, gp.Aniso2DDictionary)\n"
+                     "FLAT = isinstance(None, gp.Affine1DDictionary)\n")
+    assert _family_tests(probe, "_search_plan") == [
+        "probe.py:7: Plan.argmax", "probe.py:9: build", "probe.py:10: <module>"]
+
+
 def _third_party_imports(package: Path) -> set:
     """Top-level modules that the modules of `package` import, less the
     standard library and the package's own relative imports."""
