@@ -38,8 +38,8 @@ def _fmt(x: float) -> str:
 def _load_grid(path):
     """(grid, dictionary) of a grid spec file: the dictionary of the grid's
     family, on the grid's sample shape. Every refusal names the file."""
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text()
         spec = json.loads(text)
         if not isinstance(spec, dict):
             raise ValueError("grid spec must be a JSON object")
@@ -253,12 +253,18 @@ def cmd_geometry(args) -> tuple[dict, list, list]:
     return _grid_spec(grid), [args.grid], outputs
 
 
-def cmd_curve(args) -> tuple[dict, list, list]:
+def _burst_experiment(args):
+    """(grid, dictionary, signal spec, config) of `curve` and `nae`, which
+    draw burst signals and so run on 1-D tau-adic grids only."""
     grid, dictionary = _load_grid(args.grid)
     if not isinstance(grid, TauAdicGrid):
-        raise ValueError("curve runs on 1-D tau-adic grids")
+        raise ValueError(f"{args.command} runs on 1-D tau-adic grids")
     spec = BurstSignalSpec(n=grid.n, n_bursts=args.bursts, kind=args.signal_class)
-    config = _pursuit_config(args)
+    return grid, dictionary, spec, _pursuit_config(args)
+
+
+def cmd_curve(args) -> tuple[dict, list, list]:
+    grid, dictionary, spec, config = _burst_experiment(args)
     result = convergence_curve(spec.sample, dictionary, grid, config,
                                trials=args.trials, m_max=args.m_max,
                                master_seed=args.seed)
@@ -272,11 +278,7 @@ def cmd_curve(args) -> tuple[dict, list, list]:
 
 
 def cmd_nae(args) -> tuple[dict, list, list]:
-    grid, dictionary = _load_grid(args.grid)
-    if not isinstance(grid, TauAdicGrid):
-        raise ValueError("nae runs on 1-D tau-adic grids")
-    spec = BurstSignalSpec(n=grid.n, n_bursts=args.bursts, kind=args.signal_class)
-    config = _pursuit_config(args)
+    grid, dictionary, spec, config = _burst_experiment(args)
     result = nae(spec.sample, dictionary, grid, config, trials=args.trials,
                  at_iteration=args.at_iteration, master_seed=args.seed)
     with open(args.out, "w") as fh:

@@ -107,9 +107,8 @@ def load_signal(path) -> SignalBuffer:
     reader's or `SignalBuffer`'s, is a ValueError naming the file."""
     path = Path(path)
     _, load = _FORMATS.get(path.suffix.lower(), _RAW_F64_LE)
-    samples, peak_hint = load(path)
     try:
-        return SignalBuffer(samples, peak_hint)
+        return SignalBuffer(*load(path))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -127,17 +126,17 @@ def _save_raw(buf: SignalBuffer, path: Path) -> None:
 def _load_raw(path: Path) -> tuple:
     blob = Path(path).read_bytes()
     if len(blob) < _RAW_HEADER.size:
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError("truncated header")
     magic, ndim, d0, d1 = _RAW_HEADER.unpack_from(blob)
     if magic != _RAW_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise ValueError(f"bad magic {magic!r}")
     if ndim not in (1, 2) or d0 == 0 or (ndim == 2 and d1 == 0):
-        raise ValueError(f"{path}: malformed dimensions ndim={ndim} dims=({d0},{d1})")
+        raise ValueError(f"malformed dimensions ndim={ndim} dims=({d0},{d1})")
     shape = (d0,) if ndim == 1 else (d0, d1)
     count = math.prod(shape)
     payload = blob[_RAW_HEADER.size:]
     if len(payload) != 8 * count:
-        raise ValueError(f"{path}: payload size {len(payload)} != 8*{count}")
+        raise ValueError(f"payload size {len(payload)} != 8*{count}")
     return np.frombuffer(payload, dtype="<f8").reshape(shape), None
 
 
@@ -163,12 +162,12 @@ def _load_csv(path: Path) -> tuple:
             try:
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError as exc:
-                raise ValueError(f"{path}: bad CSV row: {exc}") from None
+                raise ValueError(f"bad CSV row: {exc}") from None
     if not rows:
-        raise ValueError(f"{path}: empty CSV")
+        raise ValueError("empty CSV")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
-        raise ValueError(f"{path}: ragged CSV rows (widths {sorted(widths)})")
+        raise ValueError(f"ragged CSV rows (widths {sorted(widths)})")
     arr = np.array(rows)
     return (arr[0] if len(rows) == 1 else arr), None
 
@@ -187,7 +186,7 @@ def _save_pgm(buf: SignalBuffer, path: Path) -> None:
 def _load_pgm(path: Path) -> tuple:
     blob = Path(path).read_bytes()
     if blob[:2] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (P5)")
+        raise ValueError("not a binary PGM (P5)")
     # Header: magic, width, height, maxval; '#' comments allowed between tokens.
     pos = 2
     tokens = []
@@ -202,23 +201,23 @@ def _load_pgm(path: Path) -> tuple:
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise ValueError(f"{path}: malformed PGM header")
+            raise ValueError("malformed PGM header")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
-        raise ValueError(f"{path}: non-numeric PGM header fields") from None
+        raise ValueError("non-numeric PGM header fields") from None
     if width <= 0 or height <= 0:
-        raise ValueError(f"{path}: bad PGM dimensions {width}x{height}")
+        raise ValueError(f"bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval} (8-bit only)")
+        raise ValueError(f"unsupported maxval {maxval} (8-bit only)")
     payload = blob[pos:pos + width * height]
     if len(payload) != width * height:
-        raise ValueError(f"{path}: truncated PGM payload")
+        raise ValueError("truncated PGM payload")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     if arr.max() > maxval:
-        raise ValueError(f"{path}: pixel value {arr.max()} exceeds maxval {maxval}")
+        raise ValueError(f"pixel value {arr.max()} exceeds maxval {maxval}")
     return arr.astype(np.float64), float(maxval)
 
 

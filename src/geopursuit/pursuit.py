@@ -27,6 +27,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -199,17 +200,16 @@ class Decomposition:
 
 
 def jsonl_steps(path):
-    """(line number, step) for each non-blank line of a `to_jsonl` file; a
-    line that is not such a step raises ValueError naming the file and the
-    line."""
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
+    """(line number, step) for each non-blank line of a `to_jsonl` file,
+    split where text mode splits lines; a line that is not a step in UTF-8
+    raises ValueError naming the file and the line."""
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = line.decode().strip()
             if line:
-                try:
-                    yield number, DecompositionStep.from_record(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {number}: {exc}") from None
+                yield number, DecompositionStep.from_record(json.loads(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: {exc}") from None
 
 
 def score(dictionary: Dictionary, residual: SignalBuffer, lam: ParamPoint) -> float:
@@ -324,7 +324,8 @@ def grid_scores(dictionary: Dictionary, residual: SignalBuffer, grid) -> np.ndar
     the search's pruning atom by atom.
     """
     plan = _search_plan(dictionary, residual, grid)
-    return np.concatenate(plan.scores(residual.data))
+    transform = plan.transform(residual.data)
+    return np.concatenate([block.scores(transform) for block in plan.blocks])
 
 
 def _search_plan(dictionary: Dictionary, residual: SignalBuffer, grid):
@@ -405,25 +406,11 @@ class _FFTBlock:
         # template offsets -m..m per axis, stored at offset mod the FFT length
         wrapped = np.zeros(fft_shape)
         wrapped[np.ix_(*(np.arange(-m, m + 1) % k for m, k in zip(ms, fft_shape)))] = w
-        return cls(np.conj(np.fft.rfftn(wrapped)), _lattice_norm2(w, dictionary.shape))
+        return cls(np.conj(np.fft.rfftn(wrapped)), _slab_norm2(w, dictionary.shape))
 
 
 @dataclass(frozen=True)
-class _WindowBlock:
-    """A 1-D level, scored on the windows [starts, starts + length) of the
-    padded residual by one dot product per row: unlike a matrix product's,
-    a row's float does not depend on which rows share the call."""
-
-    starts: np.ndarray
-    length: int
-
-    def bounds(self, prefix: np.ndarray) -> np.ndarray:
-        """Each translation's residual energy in its window, from the prefix sum of u_pad**2."""
-        return prefix[self.starts + self.length] - prefix[self.starts]
-
-
-@dataclass(frozen=True)
-class _LatticeBlock(_WindowBlock):
+class _LatticeBlock:
     """A 1-D level on the integer lattice: its centred template `w`, of
     2m + 1 samples, scores the window [b - m, b + m] of each integer
     position b. The positions are `step` samples apart, so a run of
@@ -433,6 +420,8 @@ class _LatticeBlock(_WindowBlock):
     a difference of prefix sums, it cannot cancel when only a far tail is
     inside."""
 
+    starts: np.ndarray
+    length: int
     step: int
     w: np.ndarray
     norm2: np.ndarray
@@ -460,7 +449,7 @@ class _LatticeBlock(_WindowBlock):
 
 
 @dataclass(frozen=True)
-class _DirectBlock(_WindowBlock):
+class _DirectBlock:
     """An off-lattice 1-D level of `mother` at scale `a` and translations
     `bs`, in a buffer of n samples.
 
@@ -474,6 +463,8 @@ class _DirectBlock(_WindowBlock):
     `experiment_grid(b0=2, log2_tau=0.5)` grid.
     """
 
+    starts: np.ndarray
+    length: int
     n: int
     mother: object
     a: float
@@ -503,14 +494,14 @@ class _DirectBlock(_WindowBlock):
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """The search plan of a tau-adic grid over an affine dictionary: one
-    window block per level, in enumeration order, with the enumeration
-    index of each block's first atom, and the grid's `factors()`, which map
-    an index to its point. Every window lies in the residual zero-padded by
-    `pad` samples at each end.
-
-    A plan holds no buffers: each search pads its own residual, and the
-    scores it returns are fresh arrays."""
+    """The search plan of a tau-adic grid over an affine dictionary: a block
+    per level, in enumeration order, each block's first enumeration index,
+    and the grid's `factors()`, which map an index to its point. A block
+    scores row r on the window [starts[r], starts[r] + length) of the
+    residual zero-padded by `pad` samples at each end, by one dot product
+    per row: unlike a matrix product's, a row's float does not depend on
+    which rows share the call. The plan holds no buffers: each search pads
+    its own residual, and the scores it returns are fresh arrays."""
 
     pad: int
     blocks: list
@@ -521,11 +512,6 @@ class _WindowPlan:
         """What one search hands its blocks: `u` zero-padded."""
         return np.pad(u, self.pad)
 
-    def scores(self, u: np.ndarray) -> list:
-        """Every atom's score, as one flat array per block."""
-        u_pad = self.transform(u)
-        return [block.scores(u_pad) for block in self.blocks]
-
     def bounds(self, u_pad: np.ndarray) -> list:
         """Upper bounds on the scores of every translation, one array per
         block: the energy of the padded residual `u_pad` in each row's
@@ -533,10 +519,10 @@ class _WindowPlan:
         difference of two entries of one prefix sum of u_pad**2."""
         prefix = np.zeros(u_pad.size + 1)
         np.cumsum(u_pad * u_pad, out=prefix[1:])
-        return [block.bounds(prefix) for block in self.blocks]
+        return [prefix[b.starts + b.length] - prefix[b.starts] for b in self.blocks]
 
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
-        """(score, enumeration index) of the first best atom of `scores`.
+        """(score, enumeration index) of the grid's first best atom.
         Scores, block by descending largest bound, only the translations
         whose bound reaches the running best, or a threshold set first from
         the score of the first block's largest-bound row. A skipped atom
@@ -607,14 +593,9 @@ class _SlabPlan:
         u_hat = np.fft.rfftn(u, s=self.fft_shape, axes=(0, 1))
         return u_hat, np.empty_like(u_hat), np.empty(self.fft_shape)
 
-    def scores(self, u: np.ndarray) -> list:
-        """Every atom's score, as one flat array per block."""
-        transform = self.transform(u)
-        return [block.scores(transform) for block in self.blocks]
-
     def argmax(self, u: np.ndarray) -> tuple[float, int]:
-        """(score, enumeration index) of the first best atom of `scores`,
-        which scores every atom."""
+        """(score, enumeration index) of the grid's first best atom, from
+        the scores of every atom."""
         transform = self.transform(u)
         best = (-math.inf, 0)  # (score, -index): the max is the first best
         for i, block in enumerate(self.blocks):
@@ -653,7 +634,7 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _lattice_norm2(w: np.ndarray, shape) -> np.ndarray:
+def _slab_norm2(w: np.ndarray, shape) -> np.ndarray:
     """Squared norms of the in-buffer part of the centred 2-D template `w`
     at every pixel of a buffer of `shape`, from a prefix table of w**2."""
     ms = [(k - 1) // 2 for k in w.shape]

@@ -132,6 +132,17 @@ def test_curve_and_nae_take_no_max_iters(tmp_path, grid_file, command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["curve", "nae"])
+def test_curve_and_nae_refuse_a_2d_grid(tmp_path, capsys, command):
+    # both draw 1-D burst signals, so a 2-D grid is refused before any trial
+    path = tmp_path / "grid.json"
+    path.write_text(gp.Grid2DSpec(8, 8, 2, 2).to_json())
+    out = tmp_path / "x.csv"
+    assert main([command, "--grid", str(path), "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {command} runs on 1-D tau-adic grids\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["curve", "--trials", "0"], ["curve", "--m-max", "-1"],
                                   ["nae", "--at-iteration", "0"], ["nae", "--trials", "0"]],
                          ids=["curve-trials", "curve-m-max", "nae-at-iteration", "nae-trials"])
@@ -483,6 +494,30 @@ def test_non_finite_signal_file_is_runtime_error(tmp_path, capsys, name):
     assert main(["decompose", "--grid", str(tmp_path / "grid.json"), "--in", str(signal),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {signal}: samples must be finite (no NaN/Inf)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["grid", "signal", "steps"])
+def test_a_file_that_is_not_utf8_is_refused_naming_it(tmp_path, capsys, bad):
+    # a grid spec, a CSV signal or a steps file holding bytes that are not
+    # UTF-8 is an error line naming the file (and a steps file's line)
+    files = {"grid": tmp_path / "grid.json", "signal": tmp_path / "s.csv",
+             "steps": tmp_path / "steps.jsonl"}
+    files["grid"].write_text(json.dumps(_TAU))
+    files["signal"].write_text(",".join(["1.0"] * 64) + "\n")
+    rec = gp.DecompositionStep(m=0, lam=np.array([10.0, 2.0]), coeff=0.5, score=0.25,
+                               residual_energy=0.75).to_record()
+    files["steps"].write_text(json.dumps(rec) + "\n")
+    with open(files[bad], "ab") as fh:
+        fh.write(b"\xff\xfe not utf-8\n")
+    out = tmp_path / "out.bin"
+    if bad == "steps":
+        args = ["reconstruct", "--steps", str(files["steps"])]
+    else:
+        args = ["decompose", "--in", str(files["signal"])]
+    assert main([*args, "--grid", str(files["grid"]), "--out", str(out)]) == 1
+    where = f"{files[bad]}, line 2" if bad == "steps" else f"{files[bad]}"
+    assert capsys.readouterr().err.startswith(f"error: {where}: 'utf-8' codec can't decode")
     assert not out.exists()
 
 
